@@ -10,17 +10,16 @@ from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, appell_fa,
                        contiguous_relation_check, doubled_index_multisum,
                        fa_decomposition_rhs, fa_equal_params_closed, gauss_2f1,
                        recurrence_coefficients)
-from .kernels import (KERNEL_POLICY, D1Intermediates, KernelValue, OperatorWeights,
-                      d1_intermediates, d1_series_coefficient, d2_series_coefficient,
-                      kernel_closed_d1, kernel_closed_d1_nu, kernel_closed_d2,
-                      kernel_closed_d2_nu, kernel_series_d1, kernel_series_d1_nu,
-                      kernel_series_d2, kernel_series_d2_nu, kernel_series_ellipsoid,
+from .kernels import (KERNEL_POLICY, KernelValue, OperatorWeights, kernel_closed_d1,
+                      kernel_closed_d1_nu, kernel_closed_d2, kernel_closed_d2_nu,
+                      kernel_series_d1, kernel_series_d1_nu, kernel_series_d2,
+                      kernel_series_d2_nu, kernel_series_ellipsoid,
                       kernel_series_ellipsoid_nu, potential_closed_d1,
                       potential_series_d1)
 from .norms import (adaptive_gauss, check_index_d1, check_index_d2, d1_exponents,
                     norm_closed, norm_d1, norm_d2, norm_quadrature)
-from .numerics import (DualComplex, dual_const, dual_var, log_gamma, pochhammer,
-                       principal_pow, principal_sqrt)
+from .numerics import (DualComplex, dual_const, dual_var, log_gamma, principal_pow,
+                       principal_sqrt)
 from .report import ReportRow, VerificationReport, error_pair, make_row
 from .suites import run_identity_suite, run_kernel_suite, run_norm_suite
 

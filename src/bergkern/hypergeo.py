@@ -115,14 +115,16 @@ def _power_over_factorial_logseq(z: complex, length: int) -> _LogSeq:
     return _ratio_logseq(lambda m: z / (m + 1), length)
 
 
-@lru_cache(maxsize=None)
+# Bounded, yet larger than the ~1200 tables of up to 3 variables that a
+# degree-400 series builds, so no table is rebuilt within one evaluation.
+@lru_cache(maxsize=2048)
 def _compositions_cached(nvars: int, total: int) -> np.ndarray:
     if nvars == 1:
         out = np.array([[total]], dtype=np.int32)
     else:
         blocks = []
         for first in range(total + 1):
-            rest = _compositions_cached(nvars - 1, total - first)
+            rest = _compositions(nvars - 1, total - first)
             col = np.full((rest.shape[0], 1), first, dtype=np.int32)
             blocks.append(np.hstack((col, rest)))
         out = np.vstack(blocks)
@@ -134,19 +136,13 @@ def _compositions(nvars: int, total: int) -> np.ndarray:
     # 4+ variable tables get large; only cache up to 3 variables.
     if nvars <= 3:
         return _compositions_cached(nvars, total)
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(nvars - 1, total - first)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int32)
-        blocks.append(np.hstack((col, rest)))
-    return np.vstack(blocks)
+    return _compositions_cached.__wrapped__(nvars, total)
 
 
 def _shell_gather(seqs: list[_LogSeq], comps: np.ndarray,
-                  extra_logmag: float, extra_phase: complex) -> complex:
-    """Sum of extra * prod_i seqs[i][comps[:, i]] over the composition rows."""
-    if extra_logmag == _NEG_INF:
-        return 0j
+                  extra_logmag, extra_phase: complex = 1.0) -> complex:
+    """Sum of extra * prod_i seqs[i][comps[:, i]] over the composition rows;
+    extra_logmag is one value for the whole shell or an array of one per row."""
     logs = seqs[0].logmag[comps[:, 0]] + extra_logmag
     phases = seqs[0].phase[comps[:, 0]].copy()
     for i in range(1, len(seqs)):

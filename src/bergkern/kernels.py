@@ -6,7 +6,10 @@ a rational function of the Hermitian products nu_j = z_j * conj(zeta_j).
 
 Series route: truncated orthonormal-monomial expansions with coefficients
 from the closed norm formulas (d1, d2) or the residue/Appell form (complex
-ellipsoids).
+ellipsoids). d1 and d2 share one engine, _monomial_series, which sums the
+monomials of a few variables shell by shell in total degree: d1 in
+(nu1+nu2, nu3, nu4) and d2 in (nu1 + nu2/nu1, nu3/nu1), the binomial theorem
+folding each pair of exponents that enters only through its sum.
 
 The removable singularity of the closed d1 potential at nu3 = 0 is eliminated
 algebraically: with w = sqrt(1 - 4*nu3), (1 - w)/(4*nu3) = 1/(1 + w) exactly,
@@ -17,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import gammaln
 
 from .domains import PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
 from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _compositions,
-                       _LogSeq, _power_over_factorial_logseq, _sum_shells, appell_fa)
+                       _LogSeq, _shell_gather, _sum_shells, appell_fa)
 from .numerics import DualComplex, dual_var, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
@@ -67,21 +70,6 @@ class OperatorWeights:
         return cls((2.0 / p, 2.0 / p, 1.0, 2.0 / lam), p / math.pi**4)
 
 
-@dataclass(frozen=True)
-class D1Intermediates:
-    """Branch-sensitive building blocks of the closed d1 potential.
-
-    scaled_prefactor is the leading factor times 4*nu3, which stays finite
-    through nu3 = 0; without that scaling it diverges there.
-    """
-
-    sqrt_one_minus_4nu3: complex
-    mu1: complex
-    mu2: complex
-    mu4: complex
-    scaled_prefactor: complex
-
-
 def _plain(x) -> complex:
     return x.val if isinstance(x, DualComplex) else complex(x)
 
@@ -120,23 +108,6 @@ def potential_closed_d1(nu, p: float, lam: float):
     return scaled_c * (num1 / (d4sq * d12sq)
                        + 4.0 * ratio / (p * d4sq * (d12sq * d12))
                        + 4.0 * (mu4 * ratio) / (lam * (d4sq * d4) * d12sq))
-
-
-def d1_intermediates(nu, p: float, lam: float) -> D1Intermediates:
-    nu = tuple(complex(v) for v in nu)
-    if abs(nu[2]) >= 0.25:
-        raise RegionError(f"d1 intermediates require |nu3| < 1/4, got {nu[2]}")
-    expo = 4.0 / p + 2.0 / lam
-    w = principal_sqrt(1.0 - 4.0 * nu[2])
-    onepw = w + 1.0
-    return D1Intermediates(
-        sqrt_one_minus_4nu3=w,
-        mu1=(2.0**(2.0 / p)) * nu[0] / principal_pow(onepw, 2.0 / p),
-        mu2=(2.0**(2.0 / p)) * nu[1] / principal_pow(onepw, 2.0 / p),
-        mu4=(2.0**(2.0 / lam)) * nu[3] / principal_pow(onepw, 2.0 / lam),
-        scaled_prefactor=(2.0**expo) / (principal_pow(1.0 - 4.0 * nu[2], 1.5)
-                                        * principal_pow(onepw, expo - 1.0)),
-    )
 
 
 def kernel_closed_d1_nu(nu, p: float, lam: float,
@@ -195,50 +166,6 @@ def _kernel_closed_d2_alternate(nu) -> complex:
 
 # --- series route ------------------------------------------------------------
 
-def d1_series_coefficient(alpha, p: float, lam: float) -> float:
-    """Coefficient of nu^alpha in the d1 kernel series (prefactor included);
-    identically the reciprocal of norm_d1."""
-    a1, a2, a3, a4 = alpha
-    s = (a1 + a2 + 2) / p + a3 + (a4 + 1) / lam + 1.0
-    lg = math.lgamma(a1 + a2 + 2.0) + math.lgamma(2 * s) - math.lgamma(2 * s - a3 - 1.0) \
-        - math.lgamma(a1 + 1.0) - math.lgamma(a2 + 1.0) - math.lgamma(a3 + 1.0)
-    return (p / math.pi**4) * (a4 + 1) * (s + (a4 + 1) / lam) * math.exp(lg)
-
-
-def d2_series_coefficient(k: int, a2: int, a3: int) -> float:
-    """Coefficient of the reindexed d2 Laurent series at (k, a2, a3)
-    (the 1/pi^3 included, the 1/nu1^2 prefactor not); identically the
-    reciprocal of norm_d2 at alpha1 = k - 2 - a2 - a3."""
-    if k < 0 or a2 < 0 or a3 < 0:
-        raise ValueError("d2 series coefficient needs nonnegative (k, a2, a3)")
-    lg = math.lgamma(k + a2 + 2.0) - math.lgamma(a2 + 1.0) - math.lgamma(k + 1.0)
-    return (a3 + 1) * (k + a2 + a3 + 3) * math.exp(lg) / math.pi**3
-
-
-def _pair_table(za: complex, zb: complex, length: int) -> _LogSeq:
-    """Log/phase table of P[q] = sum_{i+j=q} za^i zb^j / (i! j!)."""
-    ta = _power_over_factorial_logseq(za, length)
-    tb = _power_over_factorial_logseq(zb, length)
-    logmag = np.empty(length)
-    phase = np.empty(length, dtype=complex)
-    for q in range(length):
-        logs = ta.logmag[:q + 1] + tb.logmag[q::-1]
-        base = logs.max()
-        if base == _NEG_INF:
-            logmag[q] = _NEG_INF
-            phase[q] = 1.0
-            continue
-        val = complex(np.sum(np.exp(logs - base) * (ta.phase[:q + 1] * tb.phase[q::-1])))
-        mag = abs(val)
-        if mag == 0.0:
-            logmag[q] = _NEG_INF
-            phase[q] = 1.0
-        else:
-            logmag[q] = base + math.log(mag)
-            phase[q] = val / mag
-    return _LogSeq(logmag, phase)
-
-
 def _powers_logseq(z: complex, length: int) -> _LogSeq:
     m = np.arange(length)
     if z == 0:
@@ -251,63 +178,61 @@ def _powers_logseq(z: complex, length: int) -> _LogSeq:
     return _LogSeq(logmag, phase)
 
 
-# Per-shell coefficient tables, reused across every pair of one parameter set.
-_d1_tables: dict = {}
-_d2_tables: list = []
-
-
-def _d1_shell_table(p: float, lam: float, with_operator_factor: bool, deg: int):
-    key = (p, lam, with_operator_factor)
-    shells = _d1_tables.setdefault(key, [])
-    while len(shells) <= deg:
-        m = len(shells)
-        comps = _compositions(3, m)  # columns: q = a1+a2, a3, a4
-        q = comps[:, 0].astype(float)
-        a3 = comps[:, 1].astype(float)
-        a4 = comps[:, 2].astype(float)
-        s = (q + 2.0) / p + a3 + (a4 + 1.0) / lam + 1.0
-        lg = gammaln(q + 2.0) + np.log(a4 + 1.0) + gammaln(2.0 * s) \
-            - gammaln(2.0 * s - a3 - 1.0) - gammaln(a3 + 1.0)
-        if with_operator_factor:
-            lg = lg + np.log(s + (a4 + 1.0) / lam)
-        shells.append((comps, lg))
-    return shells[deg]
-
-
-def _d2_shell_table(deg: int):
-    while len(_d2_tables) <= deg:
-        m = len(_d2_tables)
-        comps = _compositions(2, m)  # columns: r = k+a2, a3
-        r = comps[:, 0].astype(float)
-        a3 = comps[:, 1].astype(float)
-        lg = np.log(a3 + 1.0) + np.log(r + a3 + 3.0) + gammaln(r + 2.0)
-        _d2_tables.append((comps, lg))
-    return _d2_tables[deg]
-
-
-def _d1_series(nu, p: float, lam: float, policy: TruncationPolicy,
-               with_operator_factor: bool) -> SeriesValue:
+def _monomial_series(xs, shell_table, policy: TruncationPolicy, what: str) -> SeriesValue:
+    """Sum of exp(log_coef) * prod_i xs[i]^comps[:, i] over the rows of every
+    total-degree shell, where shell_table(deg) returns (comps, log_coef)."""
     length = policy.max_total_degree + 1
-    pair12 = _pair_table(nu[0], nu[1], length)
-    pow3 = _powers_logseq(nu[2], length)
-    pow4 = _powers_logseq(nu[3], length)
+    seqs = [_powers_logseq(x, length) for x in xs]
+    return _sum_shells(lambda deg: _shell_gather(seqs, *shell_table(deg)), policy, what)
 
-    def shell(deg):
-        comps, lg = _d1_shell_table(p, lam, with_operator_factor, deg)
-        logs = lg + pair12.logmag[comps[:, 0]] + pow3.logmag[comps[:, 1]] \
-            + pow4.logmag[comps[:, 2]]
-        ph = pair12.phase[comps[:, 0]] * pow3.phase[comps[:, 1]] * pow4.phase[comps[:, 2]]
-        return complex(np.sum(np.exp(logs) * ph))
 
-    return _sum_shells(shell, policy, "d1 kernel series")
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
+
+
+# Shell tables are reused across every pair of one parameter set. A series
+# uses at most 401 shells, so the bound keeps whole parameter sets while
+# capping memory when many sets are evaluated in one process.
+_SHELL_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_SHELL_CACHE_SIZE)
+def _d1_shell(p: float, lam: float, with_operator_factor: bool, deg: int):
+    """Rows (q, a3, a4) of one d1 shell and the log-coefficients of
+    (nu1+nu2)^q nu3^a3 nu4^a4. The nu1^a1 nu2^a2 terms with a1 + a2 = q share
+    the factor (q+1)!/(a1! a2!), so by the binomial theorem they fold into
+    (q+1) (nu1+nu2)^q."""
+    comps = _compositions(3, deg)
+    q, a3, a4 = comps.T.astype(float)
+    s = (q + 2.0) / p + a3 + (a4 + 1.0) / lam + 1.0
+    log_fact = _lgamma(np.arange(1.0, deg + 2.0))  # log(a3!) for a3 = 0..deg
+    lg = np.log(q + 1.0) + np.log(a4 + 1.0) + _lgamma(2.0 * s) \
+        - _lgamma(2.0 * s - a3 - 1.0) - log_fact[comps[:, 1]]
+    if with_operator_factor:
+        lg += np.log(s + (a4 + 1.0) / lam)
+    lg.setflags(write=False)
+    return comps, lg
+
+
+@lru_cache(maxsize=_SHELL_CACHE_SIZE)
+def _d2_shell(deg: int):
+    """Rows (r, a3) of one shell of the reindexed d2 Laurent series and the
+    log-coefficients of (nu1 + nu2/nu1)^r (nu3/nu1)^a3: the nu1^k (nu2/nu1)^a2
+    terms with k + a2 = r fold by the binomial theorem, as for d1."""
+    comps = _compositions(2, deg)
+    r, a3 = comps.T.astype(float)
+    lg = np.log(a3 + 1.0) + np.log(r + a3 + 3.0) + np.log(r + 1.0)
+    lg.setflags(write=False)
+    return comps, lg
 
 
 def potential_series_d1(nu, p: float, lam: float,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Series oracle for the closed d1 potential (same coefficients as the
     kernel series, without the operator multiplier or prefactor)."""
-    nu = tuple(complex(v) for v in nu)
-    return _d1_series(nu, p, lam, policy, with_operator_factor=False)
+    n1, n2, n3, n4 = (complex(v) for v in nu)
+    return _monomial_series((n1 + n2, n3, n4), partial(_d1_shell, p, lam, False),
+                            policy, "d1 kernel series")
 
 
 def kernel_series_d1_nu(nu, p: float, lam: float,
@@ -316,7 +241,9 @@ def kernel_series_d1_nu(nu, p: float, lam: float,
     nu = tuple(complex(v) for v in nu)
     if len(nu) != 4:
         raise ValueError("d1 kernel needs a 4-component nu vector")
-    sv = _d1_series(nu, p, lam, policy, with_operator_factor=True)
+    n1, n2, n3, n4 = nu
+    sv = _monomial_series((n1 + n2, n3, n4), partial(_d1_shell, p, lam, True),
+                          policy, "d1 kernel series")
     pref = p / math.pi**4
     return KernelValue(pref * sv.value, "series", pref * sv.tail_estimate)
 
@@ -340,17 +267,7 @@ def kernel_series_d2_nu(nu, policy: TruncationPolicy = KERNEL_POLICY) -> KernelV
     if abs(x3) >= 1.0 or abs(n1) + abs(x2) >= 1.0:
         raise ConvergenceError(
             "d2 series requires |nu3/nu1| < 1 and |nu1| + |nu2/nu1| < 1")
-    length = policy.max_total_degree + 1
-    pair_k2 = _pair_table(n1, x2, length)
-    pow3 = _powers_logseq(x3, length)
-
-    def shell(deg):
-        comps, lg = _d2_shell_table(deg)
-        logs = lg + pair_k2.logmag[comps[:, 0]] + pow3.logmag[comps[:, 1]]
-        ph = pair_k2.phase[comps[:, 0]] * pow3.phase[comps[:, 1]]
-        return complex(np.sum(np.exp(logs) * ph))
-
-    sv = _sum_shells(shell, policy, "d2 kernel series")
+    sv = _monomial_series((n1 + x2, x3), _d2_shell, policy, "d2 kernel series")
     pref = 1.0 / (math.pi**3 * n1 * n1)
     return KernelValue(pref * sv.value, "series", abs(pref) * sv.tail_estimate)
 

@@ -1,5 +1,5 @@
-"""Scalar substrate: log-gamma, Pochhammer symbols, principal-branch powers,
-and holomorphic dual numbers with a fixed 4-slot gradient.
+"""Scalar substrate: log-gamma, principal-branch powers, and holomorphic dual
+numbers with a fixed 4-slot gradient.
 
 Complex values are plain Python ``complex``; DualComplex carries a value plus
 the four partial derivatives with respect to the Hermitian products nu_1..nu_4.
@@ -13,10 +13,6 @@ from dataclasses import dataclass
 
 from .errors import BranchError
 
-# Direct-product Pochhammer is exact and overflow-safe up to this length;
-# beyond it a log-gamma ratio avoids overflow for positive arguments.
-_POCHHAMMER_PRODUCT_CUTOFF = 64
-
 GRAD_SLOTS = 4
 
 _ZERO_GRAD = (0j, 0j, 0j, 0j)
@@ -27,21 +23,6 @@ def log_gamma(x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def pochhammer(a: float, m: int) -> float:
-    """Rising factorial a(a+1)...(a+m-1), with (a)_0 = 1.
-
-    Negative ``a`` is allowed; a zero factor in the product yields an exact 0.
-    """
-    if m < 0:
-        raise ValueError(f"pochhammer requires m >= 0, got {m}")
-    if m <= _POCHHAMMER_PRODUCT_CUTOFF or a <= 0.0:
-        out = 1.0
-        for k in range(m):
-            out *= a + k
-        return out
-    return math.exp(math.lgamma(a + m) - math.lgamma(a))
 
 
 def principal_sqrt(z):

@@ -1,18 +1,23 @@
 """Tests for closed-form vs series kernel routes on d1, d2, and ellipsoids."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from bergkern import (ConvergenceError, DomainSpec, OperatorWeights, RegionError,
                       SingularityError, TruncationPolicy, diagonal_pair,
-                      d1_intermediates, d1_series_coefficient, d2_series_coefficient,
                       kernel_closed_d1, kernel_closed_d1_nu, kernel_closed_d2,
                       kernel_closed_d2_nu, kernel_series_d1, kernel_series_d1_nu,
                       kernel_series_d2, kernel_series_d2_nu, kernel_series_ellipsoid_nu,
                       norm_d1, norm_d2, potential_closed_d1, potential_series_d1,
                       sample_interior, sample_pairs)
+from bergkern import kernels
 from bergkern.kernels import _kernel_closed_d2_alternate
 
 D2_SPOT = 2816.0 / (27.0 * math.pi**3)  # frozen from the Laurent-series oracle
@@ -24,13 +29,23 @@ def rel(x, y):
 
 # --- coefficient identities ---------------------------------------------------
 
+def shell_log_coef(table, row):
+    """Log-coefficient of one exponent row in the shell table of its degree."""
+    comps, log_coef = table(sum(row))
+    return log_coef[np.flatnonzero((comps == row).all(axis=1))[0]]
+
+
 def test_d1_coefficient_is_reciprocal_norm():
+    # the (nu1+nu2)^q coefficient times the binomial q!/(a1! a2!) is the
+    # coefficient of nu^alpha
     rng = random.Random(17)
     for _ in range(50):
-        alpha = tuple(rng.randrange(0, 8) for _ in range(4))
+        a1, a2, a3, a4 = alpha = tuple(rng.randrange(0, 8) for _ in range(4))
         p = rng.choice((0.5, 1.0, 2.0, 2.5))
         lam = rng.choice((1.0, 2.0, 3.0))
-        coeff = d1_series_coefficient(alpha, p, lam)
+        q = a1 + a2
+        lc = shell_log_coef(lambda deg: kernels._d1_shell(p, lam, True, deg), (q, a3, a4))
+        coeff = math.exp(lc) * (p / math.pi**4) * math.comb(q, a1)
         assert rel(coeff, 1.0 / norm_d1(alpha, p, lam)) < 1e-12
 
 
@@ -40,7 +55,9 @@ def test_d2_coefficient_is_reciprocal_norm():
         k = rng.randrange(0, 10)
         a2 = rng.randrange(0, 6)
         a3 = rng.randrange(0, 6)
-        coeff = d2_series_coefficient(k, a2, a3)
+        r = k + a2
+        coeff = math.exp(shell_log_coef(kernels._d2_shell, (r, a3))) \
+            * math.comb(r, k) / math.pi**3
         assert rel(coeff, 1.0 / norm_d2((k - 2 - a2 - a3, a2, a3))) < 1e-12
 
 
@@ -103,22 +120,13 @@ def test_potential_region_errors():
         potential_closed_d1((0j, 0j, 0j, 1.1 + 0j), 1.0, 1.0)  # mu4 >= 1
 
 
-def test_intermediates_fields():
-    mids = d1_intermediates((0j, 0j, 0j, 0j), 1.0, 2.0)
-    assert mids.sqrt_one_minus_4nu3 == 1.0 + 0j
-    assert mids.mu1 == 0j and mids.mu2 == 0j and mids.mu4 == 0j
-    # scaled prefactor at nu3=0: 2^(4/p+2/lam) / 2^(4/p+2/lam-1) = 2
-    assert rel(mids.scaled_prefactor, 2.0) < 1e-14
-    assert mids.sqrt_one_minus_4nu3.real > 0.0
-
-
 # --- d1 kernel routes ----------------------------------------------------------
 
 def test_kernel_d1_at_zero_matches_head_coefficient():
     for p, lam in ((1.0, 2.0), (2.0, 1.0)):
         closed = kernel_closed_d1_nu((0j, 0j, 0j, 0j), p, lam)
         series = kernel_series_d1_nu((0j, 0j, 0j, 0j), p, lam)
-        head = d1_series_coefficient((0, 0, 0, 0), p, lam)
+        head = 1.0 / norm_d1((0, 0, 0, 0), p, lam)
         assert rel(closed.value, head) < 1e-13
         assert rel(series.value, head) < 1e-13
     # p=1, lam=2 head is 24/pi^4
@@ -167,6 +175,50 @@ def test_kernel_d1_nu3_continuity():
         at0 = kernel_closed_d1_nu((base[0], base[1], 0j, base[3]), 1.0, 2.0).value
         near0 = kernel_closed_d1_nu((base[0], base[1], 1e-8 + 0j, base[3]), 1.0, 2.0).value
         assert rel(near0, at0) < 1e-6
+
+
+def test_kernel_d1_series_thread_safe_on_fresh_parameters():
+    # Four threads build the shell tables of each fresh (p, lam) at once; a
+    # shared table grown by check-then-append would hand some of them shells
+    # of the wrong degree. The serial values come from a separate process, so
+    # they cannot read tables the threads built.
+    params = [(1.05 + i / 61, 1.15 + i / 53) for i in range(30)]
+    nus = [(0.03 * s + 0.01j, 0.02 * s, 0.01 * s - 0.01j, 0.05 * s) for s in (1, 2, 3, 4)]
+    code = ("from bergkern import kernel_series_d1_nu\n"
+            f"for p, lam in {params!r}:\n"
+            f"    for nu in {nus!r}:\n"
+            "        print(repr(kernel_series_d1_nu(nu, p, lam).value))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    serial = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=300).stdout.split()
+    threaded = [None] * len(serial)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i, (p, lam) in enumerate(params):
+            start = threading.Barrier(len(nus), timeout=60)
+
+            def work(j, p=p, lam=lam, i=i, start=start):
+                start.wait()
+                threaded[i * len(nus) + j] = kernel_series_d1_nu(nus[j], p, lam).value
+
+            threads = [threading.Thread(target=work, args=(j,)) for j in range(len(nus))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [repr(v) for v in threaded] == serial
+
+
+def test_shell_table_cache_is_bounded():
+    cache = kernels._d1_shell
+    size = cache.cache_info().maxsize
+    for i in range(size + 1):
+        kernel_series_d1_nu((0j,) * 4, 1.0 + i / size, 2.0)
+    assert cache.cache_info().currsize <= size
 
 
 # --- d2 kernel routes ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the scalar substrate: log-gamma, Pochhammer, branches, duals."""
+"""Tests for the scalar substrate: log-gamma, branches, duals."""
 
 import cmath
 import math
@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from bergkern import (BranchError, dual_const, dual_var, log_gamma,
-                      pochhammer, principal_pow, principal_sqrt)
+from bergkern import (BranchError, dual_const, dual_var, log_gamma, principal_pow,
+                      principal_sqrt)
 
 
 def rel(x, y):
@@ -24,7 +24,7 @@ def test_log_gamma_wide_range_against_product():
     # Gamma(x+n) = (x)_n Gamma(x) lets the product extend a trusted small value.
     for x, n in [(1.0, 10), (0.5, 20), (1e-3, 5), (2.25, 40)]:
         lhs = log_gamma(x + n)
-        rhs = log_gamma(x) + math.log(pochhammer(x, n))
+        rhs = log_gamma(x) + math.log(math.prod(x + k for k in range(n)))
         assert rel(lhs, rhs) < 1e-13
 
 
@@ -33,40 +33,6 @@ def test_log_gamma_domain_error():
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-1.5)
-
-
-def test_pochhammer_basics():
-    assert pochhammer(3.7, 0) == 1.0
-    assert pochhammer(2.0, 3) == 24.0
-    assert pochhammer(-2.0, 5) == 0.0  # zero crossing is exact
-
-
-def test_pochhammer_doubling_spot():
-    # (2z)_{2k} = 4^k (z)_k (z+1/2)_k at z=1, k=2: both sides 120
-    assert pochhammer(2.0, 4) == 120.0
-    assert 4**2 * pochhammer(1.0, 2) * pochhammer(1.5, 2) == 120.0
-
-
-def test_pochhammer_split_identity():
-    rng = random.Random(7)
-    for _ in range(300):
-        a = rng.uniform(-5.0, 5.0)
-        n = rng.randrange(0, 40)
-        k = rng.randrange(0, 40)
-        lhs = pochhammer(a, n + k)
-        rhs = pochhammer(a, n) * pochhammer(a + n, k)
-        if rhs == 0.0:
-            assert lhs == 0.0
-        else:
-            assert rel(lhs, rhs) < 1e-12
-
-
-def test_pochhammer_large_m_gamma_ratio_path():
-    # the m > 64 branch must agree in log with the direct product
-    for a in (0.5, 1.5, 3.25):
-        for m in (65, 100, 150):
-            direct = sum(math.log(a + k) for k in range(m))
-            assert abs(math.log(pochhammer(a, m)) - direct) < 1e-11
 
 
 def test_principal_sqrt_values():
