@@ -4,14 +4,16 @@ evaluations of one parametric 2F1 family and the identities relating them.
 Multi-variable series are summed shell by shell (shell = all terms of one
 total degree). Shell terms are combined in log-magnitude/phase form so that
 rising factorials like (a)_{2M} and factorial denominators never overflow or
-underflow individually near the edge of the convergence region.
+underflow individually near the edge of the convergence region. Shells are
+gathered in vectorised blocks of consecutive degrees of about 4096 terms;
+the stop rule still applies shell by shell, in order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +21,6 @@ from .errors import BranchError, ConvergenceError, PoleError
 from .numerics import principal_pow, principal_sqrt
 
 _TINY = 1e-300
-_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -54,19 +55,25 @@ class SeriesValue:
     shells_used: int
 
 
-def _sum_shells(shell_fn, policy: TruncationPolicy, what: str) -> SeriesValue:
+def _sum_shells(block_fn, policy: TruncationPolicy, what: str) -> SeriesValue:
+    """Apply the stop rule shell by shell to the shells that block_fn(lo, top)
+    returns in blocks: the values of degrees lo, lo+1, ... (at least one,
+    none at or past top)."""
     total = 0j
     run = 0
-    for deg in range(policy.max_total_degree + 1):
-        shell = shell_fn(deg)
-        total += shell
-        mag = abs(shell)
-        if mag <= policy.tail_tol * max(abs(total), _TINY):
-            run += 1
-            if run >= policy.consecutive_small_shells:
-                return SeriesValue(complex(total), float(mag), deg + 1)
-        else:
-            run = 0
+    deg = 0
+    top = policy.max_total_degree + 1
+    while deg < top:
+        for shell in block_fn(deg, top):
+            total += shell
+            mag = abs(shell)
+            deg += 1
+            if mag <= policy.tail_tol * max(abs(total), _TINY):
+                run += 1
+                if run >= policy.consecutive_small_shells:
+                    return SeriesValue(complex(total), float(mag), deg)
+            else:
+                run = 0
     raise ConvergenceError(
         f"{what}: policy exhausted at total degree {policy.max_total_degree} "
         "before shells shrank below tail_tol")
@@ -86,27 +93,18 @@ class _LogSeq:
         self.logmag = logmag
         self.phase = phase
 
-    def __getitem__(self, m: int) -> complex:
-        return math.exp(self.logmag[m]) * self.phase[m] if self.logmag[m] > _NEG_INF else 0j
-
 
 def _ratio_logseq(ratio_fn, length: int) -> _LogSeq:
-    """Sequence v[0]=1, v[m+1] = v[m]*ratio_fn(m), in log/phase form."""
-    logmag = np.empty(length)
-    phase = np.empty(length, dtype=complex)
-    lm, ph = 0.0, 1.0 + 0j
-    logmag[0] = 0.0
-    phase[0] = ph
-    for m in range(1, length):
-        r = complex(ratio_fn(m - 1))
-        mag = abs(r)
-        if mag == 0.0 or lm == _NEG_INF:
-            lm = _NEG_INF
-        else:
-            lm += math.log(mag)
-            ph *= r / mag
-        logmag[m] = lm
-        phase[m] = ph
+    """Sequence v[0]=1, v[m+1] = v[m]*ratio_fn(m), in log/phase form;
+    ratio_fn is called once, on the array m = 0..length-2. After a zero
+    ratio the log-magnitude stays -inf and the phase stays finite."""
+    r = np.asarray(ratio_fn(np.arange(length - 1)), dtype=complex)
+    mag = np.abs(r)
+    logmag = np.zeros(length)
+    phase = np.ones(length, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.cumsum(np.log(mag), out=logmag[1:])
+        np.cumprod(np.where(mag > 0.0, r / mag, 1.0), out=phase[1:])
     return _LogSeq(logmag, phase)
 
 
@@ -115,40 +113,84 @@ def _power_over_factorial_logseq(z: complex, length: int) -> _LogSeq:
     return _ratio_logseq(lambda m: z / (m + 1), length)
 
 
-# Bounded, yet larger than the ~1200 tables of up to 3 variables that a
-# degree-400 series builds, so no table is rebuilt within one evaluation.
-@lru_cache(maxsize=2048)
-def _compositions_cached(nvars: int, total: int) -> np.ndarray:
+# Shells are gathered in blocks of consecutive degrees holding at most about
+# this many rows (a single shell may hold more): one vectorised pass per block
+# instead of per shell, with the per-pass temporaries kept small.
+_BLOCK_ROWS = 4096
+
+
+class _Block(NamedTuple):
+    comps: np.ndarray   # exponent rows of every shell, shell after shell
+    starts: np.ndarray  # first row of each shell
+    sizes: np.ndarray   # rows in each shell
+    hi: int             # one past the block's last degree
+
+
+def _shell_sizes(nvars: int, degrees: np.ndarray) -> np.ndarray:
+    """Number of compositions of each total in degrees into nvars parts,
+    C(deg + nvars - 1, nvars - 1)."""
+    sizes = np.ones(len(degrees), dtype=np.int64)
+    for i in range(1, nvars):
+        sizes = sizes * (degrees + i) // i
+    return sizes
+
+
+def _compositions(nvars: int, degrees: np.ndarray) -> np.ndarray:
+    """Compositions of each total in degrees into nvars non-negative parts,
+    total after total, each total's rows in lexicographic order."""
     if nvars == 1:
-        out = np.array([[total]], dtype=np.int32)
-    else:
-        blocks = []
-        for first in range(total + 1):
-            rest = _compositions(nvars - 1, total - first)
-            col = np.full((rest.shape[0], 1), first, dtype=np.int32)
-            blocks.append(np.hstack((col, rest)))
-        out = np.vstack(blocks)
-    out.setflags(write=False)
-    return out
+        return degrees[:, None]
+    counts = degrees + 1  # choices of the first part
+    offsets = np.cumsum(counts, dtype=degrees.dtype) - counts
+    firsts = np.arange(counts.sum(), dtype=degrees.dtype) - np.repeat(offsets, counts)
+    rests = np.repeat(degrees, counts) - firsts
+    first_col = np.repeat(firsts, _shell_sizes(nvars - 1, rests))
+    return np.column_stack((first_col, _compositions(nvars - 1, rests)))
 
 
-def _compositions(nvars: int, total: int) -> np.ndarray:
-    # 4+ variable tables get large; only cache up to 3 variables.
-    if nvars <= 3:
-        return _compositions_cached(nvars, total)
-    return _compositions_cached.__wrapped__(nvars, total)
+def _build_block(nvars: int, lo: int, top: int) -> _Block:
+    """Shells lo, lo+1, ... below top, as many as fit in _BLOCK_ROWS rows
+    and at least one."""
+    sizes = _shell_sizes(nvars, np.arange(lo, top, dtype=np.int64))
+    keep = max(1, int(np.searchsorted(np.cumsum(sizes), _BLOCK_ROWS, side="right")))
+    sizes = sizes[:keep]
+    comps = _compositions(nvars, np.arange(lo, lo + keep, dtype=np.int32))
+    starts = np.cumsum(sizes) - sizes
+    for arr in (comps, starts, sizes):
+        arr.setflags(write=False)
+    return _Block(comps, starts, sizes, lo + keep)
 
 
-def _shell_gather(seqs: list[_LogSeq], comps: np.ndarray,
-                  extra_logmag, extra_phase: complex = 1.0) -> complex:
-    """Sum of extra * prod_i seqs[i][comps[:, i]] over the composition rows;
-    extra_logmag is one value for the whole shell or an array of one per row."""
-    logs = seqs[0].logmag[comps[:, 0]] + extra_logmag
-    phases = seqs[0].phase[comps[:, 0]].copy()
+# Bounded, yet above the 350 blocks that a degree-400 series of 3 variables
+# uses, so no block is rebuilt within one evaluation.
+_block_cached = lru_cache(maxsize=1024)(_build_block)
+
+
+def _shell_block(nvars: int, lo: int, top: int) -> _Block:
+    # Blocks of 4+ variables grow fast with degree; only cache up to 3.
+    return (_block_cached if nvars <= 3 else _build_block)(nvars, lo, top)
+
+
+def _shell_gather(seqs: list[_LogSeq], block: _Block, row_logmag,
+                  shell_phase=1.0) -> list[complex]:
+    """Per-shell sums of exp(row_logmag) * prod_i seqs[i][comps[:, i]] over
+    the block's rows, times shell_phase (one value, or one per shell)."""
+    comps = block.comps
+    logs = seqs[0].logmag[comps[:, 0]] + row_logmag
+    phases = seqs[0].phase[comps[:, 0]]
     for i in range(1, len(seqs)):
-        logs = logs + seqs[i].logmag[comps[:, i]]
-        phases = phases * seqs[i].phase[comps[:, i]]
-    return complex(np.sum(np.exp(logs) * phases) * extra_phase)
+        logs += seqs[i].logmag[comps[:, i]]
+        phases *= seqs[i].phase[comps[:, i]]
+    phases *= np.exp(logs)
+    return (np.add.reduceat(phases, block.starts) * shell_phase).tolist()
+
+
+def _front_shells(seqs: list[_LogSeq], front: _LogSeq, block: _Block,
+                  scale: complex = 1.0) -> list[complex]:
+    """Shells of scale * front[M] * prod_i seqs[i][m_i] over m_1+...+m_n = M."""
+    lo = block.hi - len(block.sizes)
+    return _shell_gather(seqs, block, np.repeat(front.logmag[lo:block.hi], block.sizes),
+                         front.phase[lo:block.hi] * scale)
 
 
 def gauss_2f1(a: float, b: float, c: float, z: complex,
@@ -160,11 +202,11 @@ def gauss_2f1(a: float, b: float, c: float, z: complex,
         raise ConvergenceError(f"gauss_2f1 requires |z| < 1, got |z| = {abs(z)}")
     term = 1.0 + 0j
 
-    def shell(deg):
+    def shell(deg, top):
         nonlocal term
         if deg > 0:
             term = term * ((a + deg - 1) * (b + deg - 1)) / ((c + deg - 1) * deg) * z
-        return term
+        return (term,)
 
     return _sum_shells(shell, policy, "gauss_2f1")
 
@@ -188,13 +230,9 @@ def appell_fa(a: float, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> S
     length = policy.max_total_degree + 1
     seqs = [_ratio_logseq(lambda m, bi=bi, ci=ci, zi=zi: (bi + m) * zi / ((ci + m) * (m + 1)), length)
             for bi, ci, zi in zip(b, c, z)]
-    front = _ratio_logseq(lambda m: complex(a + m), length)  # (a)_M
-
-    def shell(deg):
-        comps = _compositions(n, deg)
-        return _shell_gather(seqs, comps, front.logmag[deg], front.phase[deg])
-
-    return _sum_shells(shell, policy, "appell_fa")
+    front = _ratio_logseq(lambda m: a + m, length)  # (a)_M
+    return _sum_shells(lambda lo, top: _front_shells(seqs, front, _shell_block(n, lo, top)),
+                       policy, "appell_fa")
 
 
 def fa_equal_params_closed(a: float, z) -> complex:
@@ -223,13 +261,9 @@ def doubled_index_multisum(a: float, c: float, x,
 
     length = policy.max_total_degree + 1
     seqs = [_power_over_factorial_logseq(xi, length) for xi in x]
-    front = _ratio_logseq(lambda m: complex((a + 2 * m) * (a + 2 * m + 1)) / (c + m), length)
-
-    def shell(deg):
-        comps = _compositions(r, deg)
-        return _shell_gather(seqs, comps, front.logmag[deg], front.phase[deg])
-
-    return _sum_shells(shell, policy, "doubled_index_multisum")
+    front = _ratio_logseq(lambda m: (a + 2 * m) * (a + 2 * m + 1) / (c + m), length)
+    return _sum_shells(lambda lo, top: _front_shells(seqs, front, _shell_block(r, lo, top)),
+                       policy, "doubled_index_multisum")
 
 
 def fa_decomposition_rhs(a: float, b1: float, c1: float, y,
@@ -260,10 +294,11 @@ def fa_decomposition_rhs(a: float, b1: float, c1: float, y,
     front = _ratio_logseq(
         lambda m: (a + m) * (b1 + m) / (c1 + m) * y1 * scale, length)
 
-    def shell(deg):
+    def shell(deg, top):
+        # One shell per block: the inner 2F1 of a shell past the stop degree
+        # need not converge, so none is evaluated ahead.
         inner = gauss_2f1(a + deg, b1 + deg, c1 + deg, y1, policy).value
-        return _shell_gather(seqs, _compositions(r - 1, deg),
-                             front.logmag[deg], front.phase[deg] * inner * base)
+        return _front_shells(seqs, front, _shell_block(r - 1, deg, deg + 1), inner * base)
 
     return _sum_shells(shell, policy, "fa_decomposition_rhs")
 

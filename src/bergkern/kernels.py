@@ -26,8 +26,8 @@ import numpy as np
 
 from .domains import PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
-from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _compositions,
-                       _LogSeq, _shell_gather, _sum_shells, appell_fa)
+from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _LogSeq,
+                       _shell_block, _shell_gather, _sum_shells, appell_fa)
 from .numerics import DualComplex, dual_var, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
@@ -178,52 +178,55 @@ def _powers_logseq(z: complex, length: int) -> _LogSeq:
     return _LogSeq(logmag, phase)
 
 
-def _monomial_series(xs, shell_table, policy: TruncationPolicy, what: str) -> SeriesValue:
+def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str) -> SeriesValue:
     """Sum of exp(log_coef) * prod_i xs[i]^comps[:, i] over the rows of every
-    total-degree shell, where shell_table(deg) returns (comps, log_coef)."""
+    total-degree shell, where block_table(lo, top) returns (block, log_coef)
+    for a block of shells from degree lo and one log-coefficient per row."""
     length = policy.max_total_degree + 1
     seqs = [_powers_logseq(x, length) for x in xs]
-    return _sum_shells(lambda deg: _shell_gather(seqs, *shell_table(deg)), policy, what)
+    return _sum_shells(lambda lo, top: _shell_gather(seqs, *block_table(lo, top)), policy, what)
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
 
 
-# Shell tables are reused across every pair of one parameter set. A series
-# uses at most 401 shells, so the bound keeps whole parameter sets while
-# capping memory when many sets are evaluated in one process.
+# Block tables are reused across every pair of one parameter set. A series
+# of up to degree 400 uses at most 350 blocks, so the bound keeps whole
+# parameter sets while capping memory when many sets are evaluated in one
+# process.
 _SHELL_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_SHELL_CACHE_SIZE)
-def _d1_shell(p: float, lam: float, with_operator_factor: bool, deg: int):
-    """Rows (q, a3, a4) of one d1 shell and the log-coefficients of
-    (nu1+nu2)^q nu3^a3 nu4^a4. The nu1^a1 nu2^a2 terms with a1 + a2 = q share
-    the factor (q+1)!/(a1! a2!), so by the binomial theorem they fold into
-    (q+1) (nu1+nu2)^q."""
-    comps = _compositions(3, deg)
-    q, a3, a4 = comps.T.astype(float)
+def _d1_block(p: float, lam: float, with_operator_factor: bool, lo: int, top: int):
+    """A block of d1 shells from degree lo, with rows (q, a3, a4), and the
+    log-coefficients of (nu1+nu2)^q nu3^a3 nu4^a4. The nu1^a1 nu2^a2 terms
+    with a1 + a2 = q share the factor (q+1)!/(a1! a2!), so by the binomial
+    theorem they fold into (q+1) (nu1+nu2)^q."""
+    block = _shell_block(3, lo, top)
+    q, a3, a4 = block.comps.T.astype(float)
     s = (q + 2.0) / p + a3 + (a4 + 1.0) / lam + 1.0
-    log_fact = _lgamma(np.arange(1.0, deg + 2.0))  # log(a3!) for a3 = 0..deg
+    log_fact = _lgamma(np.arange(1.0, block.hi + 1.0))  # log(a3!) for a3 < hi
     lg = np.log(q + 1.0) + np.log(a4 + 1.0) + _lgamma(2.0 * s) \
-        - _lgamma(2.0 * s - a3 - 1.0) - log_fact[comps[:, 1]]
+        - _lgamma(2.0 * s - a3 - 1.0) - log_fact[block.comps[:, 1]]
     if with_operator_factor:
         lg += np.log(s + (a4 + 1.0) / lam)
     lg.setflags(write=False)
-    return comps, lg
+    return block, lg
 
 
 @lru_cache(maxsize=_SHELL_CACHE_SIZE)
-def _d2_shell(deg: int):
-    """Rows (r, a3) of one shell of the reindexed d2 Laurent series and the
-    log-coefficients of (nu1 + nu2/nu1)^r (nu3/nu1)^a3: the nu1^k (nu2/nu1)^a2
-    terms with k + a2 = r fold by the binomial theorem, as for d1."""
-    comps = _compositions(2, deg)
-    r, a3 = comps.T.astype(float)
+def _d2_block(lo: int, top: int):
+    """A block of shells of the reindexed d2 Laurent series from degree lo,
+    with rows (r, a3), and the log-coefficients of
+    (nu1 + nu2/nu1)^r (nu3/nu1)^a3: the nu1^k (nu2/nu1)^a2 terms with
+    k + a2 = r fold by the binomial theorem, as for d1."""
+    block = _shell_block(2, lo, top)
+    r, a3 = block.comps.T.astype(float)
     lg = np.log(a3 + 1.0) + np.log(r + a3 + 3.0) + np.log(r + 1.0)
     lg.setflags(write=False)
-    return comps, lg
+    return block, lg
 
 
 def potential_series_d1(nu, p: float, lam: float,
@@ -231,7 +234,7 @@ def potential_series_d1(nu, p: float, lam: float,
     """Series oracle for the closed d1 potential (same coefficients as the
     kernel series, without the operator multiplier or prefactor)."""
     n1, n2, n3, n4 = (complex(v) for v in nu)
-    return _monomial_series((n1 + n2, n3, n4), partial(_d1_shell, p, lam, False),
+    return _monomial_series((n1 + n2, n3, n4), partial(_d1_block, p, lam, False),
                             policy, "d1 kernel series")
 
 
@@ -242,7 +245,7 @@ def kernel_series_d1_nu(nu, p: float, lam: float,
     if len(nu) != 4:
         raise ValueError("d1 kernel needs a 4-component nu vector")
     n1, n2, n3, n4 = nu
-    sv = _monomial_series((n1 + n2, n3, n4), partial(_d1_shell, p, lam, True),
+    sv = _monomial_series((n1 + n2, n3, n4), partial(_d1_block, p, lam, True),
                           policy, "d1 kernel series")
     pref = p / math.pi**4
     return KernelValue(pref * sv.value, "series", pref * sv.tail_estimate)
@@ -267,7 +270,7 @@ def kernel_series_d2_nu(nu, policy: TruncationPolicy = KERNEL_POLICY) -> KernelV
     if abs(x3) >= 1.0 or abs(n1) + abs(x2) >= 1.0:
         raise ConvergenceError(
             "d2 series requires |nu3/nu1| < 1 and |nu1| + |nu2/nu1| < 1")
-    sv = _monomial_series((n1 + x2, x3), _d2_shell, policy, "d2 kernel series")
+    sv = _monomial_series((n1 + x2, x3), _d2_block, policy, "d2 kernel series")
     pref = 1.0 / (math.pi**3 * n1 * n1)
     return KernelValue(pref * sv.value, "series", abs(pref) * sv.tail_estimate)
 

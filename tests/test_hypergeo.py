@@ -9,7 +9,9 @@ import pytest
 from bergkern import (BranchError, ConvergenceError, PoleError, TruncationPolicy,
                       appell_fa, closed_2f1_family, closed_2f1_recurrence,
                       contiguous_relation_check, doubled_index_multisum,
-                      fa_decomposition_rhs, fa_equal_params_closed, gauss_2f1)
+                      fa_decomposition_rhs, fa_equal_params_closed, gauss_2f1,
+                      kernel_series_d1_nu, kernel_series_d2_nu)
+from bergkern import hypergeo, kernels
 
 TIGHT = TruncationPolicy(max_total_degree=400, tail_tol=1e-13)
 
@@ -115,6 +117,20 @@ def test_appell_fa_errors():
         appell_fa(1.0, (1.0, 1.0), (1.0, -2.0), (0.1, 0.1))
     with pytest.raises(ValueError):
         appell_fa(1.0, (1.0,), (1.0, 2.0), (0.1, 0.1))
+
+
+def test_appell_fa_terminating_series_against_mpmath():
+    # b_1 = -2 makes a ratio exactly 0: every m_1 >= 3 term vanishes
+    mpmath = pytest.importorskip("mpmath")
+    a, b, c, z = 1.7, (-2, 1.5), (0.8, 2.2), (0.3 + 0.1j, -0.2 + 0.25j)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.fsum(
+            mpmath.rf(a, m1 + m2) * mpmath.rf(b[0], m1) * mpmath.rf(b[1], m2)
+            / (mpmath.rf(c[0], m1) * mpmath.rf(c[1], m2)
+               * mpmath.factorial(m1) * mpmath.factorial(m2))
+            * mpmath.mpc(z[0]) ** m1 * mpmath.mpc(z[1]) ** m2
+            for m1 in range(3) for m2 in range(200)))
+    assert rel(appell_fa(a, b, c, z).value, ref) < 5e-14
 
 
 def test_fa_equal_params_closed():
@@ -257,6 +273,86 @@ def test_decomposition_three_variables():
     got = fa_decomposition_rhs(1.3, 0.8, 1.6, y, TIGHT).value
     ref = appell_fa(1.3, (0.8, 1.1, 0.6), (1.6, 1.1, 0.6), y, TIGHT).value
     assert rel(got, ref) < 1e-8
+
+
+def test_decomposition_evaluates_no_inner_series_past_its_stop():
+    # the inner 2F1 of a shell past the stop degree need not converge, so
+    # the series must not evaluate any ahead of the stop rule
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gauss_2f1(*args)
+
+    for a, b1, c1, y in ((1.2, 0.7, 1.4, (0.2, 0.3)),
+                         (1.3, 0.8, 1.6, (0.15, 0.1 + 0.05j, 0.12 - 0.03j))):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypergeo, "gauss_2f1", counted)
+            sv = fa_decomposition_rhs(a, b1, c1, y, TIGHT)
+        assert len(calls) == sv.shells_used
+
+
+# Near-boundary cases: the 3-variable sums pass the first block of the default
+# row budget (degrees 0-27), the d1 and d2 kernel series span several blocks,
+# and the last case raises ConvergenceError after several blocks.
+_NEAR_D1 = (0.35 + 0.05j, 0.25, 0.12 - 0.05j, 0.5 + 0.1j)
+_BLOCK_CASES = (
+    lambda: appell_fa(1.5, (0.7, 1.3), (1.1, 0.6), (0.6 + 0.3j, -0.2 + 0.1j)),
+    lambda: appell_fa(1.5, (0.7, 1.3, 0.9), (1.1, 0.6, 2.0),
+                      (0.4 + 0.3j, -0.25 + 0.1j, 0.1 - 0.2j)),
+    lambda: doubled_index_multisum(2.5, 1.3, (0.1 + 0.03j, -0.06 + 0.02j, 0.05 - 0.05j)),
+    lambda: kernel_series_d2_nu((0.6 + 0.05j, 0.15 - 0.02j, 0.3 + 0.1j)),
+    lambda: kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0),
+    lambda: kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0, TruncationPolicy(120, 1e-10)),
+)
+
+
+def _clear_block_caches():
+    for cache in (hypergeo._block_cached, kernels._d1_block, kernels._d2_block):
+        cache.cache_clear()
+
+
+def test_block_size_does_not_change_series(monkeypatch):
+    used = []
+    sum_shells = hypergeo._sum_shells
+
+    def recorded(*args):
+        sv = sum_shells(*args)
+        used.append(sv.shells_used)
+        return sv
+
+    for module in (hypergeo, kernels):
+        monkeypatch.setattr(module, "_sum_shells", recorded)
+
+    def run_cases():
+        out = []
+        for case in _BLOCK_CASES:
+            used.clear()
+            try:
+                value = case().value
+            except ConvergenceError:
+                value = None
+            out.append((value, used.copy()))
+        return out
+
+    try:
+        _clear_block_caches()
+        default = run_cases()
+        _clear_block_caches()
+        monkeypatch.setattr(hypergeo, "_BLOCK_ROWS", 1)  # one shell per block
+        single = run_cases()
+    finally:
+        monkeypatch.undo()
+        _clear_block_caches()
+    assert default[-2][1][0] > 100  # the d1 series spans several blocks
+    assert default[-1][0] is None
+    for (v_default, used_default), (v_single, used_single) in zip(default, single):
+        assert used_default == used_single
+        if v_default is None:
+            assert v_single is None
+        else:
+            assert rel(v_single, v_default) < 1e-14
 
 
 def test_truncation_refinement_is_monotone():

@@ -17,7 +17,7 @@ from bergkern import (ConvergenceError, DomainSpec, OperatorWeights, RegionError
                       kernel_series_d2, kernel_series_d2_nu, kernel_series_ellipsoid_nu,
                       norm_d1, norm_d2, potential_closed_d1, potential_series_d1,
                       sample_interior, sample_pairs)
-from bergkern import kernels
+from bergkern import hypergeo, kernels
 from bergkern.kernels import _kernel_closed_d2_alternate
 
 D2_SPOT = 2816.0 / (27.0 * math.pi**3)  # frozen from the Laurent-series oracle
@@ -30,9 +30,11 @@ def rel(x, y):
 # --- coefficient identities ---------------------------------------------------
 
 def shell_log_coef(table, row):
-    """Log-coefficient of one exponent row in the shell table of its degree."""
-    comps, log_coef = table(sum(row))
-    return log_coef[np.flatnonzero((comps == row).all(axis=1))[0]]
+    """Log-coefficient of one exponent row in the one-shell block table of
+    its degree."""
+    deg = sum(row)
+    block, log_coef = table(deg, deg + 1)
+    return log_coef[np.flatnonzero((block.comps == row).all(axis=1))[0]]
 
 
 def test_d1_coefficient_is_reciprocal_norm():
@@ -44,7 +46,7 @@ def test_d1_coefficient_is_reciprocal_norm():
         p = rng.choice((0.5, 1.0, 2.0, 2.5))
         lam = rng.choice((1.0, 2.0, 3.0))
         q = a1 + a2
-        lc = shell_log_coef(lambda deg: kernels._d1_shell(p, lam, True, deg), (q, a3, a4))
+        lc = shell_log_coef(lambda lo, top: kernels._d1_block(p, lam, True, lo, top), (q, a3, a4))
         coeff = math.exp(lc) * (p / math.pi**4) * math.comb(q, a1)
         assert rel(coeff, 1.0 / norm_d1(alpha, p, lam)) < 1e-12
 
@@ -56,7 +58,7 @@ def test_d2_coefficient_is_reciprocal_norm():
         a2 = rng.randrange(0, 6)
         a3 = rng.randrange(0, 6)
         r = k + a2
-        coeff = math.exp(shell_log_coef(kernels._d2_shell, (r, a3))) \
+        coeff = math.exp(shell_log_coef(kernels._d2_block, (r, a3))) \
             * math.comb(r, k) / math.pi**3
         assert rel(coeff, 1.0 / norm_d2((k - 2 - a2 - a3, a2, a3))) < 1e-12
 
@@ -214,7 +216,7 @@ def test_kernel_d1_series_thread_safe_on_fresh_parameters():
 
 
 def test_shell_table_cache_is_bounded():
-    cache = kernels._d1_shell
+    cache = kernels._d1_block
     size = cache.cache_info().maxsize
     for i in range(size + 1):
         kernel_series_d1_nu((0j,) * 4, 1.0 + i / size, 2.0)
@@ -301,6 +303,37 @@ def test_ellipsoid_pairs_hermitian():
         fwd = kernel_series_ellipsoid_nu(pr.nu, (1, 2)).value
         rev = kernel_series_ellipsoid_nu(PointPair(pr.zeta, pr.z).nu, (1, 2)).value
         assert abs(fwd - rev.conjugate()) <= 1e-10 * abs(fwd)
+
+
+def test_ellipsoid_series_thread_safe_on_shared_block_cache():
+    # Four threads build the shared composition blocks at once, from an empty
+    # cache, on near-boundary inputs that need several blocks; every value
+    # must equal the serial one exactly.
+    cases = [((0.3 + 0.1j, 0.2 - 0.3j), (2, 3)),
+             ((0.35 - 0.1j, 0.25 + 0.15j, -0.2 + 0.1j), (1, 1, 1)),
+             ((0.6 + 0.1j, 0.3 - 0.2j), (1, 2)),
+             ((0.45 - 0.2j, -0.4 + 0.1j, 0.2j), (1, 2, 1))]
+    serial = [repr(kernel_series_ellipsoid_nu(nu, exps).value) for nu, exps in cases]
+    hypergeo._block_cached.cache_clear()
+    threaded = [None] * len(cases)
+    start = threading.Barrier(len(cases), timeout=60)
+
+    def work(j):
+        start.wait()
+        threaded[j] = repr(kernel_series_ellipsoid_nu(*cases[j]).value)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_ellipsoid_rejects_non_integer_exponents():
