@@ -21,28 +21,26 @@ from .errors import BranchError, ConvergenceError, PoleError
 from .numerics import principal_pow, principal_sqrt
 
 _TINY = 1e-300
+_SMALL_SHELLS_TO_STOP = 3
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Stop rule for shell summation.
 
-    Summation stops once `consecutive_small_shells` successive shell
-    magnitudes fall below tail_tol times the running partial sum; exhausting
-    max_total_degree first raises ConvergenceError.
+    Summation stops once three successive shell magnitudes fall below
+    tail_tol times the running partial sum; exhausting max_total_degree
+    first raises ConvergenceError.
     """
 
     max_total_degree: int = 400
     tail_tol: float = 1e-12
-    consecutive_small_shells: int = 3
 
     def __post_init__(self):
         if self.max_total_degree < 1:
             raise ValueError("max_total_degree must be >= 1")
         if not self.tail_tol > 0.0:
             raise ValueError("tail_tol must be > 0")
-        if self.consecutive_small_shells < 1:
-            raise ValueError("consecutive_small_shells must be >= 1")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -70,7 +68,7 @@ def _sum_shells(block_fn, policy: TruncationPolicy, what: str) -> SeriesValue:
             deg += 1
             if mag <= policy.tail_tol * max(abs(total), _TINY):
                 run += 1
-                if run >= policy.consecutive_small_shells:
+                if run >= _SMALL_SHELLS_TO_STOP:
                     return SeriesValue(complex(total), float(mag), deg)
             else:
                 run = 0

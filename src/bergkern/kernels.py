@@ -1,8 +1,9 @@
 """Bergman kernel evaluation by two independent routes.
 
 Closed route: d1 through a scalar potential whose weighted first-order Euler
-derivative (taken with exact dual-number gradients) is the kernel; d2 through
-a rational function of the Hermitian products nu_j = z_j * conj(zeta_j).
+derivative is the kernel, taken exactly as one dual-number derivative along
+the direction (c_j nu_j); d2 through a rational function of the Hermitian
+products nu_j = z_j * conj(zeta_j).
 
 Series route: truncated orthonormal-monomial expansions with coefficients
 from the closed norm formulas (d1, d2) or the residue/Appell form (complex
@@ -28,11 +29,10 @@ from .domains import PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
 from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _LogSeq,
                        _shell_block, _shell_gather, _sum_shells, appell_fa)
-from .numerics import DualComplex, dual_var, principal_pow, principal_sqrt
+from .numerics import DualComplex, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
-KERNEL_POLICY = TruncationPolicy(max_total_degree=400, tail_tol=1e-10,
-                                 consecutive_small_shells=3)
+KERNEL_POLICY = TruncationPolicy(max_total_degree=400, tail_tol=1e-10)
 
 _NEG_INF = float("-inf")
 _DENOM_FLOOR = 1e-100  # |d|^3 below 1e-300 <=> |d| below 1e-100
@@ -90,8 +90,9 @@ def potential_closed_d1(nu, p: float, lam: float):
     onepw = w + 1.0
     scaled_c = (2.0**expo) / (principal_pow(1.0 - 4.0 * nu3, 1.5)
                               * principal_pow(onepw, expo - 1.0))
-    mu1 = (2.0**(2.0 / p)) * nu1 / principal_pow(onepw, 2.0 / p)
-    mu2 = (2.0**(2.0 / p)) * nu2 / principal_pow(onepw, 2.0 / p)
+    onepw_p = principal_pow(onepw, 2.0 / p)
+    mu1 = (2.0**(2.0 / p)) * nu1 / onepw_p
+    mu2 = (2.0**(2.0 / p)) * nu2 / onepw_p
     mu4 = (2.0**(2.0 / lam)) * nu4 / principal_pow(onepw, 2.0 / lam)
     if abs(_plain(mu1)) + abs(_plain(mu2)) >= 1.0:
         raise RegionError("potential_closed_d1 requires |mu1| + |mu2| < 1")
@@ -112,17 +113,18 @@ def potential_closed_d1(nu, p: float, lam: float):
 
 def kernel_closed_d1_nu(nu, p: float, lam: float,
                         weights: OperatorWeights | None = None) -> KernelValue:
-    """Closed d1 kernel at a Hermitian-product vector, via exact dual-number
-    application of the first-order operator to the potential."""
+    """Closed d1 kernel at a Hermitian-product vector. The operator
+    sum_j c_j d/dnu_j (nu_j g) equals (sum_j c_j) g + D_v g, where D_v g is
+    the derivative of the potential g along v_j = c_j nu_j, taken exactly in
+    one dual-number evaluation."""
     nu = tuple(complex(v) for v in nu)
     if len(nu) != 4:
         raise ValueError("d1 kernel needs a 4-component nu vector")
     if weights is None:
         weights = OperatorWeights.for_d1(p, lam)
-    g = potential_closed_d1(tuple(dual_var(v, j) for j, v in enumerate(nu)), p, lam)
-    acc = 0j
-    for j, cj in enumerate(weights.weights):
-        acc += cj * (g.val + nu[j] * g.grad[j])
+    seeded = tuple(DualComplex(v, c * v) for v, c in zip(nu, weights.weights))
+    g = potential_closed_d1(seeded, p, lam)
+    acc = sum(weights.weights) * g.val + g.der
     return KernelValue(weights.prefactor * acc, "closed")
 
 

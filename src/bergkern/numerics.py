@@ -1,8 +1,9 @@
 """Scalar substrate: log-gamma, principal-branch powers, and holomorphic dual
-numbers with a fixed 4-slot gradient.
+numbers carrying one directional derivative.
 
 Complex values are plain Python ``complex``; DualComplex carries a value plus
-the four partial derivatives with respect to the Hermitian products nu_1..nu_4.
+its derivative along one direction, fixed by the tangents the inputs are
+seeded with (a unit tangent on one input gives that partial derivative).
 """
 
 from __future__ import annotations
@@ -12,11 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import BranchError
-
-GRAD_SLOTS = 4
-
-_ZERO_GRAD = (0j, 0j, 0j, 0j)
-
 
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
@@ -50,42 +46,40 @@ def principal_pow(base, exponent: float):
 
 @dataclass(frozen=True)
 class DualComplex:
-    """Complex value with an exact holomorphic gradient in 4 slots.
+    """Complex value with an exact holomorphic derivative along one direction.
 
     Arithmetic follows the usual sum/product/quotient/chain rules, so any
-    expression built from +, -, *, /, sqrt, pow propagates exact first
-    derivatives with respect to the seeded variables.
+    expression built from +, -, *, /, sqrt, pow propagates the exact first
+    derivative along the direction given by the seeded tangents `der`; a
+    DualComplex(value) with the default zero tangent is a constant.
     """
 
     val: complex
-    grad: tuple = _ZERO_GRAD
+    der: complex = 0j
 
     def __add__(self, other):
         if isinstance(other, DualComplex):
-            return DualComplex(self.val + other.val,
-                               tuple(a + b for a, b in zip(self.grad, other.grad)))
-        return DualComplex(self.val + other, self.grad)
+            return DualComplex(self.val + other.val, self.der + other.der)
+        return DualComplex(self.val + other, self.der)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DualComplex(-self.val, tuple(-g for g in self.grad))
+        return DualComplex(-self.val, -self.der)
 
     def __sub__(self, other):
         if isinstance(other, DualComplex):
-            return DualComplex(self.val - other.val,
-                               tuple(a - b for a, b in zip(self.grad, other.grad)))
-        return DualComplex(self.val - other, self.grad)
+            return DualComplex(self.val - other.val, self.der - other.der)
+        return DualComplex(self.val - other, self.der)
 
     def __rsub__(self, other):
-        return DualComplex(other - self.val, tuple(-g for g in self.grad))
+        return DualComplex(other - self.val, -self.der)
 
     def __mul__(self, other):
         if isinstance(other, DualComplex):
             return DualComplex(self.val * other.val,
-                               tuple(a * other.val + self.val * b
-                                     for a, b in zip(self.grad, other.grad)))
-        return DualComplex(self.val * other, tuple(g * other for g in self.grad))
+                               self.der * other.val + self.val * other.der)
+        return DualComplex(self.val * other, self.der * other)
 
     __rmul__ = __mul__
 
@@ -95,41 +89,24 @@ class DualComplex:
                 raise ZeroDivisionError("DualComplex division by zero value")
             inv2 = 1.0 / (other.val * other.val)
             return DualComplex(self.val / other.val,
-                               tuple((a * other.val - self.val * b) * inv2
-                                     for a, b in zip(self.grad, other.grad)))
+                               (self.der * other.val - self.val * other.der) * inv2)
         if other == 0:
             raise ZeroDivisionError("DualComplex division by zero")
         inv = 1.0 / other
-        return DualComplex(self.val * inv, tuple(g * inv for g in self.grad))
+        return DualComplex(self.val * inv, self.der * inv)
 
     def __rtruediv__(self, other):
         if self.val == 0:
             raise ZeroDivisionError("DualComplex division by zero value")
         inv2 = -other / (self.val * self.val)
-        return DualComplex(other / self.val, tuple(g * inv2 for g in self.grad))
+        return DualComplex(other / self.val, self.der * inv2)
 
     def sqrt(self) -> "DualComplex":
         root = cmath.sqrt(self.val)
-        scale = 0.5 / root
-        return DualComplex(root, tuple(g * scale for g in self.grad))
+        return DualComplex(root, self.der * (0.5 / root))
 
     def pow(self, exponent: float) -> "DualComplex":
         if not self.val.real > 0.0:
             raise BranchError(f"principal power requires Re(base) > 0, got {self.val}")
         value = cmath.exp(exponent * cmath.log(self.val))
-        scale = exponent * value / self.val
-        return DualComplex(value, tuple(g * scale for g in self.grad))
-
-
-def dual_const(value) -> DualComplex:
-    """Constant carrying a zero gradient."""
-    return DualComplex(complex(value), _ZERO_GRAD)
-
-
-def dual_var(value, slot: int) -> DualComplex:
-    """Variable seeded with a unit derivative in the given gradient slot."""
-    if not 0 <= slot < GRAD_SLOTS:
-        raise ValueError(f"slot must be in [0, {GRAD_SLOTS}), got {slot}")
-    grad = [0j] * GRAD_SLOTS
-    grad[slot] = 1.0 + 0j
-    return DualComplex(complex(value), tuple(grad))
+        return DualComplex(value, self.der * (exponent * value / self.val))

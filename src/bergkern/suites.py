@@ -23,10 +23,14 @@ from .kernels import (OperatorWeights, _kernel_closed_d2_alternate, kernel_close
                       kernel_closed_d2_nu, kernel_series_d1_nu, kernel_series_d2_nu,
                       kernel_series_ellipsoid_nu, potential_closed_d1)
 from .norms import norm_closed, norm_quadrature
-from .numerics import dual_var
+from .numerics import DualComplex
 from .report import VerificationReport, make_row
 
 D2_SPOT_NU = (0.25 + 0j, 0j, 0j)
+
+_HERMITIAN_TOL = 1e-12
+_POSITIVITY_TOL = 1e-10
+_GRADIENT_CHECKS = 25
 
 
 def _finish(report: VerificationReport, t0: float) -> VerificationReport:
@@ -53,6 +57,8 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
     """Hypergeometric identity sweep: multisum collapse, closed 2F1 forms,
     equal-parameter collapse, decomposition formula, and the contiguous
     recurrence family."""
+    if trials < 1:
+        raise ValueError(f"identity suite needs trials >= 1, got {trials}")
     t0 = time.perf_counter()
     policy = TruncationPolicy(max_total_degree=max_degree, tail_tol=tail_tol)
     rep = VerificationReport("identities", {
@@ -156,6 +162,8 @@ def run_norm_suite(domain: str = "d2", max_index: int | None = None,
                    lam: float | None = None) -> VerificationReport:
     """Closed norm formulas against the quadrature oracle, over the full
     admissible index grid."""
+    if max_index is not None and max_index < 0:
+        raise ValueError(f"norm suite needs max_index >= 0, got {max_index}")
     t0 = time.perf_counter()
     rep = VerificationReport("norms", {
         "domain": domain, "max_index": max_index, "tol": tol, "p": p, "lam": lam,
@@ -207,11 +215,11 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
                      lam: float | None = None, exponents=(1, 1),
                      points: int = 50, seed: int = 42, margin: float = 0.2,
                      tol: float = 1e-6, tail_tol: float = 1e-10,
-                     max_degree: int = 400, hermitian_tol: float = 1e-12,
-                     positivity_tol: float = 1e-10,
-                     gradient_checks: int = 25) -> VerificationReport:
+                     max_degree: int = 400) -> VerificationReport:
     """Kernel route agreement plus symmetry, positivity, continuity, and
-    (for d1) dual-gradient checks."""
+    (for d1) dual-derivative checks."""
+    if points < 1:
+        raise ValueError(f"kernel suite needs points >= 1, got {points}")
     t0 = time.perf_counter()
     policy = TruncationPolicy(max_total_degree=max_degree, tail_tol=tail_tol)
     rep = VerificationReport("kernels", {
@@ -235,9 +243,9 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
                                  kernel_closed_d2_nu(D2_SPOT_NU).value,
                                  spot_series.value, tol))
         _hermitian_rows(rep, "d2", pairs[:points],
-                        lambda q: kernel_closed_d2_nu(q.nu).value, hermitian_tol)
+                        lambda q: kernel_closed_d2_nu(q.nu).value, _HERMITIAN_TOL)
         _positivity_rows(rep, "d2", sample_interior(spec, seed + 1, max(points // 2, 1), margin),
-                         lambda q: kernel_closed_d2_nu(q.nu).value, positivity_tol)
+                         lambda q: kernel_closed_d2_nu(q.nu).value, _POSITIVITY_TOL)
         # continuity points need |nu1| bounded away from 0: the nu3 derivative
         # scales like 3K/(nu1 - nu3), so tiny nu1 measures conditioning, not
         # evaluator continuity
@@ -270,9 +278,9 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
             rep.rows.append(make_row(f"d1/route/{i:04d}", "kernels",
                                      {"nu": list(pr.nu)}, closed, series.value, tol))
         _hermitian_rows(rep, "d1", pairs,
-                        lambda q: kernel_closed_d1_nu(q.nu, p, lam).value, hermitian_tol)
+                        lambda q: kernel_closed_d1_nu(q.nu, p, lam).value, _HERMITIAN_TOL)
         _positivity_rows(rep, "d1", sample_interior(spec, seed + 1, max(points // 2, 1), margin),
-                         lambda q: kernel_closed_d1_nu(q.nu, p, lam).value, positivity_tol)
+                         lambda q: kernel_closed_d1_nu(q.nu, p, lam).value, _POSITIVITY_TOL)
         rng = random.Random(seed + 2)
         for i in range(20):
             others = [_draw_in_disk(rng, 0.1) for _ in range(3)]
@@ -282,20 +290,23 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
             rep.rows.append(make_row(f"d1/nu3-continuity/{i:04d}", "kernels",
                                      {"nu": others}, near, at0, tol))
         h = 1e-5
-        for i in range(gradient_checks):
+        for i in range(_GRADIENT_CHECKS):
             pr = pairs[i % len(pairs)]
             nu = pr.nu
-            g = potential_closed_d1(tuple(dual_var(v, j) for j, v in enumerate(nu)), p, lam)
             worst = (0.0, 0j, 0j)
             for j in range(4):
+                # a unit tangent on nu_j alone gives the partial d/dnu_j
+                seeded = tuple(DualComplex(v, 1 + 0j if k == j else 0j)
+                               for k, v in enumerate(nu))
+                partial = potential_closed_d1(seeded, p, lam).der
                 up, dn = list(nu), list(nu)
                 up[j] += h
                 dn[j] -= h
                 fd = (potential_closed_d1(tuple(up), p, lam)
                       - potential_closed_d1(tuple(dn), p, lam)) / (2 * h)
-                err = abs(g.grad[j] - fd) / max(abs(fd), 1e-12)
+                err = abs(partial - fd) / max(abs(fd), 1e-12)
                 if err >= worst[0]:
-                    worst = (err, g.grad[j], fd)
+                    worst = (err, partial, fd)
             rep.rows.append(make_row(f"d1/gradient-fd/{i:04d}", "kernels",
                                      {"nu": list(nu)}, worst[1], worst[2], tol))
         for i, pr in enumerate(pairs[:3]):
@@ -322,7 +333,7 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
         _positivity_rows(rep, "ellipsoid",
                          sample_interior(spec, seed + 1, max(points // 2, 1), margin),
                          lambda q: kernel_series_ellipsoid_nu(q.nu, exps, policy).value,
-                         positivity_tol)
+                         _POSITIVITY_TOL)
     else:
         raise ValueError(f"kernel suite supports d1, d2, ellipsoid, got {domain!r}")
 

@@ -156,6 +156,18 @@ def test_verify_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("kernels", "--domain", "d1", "--p", "2", "--lambda", "2", "--points", "0"),
+    ("identities", "--trials", "0"),
+    ("identities", "--trials", "-3"),
+    ("norms", "--domain", "d2", "--max-index", "-1"),
+], ids=["kernel-points-0", "identity-trials-0", "identity-trials-neg", "norm-max-index-neg"])
+def test_verify_empty_count_is_usage_error(capsys, argv):
+    # A count that leaves no case to check must not crash or pass vacuously.
+    code, _, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and "usage error" in err
+
+
 def test_verify_stdout_report_when_no_out(capsys):
     code, out, err = run_cli(capsys, "verify", "norms", "--domain", "d2",
                              "--max-index", "0")

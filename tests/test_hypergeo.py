@@ -377,5 +377,3 @@ def test_policy_validation():
         TruncationPolicy(max_total_degree=0)
     with pytest.raises(ValueError):
         TruncationPolicy(tail_tol=0.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(consecutive_small_shells=0)

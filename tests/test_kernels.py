@@ -1,17 +1,19 @@
 """Tests for closed-form vs series kernel routes on d1, d2, and ellipsoids."""
 
+import cmath
 import math
 import os
 import random
 import subprocess
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
-from bergkern import (ConvergenceError, DomainSpec, OperatorWeights, RegionError,
-                      SingularityError, TruncationPolicy, diagonal_pair,
+from bergkern import (ConvergenceError, DomainSpec, DualComplex, OperatorWeights,
+                      RegionError, SingularityError, TruncationPolicy, diagonal_pair,
                       kernel_closed_d1, kernel_closed_d1_nu, kernel_closed_d2,
                       kernel_closed_d2_nu, kernel_series_d1, kernel_series_d1_nu,
                       kernel_series_d2, kernel_series_d2_nu, kernel_series_ellipsoid_nu,
@@ -93,8 +95,12 @@ def test_potential_real_positive_on_diagonal():
         assert g.real > 0.0
 
 
+def unit_tangent(nu, slot):
+    """Dual inputs whose derivative is the partial d/dnu_slot."""
+    return tuple(DualComplex(v, 1 + 0j if k == slot else 0j) for k, v in enumerate(nu))
+
+
 def test_potential_gradient_vs_finite_differences():
-    from bergkern import dual_var
     rng = random.Random(31)
     h = 1e-5
     for _ in range(100):
@@ -102,15 +108,30 @@ def test_potential_gradient_vs_finite_differences():
                    for _ in range(4))
         p = rng.choice((1.0, 2.0))
         lam = rng.choice((1.0, 2.0))
-        g = potential_closed_d1(tuple(dual_var(v, j) for j, v in enumerate(nu)), p, lam)
         for j in range(4):
+            slope = potential_closed_d1(unit_tangent(nu, j), p, lam).der
             up = list(nu)
             dn = list(nu)
             up[j] += h
             dn[j] -= h
             fd = (potential_closed_d1(tuple(up), p, lam)
                   - potential_closed_d1(tuple(dn), p, lam)) / (2 * h)
-            assert rel(g.grad[j], fd) < 1e-6
+            assert rel(slope, fd) < 1e-6
+
+
+def test_closed_d1_directional_operator_matches_partials():
+    # sum_j c_j (g + nu_j dg/dnu_j), assembled from four one-slot partials,
+    # equals the single derivative along v_j = c_j nu_j that the kernel takes.
+    for p, lam in ((2.0, 2.0), (0.5, 3.0)):
+        for weights in (OperatorWeights.for_d1(p, lam), OperatorWeights.alternate_d1(p, lam)):
+            for pr in sample_pairs(DomainSpec.d1(p, lam), 5, 10, 0.2):
+                nu = pr.nu
+                acc = 0j
+                for j, cj in enumerate(weights.weights):
+                    g = potential_closed_d1(unit_tangent(nu, j), p, lam)
+                    acc += cj * (g.val + nu[j] * g.der)
+                got = kernel_closed_d1_nu(nu, p, lam, weights).value
+                assert rel(got, weights.prefactor * acc) < 1e-13
 
 
 def test_potential_region_errors():
@@ -215,6 +236,43 @@ def test_kernel_d1_series_thread_safe_on_fresh_parameters():
     assert [repr(v) for v in threaded] == serial
 
 
+def threaded_reprs(calls):
+    """repr of each call's value, with the calls started together on one
+    thread each and a short switch interval."""
+    out = [None] * len(calls)
+    start = threading.Barrier(len(calls), timeout=60)
+
+    def work(j):
+        start.wait()
+        out[j] = repr(calls[j]().value)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(calls))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    return out
+
+
+def test_kernel_d2_series_thread_safe_on_empty_block_cache():
+    # Four threads build the d2 shell blocks at once, from an empty cache, on
+    # near-boundary inputs that need 200-380 shells and so several blocks;
+    # every value must equal the serial one exactly.
+    nus = [(n1, x2 * n1, x3 * n1) for n1, x2, x3 in
+           ((0.45, 0.44, 0.3), (0.4j, 0.5j, 0.5 - 0.2j),
+            (cmath.rect(0.5, 0.7), cmath.rect(0.42, 0.7), 0.6),
+            (cmath.rect(0.3, -1.1), cmath.rect(0.55, -1.1), -0.4j))]
+    serial = [repr(kernel_series_d2_nu(nu).value) for nu in nus]
+    kernels._d2_block.cache_clear()
+    assert threaded_reprs([partial(kernel_series_d2_nu, nu) for nu in nus]) == serial
+
+
 def test_shell_table_cache_is_bounded():
     cache = kernels._d1_block
     size = cache.cache_info().maxsize
@@ -315,25 +373,8 @@ def test_ellipsoid_series_thread_safe_on_shared_block_cache():
              ((0.45 - 0.2j, -0.4 + 0.1j, 0.2j), (1, 2, 1))]
     serial = [repr(kernel_series_ellipsoid_nu(nu, exps).value) for nu, exps in cases]
     hypergeo._block_cached.cache_clear()
-    threaded = [None] * len(cases)
-    start = threading.Barrier(len(cases), timeout=60)
-
-    def work(j):
-        start.wait()
-        threaded[j] = repr(kernel_series_ellipsoid_nu(*cases[j]).value)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(cases))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded == serial
+    calls = [partial(kernel_series_ellipsoid_nu, nu, exps) for nu, exps in cases]
+    assert threaded_reprs(calls) == serial
 
 
 def test_ellipsoid_rejects_non_integer_exponents():
