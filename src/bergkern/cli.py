@@ -176,8 +176,7 @@ def _cmd_verify(args) -> int:
             p=_scalar_p(args), lam=args.lam)
     else:
         if args.domain == "ellipsoid":
-            scalar_p, exps = None, (tuple(int(v) for v in args.p)
-                                    if args.p is not None else (1, 1))
+            scalar_p, exps = None, (args.p if args.p is not None else (1, 1))
         else:
             scalar_p, exps = _scalar_p(args), (1, 1)
         report = run_kernel_suite(

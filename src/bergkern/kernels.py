@@ -11,6 +11,8 @@ ellipsoids). d1 and d2 share one engine, _monomial_series, which sums the
 monomials of a few variables shell by shell in total degree: d1 in
 (nu1+nu2, nu3, nu4) and d2 in (nu1 + nu2/nu1, nu3/nu1), the binomial theorem
 folding each pair of exponents that enters only through its sum.
+The d1 coefficients are gamma ratios, evaluated for a whole block of shells
+at once by numerics.log_gamma_array.
 
 The removable singularity of the closed d1 potential at nu3 = 0 is eliminated
 algebraically: with w = sqrt(1 - 4*nu3), (1 - w)/(4*nu3) = 1/(1 + w) exactly,
@@ -29,7 +31,7 @@ from .domains import PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
 from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _LogSeq,
                        _shell_block, _shell_gather, _sum_shells, appell_fa)
-from .numerics import DualComplex, principal_pow, principal_sqrt
+from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
 KERNEL_POLICY = TruncationPolicy(max_total_degree=400, tail_tol=1e-10)
@@ -189,10 +191,6 @@ def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str) -> Se
     return _sum_shells(lambda lo, top: _shell_gather(seqs, *block_table(lo, top)), policy, what)
 
 
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
-
-
 # Block tables are reused across every pair of one parameter set. A series
 # of up to degree 400 uses at most 350 blocks, so the bound keeps whole
 # parameter sets while capping memory when many sets are evaluated in one
@@ -209,9 +207,9 @@ def _d1_block(p: float, lam: float, with_operator_factor: bool, lo: int, top: in
     block = _shell_block(3, lo, top)
     q, a3, a4 = block.comps.T.astype(float)
     s = (q + 2.0) / p + a3 + (a4 + 1.0) / lam + 1.0
-    log_fact = _lgamma(np.arange(1.0, block.hi + 1.0))  # log(a3!) for a3 < hi
-    lg = np.log(q + 1.0) + np.log(a4 + 1.0) + _lgamma(2.0 * s) \
-        - _lgamma(2.0 * s - a3 - 1.0) - log_fact[block.comps[:, 1]]
+    log_fact = log_gamma_array(np.arange(1.0, block.hi + 1.0))  # log(a3!) for a3 < hi
+    lg = np.log(q + 1.0) + np.log(a4 + 1.0) + log_gamma_array(2.0 * s) \
+        - log_gamma_array(2.0 * s - a3 - 1.0) - log_fact[block.comps[:, 1]]
     if with_operator_factor:
         lg += np.log(s + (a4 + 1.0) / lam)
     lg.setflags(write=False)
@@ -281,16 +279,21 @@ def kernel_series_d2(pair: PointPair, policy: TruncationPolicy = KERNEL_POLICY) 
     return kernel_series_d2_nu(pair.nu, policy)
 
 
+def _integer_exponents(exponents) -> tuple[int, ...]:
+    """The ellipsoid exponents p_j as ints; ValueError unless each is a
+    finite positive integer."""
+    exps = tuple(exponents)
+    if not all(math.isfinite(e) and e >= 1 and e == int(e) for e in exps):
+        raise ValueError(f"ellipsoid kernel needs positive integer exponents, got {exps}")
+    return tuple(int(e) for e in exps)
+
+
 def kernel_series_ellipsoid_nu(nu, exponents,
                                policy: TruncationPolicy = KERNEL_POLICY) -> KernelValue:
     """Residue/Appell series kernel of the complex ellipsoid
     {sum |z_j|^(2 p_j) < 1} for positive integer exponents p_j."""
     nu = tuple(complex(v) for v in nu)
-    ps = []
-    for e in exponents:
-        if float(e) != int(e) or int(e) < 1:
-            raise ValueError("ellipsoid kernel needs positive integer exponents")
-        ps.append(int(e))
+    ps = _integer_exponents(exponents)
     n = len(ps)
     if len(nu) != n or n == 0:
         raise ValueError("nu and exponents must have equal positive length")

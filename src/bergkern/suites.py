@@ -19,9 +19,9 @@ from .hypergeo import (TruncationPolicy, appell_fa, closed_2f1_family,
                        closed_2f1_recurrence, contiguous_relation_check,
                        doubled_index_multisum, fa_decomposition_rhs,
                        fa_equal_params_closed, gauss_2f1)
-from .kernels import (OperatorWeights, _kernel_closed_d2_alternate, kernel_closed_d1_nu,
-                      kernel_closed_d2_nu, kernel_series_d1_nu, kernel_series_d2_nu,
-                      kernel_series_ellipsoid_nu, potential_closed_d1)
+from .kernels import (OperatorWeights, _integer_exponents, _kernel_closed_d2_alternate,
+                      kernel_closed_d1_nu, kernel_closed_d2_nu, kernel_series_d1_nu,
+                      kernel_series_d2_nu, kernel_series_ellipsoid_nu, potential_closed_d1)
 from .norms import norm_closed, norm_quadrature
 from .numerics import DualComplex
 from .report import VerificationReport, make_row
@@ -164,6 +164,10 @@ def run_norm_suite(domain: str = "d2", max_index: int | None = None,
     admissible index grid."""
     if max_index is not None and max_index < 0:
         raise ValueError(f"norm suite needs max_index >= 0, got {max_index}")
+    if domain == "d1" and (p is None) != (lam is None):
+        raise ValueError("norm suite for d1 needs both p and lam, or neither for the full grid")
+    if domain == "d2" and (p is not None or lam is not None):
+        raise ValueError("norm suite for d2 takes no p or lam")
     t0 = time.perf_counter()
     rep = VerificationReport("norms", {
         "domain": domain, "max_index": max_index, "tol": tol, "p": p, "lam": lam,
@@ -220,11 +224,12 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
     (for d1) dual-derivative checks."""
     if points < 1:
         raise ValueError(f"kernel suite needs points >= 1, got {points}")
+    exps = _integer_exponents(exponents) if domain == "ellipsoid" else None
     t0 = time.perf_counter()
     policy = TruncationPolicy(max_total_degree=max_degree, tail_tol=tail_tol)
     rep = VerificationReport("kernels", {
         "domain": domain, "p": p, "lam": lam,
-        "exponents": list(exponents) if domain == "ellipsoid" else None,
+        "exponents": list(exps) if domain == "ellipsoid" else None,
         "points": points, "seed": seed, "margin": margin, "tol": tol,
         "tail_tol": tail_tol, "max_degree": max_degree,
     })
@@ -318,7 +323,6 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
                 kernel_series_d1_nu(pr.nu, p, lam, policy).value, tol))
 
     elif domain == "ellipsoid":
-        exps = tuple(int(e) for e in exponents)
         spec = DomainSpec.ellipsoid(tuple(float(e) for e in exps))
         pairs = sample_pairs(spec, seed, points, margin)
         if exps == (1, 1):

@@ -168,6 +168,23 @@ def test_verify_empty_count_is_usage_error(capsys, argv):
     assert code == 2 and "usage error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "kernels", "--domain", "ellipsoid", "--p", "2.5,3", "--points", "2"),
+    ("verify", "kernels", "--domain", "ellipsoid", "--p", "inf,1", "--points", "2"),
+    ("eval", "--domain", "ellipsoid", "--p", "inf,1", "--nu", "0.1,0.1", "--method", "series"),
+    ("verify", "norms", "--domain", "d1", "--p", "2", "--max-index", "0"),
+    ("verify", "norms", "--domain", "d1", "--lambda", "2", "--max-index", "0"),
+    ("verify", "norms", "--domain", "d2", "--p", "2", "--max-index", "0"),
+    ("verify", "norms", "--domain", "d2", "--lambda", "2", "--max-index", "0"),
+], ids=["kernels-ellipsoid-fractional", "kernels-ellipsoid-inf", "eval-ellipsoid-inf",
+        "norms-d1-p-only", "norms-d1-lambda-only", "norms-d2-p", "norms-d2-lambda"])
+def test_parameters_not_used_as_given_are_usage_errors(capsys, argv):
+    # A parameter that would be truncated, overflow or be ignored must stop
+    # the run instead of producing a report for other parameters.
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "usage error" in err
+
+
 def test_verify_stdout_report_when_no_out(capsys):
     code, out, err = run_cli(capsys, "verify", "norms", "--domain", "d2",
                              "--max-index", "0")

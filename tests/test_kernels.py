@@ -53,6 +53,33 @@ def test_d1_coefficient_is_reciprocal_norm():
         assert rel(coeff, 1.0 / norm_d1(alpha, p, lam)) < 1e-12
 
 
+def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
+    # Degrees 100-400 lie past the first block: from degree 90 on, every shell
+    # is a block of its own, so each degree below is a separate cold table, as
+    # the engine requests it (top = 401). The tolerance scales with the size of
+    # the log-gamma terms, which reach 1e4 here, so dropping one of the leading
+    # Stirling terms still fails.
+    eps = np.finfo(float).eps
+    rng = random.Random(19)
+    for p in (0.5, 2.5):
+        for lam in (1.0, 3.0):
+            for deg in rng.sample(range(100, 401), 4):
+                block, log_coef = kernels._d1_block(p, lam, True, deg, 401)
+                assert block.hi == deg + 1
+                for _ in range(4):
+                    i = rng.randrange(len(log_coef))
+                    q, a3, a4 = (int(v) for v in block.comps[i])
+                    a1 = rng.randint(0, q)
+                    alpha = (a1, q - a1, a3, a4)
+                    s = (q + 2) / p + a3 + (a4 + 1) / lam + 1.0
+                    terms = (2 * s, 2 * s - a3 - 1.0, a3 + 1.0, a1 + 1.0, q - a1 + 1.0, q + 2.0)
+                    tol = 64 * eps * sum(abs(math.lgamma(t)) for t in terms)
+                    err = log_coef[i] + math.log(p / math.pi**4 * math.comb(q, a1)) \
+                        + math.log(norm_d1(alpha, p, lam))
+                    assert abs(err) < tol, (p, lam, alpha, err, tol)
+    kernels._d1_block.cache_clear()
+
+
 def test_d2_coefficient_is_reciprocal_norm():
     rng = random.Random(18)
     for _ in range(50):
@@ -378,8 +405,9 @@ def test_ellipsoid_series_thread_safe_on_shared_block_cache():
 
 
 def test_ellipsoid_rejects_non_integer_exponents():
-    with pytest.raises(ValueError):
-        kernel_series_ellipsoid_nu((0.1, 0.1), (1.5, 1.0))
+    for exps in ((1.5, 1.0), (math.inf, 1.0), (math.nan, 1.0), (0, 1), (-2, 1)):
+        with pytest.raises(ValueError):
+            kernel_series_ellipsoid_nu((0.1, 0.1), exps)
     with pytest.raises(RegionError):
         kernel_series_ellipsoid_nu((0.8, 0.3), (1, 1))
 

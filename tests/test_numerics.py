@@ -3,10 +3,13 @@
 import cmath
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
-from bergkern import BranchError, DualComplex, log_gamma, principal_pow, principal_sqrt
+from bergkern import (BranchError, DualComplex, log_gamma, log_gamma_array, principal_pow,
+                      principal_sqrt)
 
 
 def rel(x, y):
@@ -32,6 +35,41 @@ def test_log_gamma_domain_error():
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-1.5)
+
+
+def log_gamma_points():
+    rng = np.random.default_rng(23)
+    return np.concatenate((10.0 ** rng.uniform(-3.0, 5.0, 2000), np.arange(1.0, 41.0),
+                           np.arange(0.5, 40.0), [1e-3, 9.999999999999998, 10.0, 1e5]))
+
+
+def test_log_gamma_array_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    x = log_gamma_points()
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.loggamma(v)) for v in x.tolist()])
+    err = np.abs(log_gamma_array(x) - ref)
+    assert (err <= 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))).all()
+
+
+def test_log_gamma_array_against_math_lgamma():
+    x = log_gamma_points()
+    ref = np.array([math.lgamma(v) for v in x.tolist()])
+    err = np.abs(log_gamma_array(x) - ref)
+    assert (err <= 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))).all()
+    # the extremes stay finite and raise no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tails = log_gamma_array(np.array([1e-300, 1e300]))
+    assert np.allclose(tails, [math.lgamma(1e-300), math.lgamma(1e300)], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf])
+def test_log_gamma_array_domain_error(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            log_gamma_array(np.array([2.0, bad, 3.0]))
 
 
 def test_principal_sqrt_values():
