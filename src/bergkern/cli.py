@@ -104,7 +104,17 @@ def _scalar_p(args, default=None):
     return args.p[0]
 
 
+def _reject_unused(args) -> None:
+    """Reject --p and --lambda where the domain has no use for them, rather
+    than report results for parameters other than those given."""
+    if args.domain == "d2" and (args.p is not None or args.lam is not None):
+        raise ValueError("--domain d2 takes no --p or --lambda")
+    if args.domain == "ellipsoid" and args.lam is not None:
+        raise ValueError("--domain ellipsoid takes no --lambda; its exponents are --p")
+
+
 def _cmd_eval(args) -> int:
+    _reject_unused(args)
     if args.nu is not None and (args.z is not None or args.zeta is not None):
         raise ValueError("give either --nu or the pair --z/--zeta, not both")
     if args.nu is not None:
@@ -139,6 +149,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    _reject_unused(args)
     if args.domain == "d2":
         spec = DomainSpec.d2()
         closed = norm_d2(args.alpha)

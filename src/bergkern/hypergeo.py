@@ -5,8 +5,12 @@ Multi-variable series are summed shell by shell (shell = all terms of one
 total degree). Shell terms are combined in log-magnitude/phase form so that
 rising factorials like (a)_{2M} and factorial denominators never overflow or
 underflow individually near the edge of the convergence region. Shells are
-gathered in vectorised blocks of consecutive degrees of about 4096 terms;
-the stop rule still applies shell by shell, in order.
+gathered in vectorised blocks of consecutive degrees, at most 32 degrees and
+about 4096 terms each; the stop rule still applies shell by shell, in order.
+A series builds its log/phase tables in one vectorised pass, on demand: the
+first block sizes them, and a later block that needs more rebuilds them at
+double length, so a series that stops early never builds the tables of the
+degree cap.
 """
 
 from __future__ import annotations
@@ -83,7 +87,8 @@ def _check_lower_param(c: float, what: str) -> None:
 
 
 class _LogSeq:
-    """1-D complex sequence stored as log-magnitude plus unit phase."""
+    """Complex sequences stored as log-magnitude plus unit phase, one
+    sequence per row; the last axis runs over the index."""
 
     __slots__ = ("logmag", "phase")
 
@@ -93,27 +98,46 @@ class _LogSeq:
 
 
 def _ratio_logseq(ratio_fn, length: int) -> _LogSeq:
-    """Sequence v[0]=1, v[m+1] = v[m]*ratio_fn(m), in log/phase form;
-    ratio_fn is called once, on the array m = 0..length-2. After a zero
-    ratio the log-magnitude stays -inf and the phase stays finite."""
+    """Sequences v[..., 0] = 1, v[..., m+1] = v[..., m] * r[..., m] in
+    log/phase form, one per row of r = ratio_fn(m), which is called once, on
+    the array m = 0..length-2. After a zero ratio the log-magnitude stays
+    -inf and the phase stays finite."""
     r = np.asarray(ratio_fn(np.arange(length - 1)), dtype=complex)
     mag = np.abs(r)
-    logmag = np.zeros(length)
-    phase = np.ones(length, dtype=complex)
+    shape = r.shape[:-1] + (length,)
+    logmag = np.zeros(shape)
+    phase = np.ones(shape, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.cumsum(np.log(mag), out=logmag[1:])
-        np.cumprod(np.where(mag > 0.0, r / mag, 1.0), out=phase[1:])
+        np.cumsum(np.log(mag), axis=-1, out=logmag[..., 1:])
+        np.cumprod(np.where(mag > 0.0, r / mag, 1.0), axis=-1, out=phase[..., 1:])
     return _LogSeq(logmag, phase)
 
 
-def _power_over_factorial_logseq(z: complex, length: int) -> _LogSeq:
-    """Sequence z^m / m! in log/phase form."""
-    return _ratio_logseq(lambda m: z / (m + 1), length)
+def _tables_on_demand(build, arg, cap: int):
+    """tables(hi): the tables build(arg, length) with length >= hi. The
+    first request builds them to hi; a later one past their end rebuilds
+    them at double length (or hi, if longer), capped at cap. Every table
+    row is a sequential cumulative product or an elementwise power, so a
+    longer build repeats the shorter one's entries exactly."""
+    held = None
+
+    def tables(hi: int) -> _LogSeq:
+        nonlocal held
+        if held is None:
+            held = build(arg, hi)
+        elif held.logmag.shape[-1] < hi:
+            held = build(arg, min(cap, max(hi, 2 * held.logmag.shape[-1])))
+        return held
+
+    return tables
 
 
-# Shells are gathered in blocks of consecutive degrees holding at most about
-# this many rows (a single shell may hold more): one vectorised pass per block
-# instead of per shell, with the per-pass temporaries kept small.
+# Shells are gathered in blocks of consecutive degrees: one vectorised pass
+# per block instead of per shell. A block spans at most _BLOCK_DEGREES
+# degrees, so a series that stops early gathers few shells past its stop,
+# and holds at most about _BLOCK_ROWS rows (a single shell may hold more),
+# so the per-pass temporaries stay small.
+_BLOCK_DEGREES = 32
 _BLOCK_ROWS = 4096
 
 
@@ -147,9 +171,9 @@ def _compositions(nvars: int, degrees: np.ndarray) -> np.ndarray:
 
 
 def _build_block(nvars: int, lo: int, top: int) -> _Block:
-    """Shells lo, lo+1, ... below top, as many as fit in _BLOCK_ROWS rows
-    and at least one."""
-    sizes = _shell_sizes(nvars, np.arange(lo, top, dtype=np.int64))
+    """Shells lo, lo+1, ... below top: at most _BLOCK_DEGREES of them, as
+    many as fit in _BLOCK_ROWS rows, and at least one."""
+    sizes = _shell_sizes(nvars, np.arange(lo, min(top, lo + _BLOCK_DEGREES), dtype=np.int64))
     keep = max(1, int(np.searchsorted(np.cumsum(sizes), _BLOCK_ROWS, side="right")))
     sizes = sizes[:keep]
     comps = _compositions(nvars, np.arange(lo, lo + keep, dtype=np.int32))
@@ -169,26 +193,41 @@ def _shell_block(nvars: int, lo: int, top: int) -> _Block:
     return (_block_cached if nvars <= 3 else _build_block)(nvars, lo, top)
 
 
-def _shell_gather(seqs: list[_LogSeq], block: _Block, row_logmag,
+def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag,
                   shell_phase=1.0) -> list[complex]:
-    """Per-shell sums of exp(row_logmag) * prod_i seqs[i][comps[:, i]] over
-    the block's rows, times shell_phase (one value, or one per shell)."""
+    """Per-shell sums of exp(row_logmag) * prod_i seq_i[comps[:, i]] over
+    the block's rows, seq_i being row i of seqs, times shell_phase (one
+    value, or one per shell)."""
     comps = block.comps
-    logs = seqs[0].logmag[comps[:, 0]] + row_logmag
-    phases = seqs[0].phase[comps[:, 0]]
-    for i in range(1, len(seqs)):
-        logs += seqs[i].logmag[comps[:, i]]
-        phases *= seqs[i].phase[comps[:, i]]
+    logmag, phase = seqs.logmag, seqs.phase
+    logs = logmag[0][comps[:, 0]] + row_logmag
+    phases = phase[0][comps[:, 0]]
+    for i in range(1, comps.shape[1]):
+        logs += logmag[i][comps[:, i]]
+        phases *= phase[i][comps[:, i]]
     phases *= np.exp(logs)
     return (np.add.reduceat(phases, block.starts) * shell_phase).tolist()
 
 
-def _front_shells(seqs: list[_LogSeq], front: _LogSeq, block: _Block,
-                  scale: complex = 1.0) -> list[complex]:
-    """Shells of scale * front[M] * prod_i seqs[i][m_i] over m_1+...+m_n = M."""
+def _front_shells(seqs: _LogSeq, block: _Block, scale: complex = 1.0) -> list[complex]:
+    """Shells of scale * front[M] * prod_i seq_i[m_i] over m_1+...+m_n = M,
+    where front is the last row of seqs and seq_i its row i."""
     lo = block.hi - len(block.sizes)
-    return _shell_gather(seqs, block, np.repeat(front.logmag[lo:block.hi], block.sizes),
-                         front.phase[lo:block.hi] * scale)
+    return _shell_gather(seqs, block, np.repeat(seqs.logmag[-1, lo:block.hi], block.sizes),
+                         seqs.phase[-1, lo:block.hi] * scale)
+
+
+def _front_series(nvars: int, ratios, policy: TruncationPolicy, what: str) -> SeriesValue:
+    """Sum of the _front_shells of nvars variables, the sequences being
+    built from ratios by _ratio_logseq: one row per variable, then the
+    front."""
+    tables = _tables_on_demand(_ratio_logseq, ratios, policy.max_total_degree + 1)
+
+    def shells(lo, top):
+        block = _shell_block(nvars, lo, top)
+        return _front_shells(tables(block.hi), block)
+
+    return _sum_shells(shells, policy, what)
 
 
 def gauss_2f1(a: float, b: float, c: float, z: complex,
@@ -225,12 +264,10 @@ def appell_fa(a: float, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> S
         # F_A^(1) is the Gauss series itself; the scalar recurrence is exact
         return gauss_2f1(a, b[0], c[0], z[0], policy)
 
-    length = policy.max_total_degree + 1
-    seqs = [_ratio_logseq(lambda m, bi=bi, ci=ci, zi=zi: (bi + m) * zi / ((ci + m) * (m + 1)), length)
-            for bi, ci, zi in zip(b, c, z)]
-    front = _ratio_logseq(lambda m: a + m, length)  # (a)_M
-    return _sum_shells(lambda lo, top: _front_shells(seqs, front, _shell_block(n, lo, top)),
-                       policy, "appell_fa")
+    bs, cs, zs = (np.array(v)[:, None] for v in (b, c, z))
+    return _front_series(  # front (a)_M
+        n, lambda m: np.vstack(((bs + m) * zs / ((cs + m) * (m + 1)), a + m)),
+        policy, "appell_fa")
 
 
 def fa_equal_params_closed(a: float, z) -> complex:
@@ -257,11 +294,10 @@ def doubled_index_multisum(a: float, c: float, x,
     if sum(abs(v) for v in x) >= 0.25:
         raise ConvergenceError("doubled_index_multisum requires sum |x_i| < 1/4")
 
-    length = policy.max_total_degree + 1
-    seqs = [_power_over_factorial_logseq(xi, length) for xi in x]
-    front = _ratio_logseq(lambda m: (a + 2 * m) * (a + 2 * m + 1) / (c + m), length)
-    return _sum_shells(lambda lo, top: _front_shells(seqs, front, _shell_block(r, lo, top)),
-                       policy, "doubled_index_multisum")
+    xs = np.array(x)[:, None]
+    return _front_series(  # x_i^m / m!, front (a)_{2M} / (c)_M
+        r, lambda m: np.vstack((xs / (m + 1), (a + 2 * m) * (a + 2 * m + 1) / (c + m))),
+        policy, "doubled_index_multisum")
 
 
 def fa_decomposition_rhs(a: float, b1: float, c1: float, y,
@@ -287,16 +323,21 @@ def fa_decomposition_rhs(a: float, b1: float, c1: float, y,
     base = principal_pow(1.0 - srest, -a)
     scale = 1.0 / (1.0 - srest)
 
-    length = policy.max_total_degree + 1
-    seqs = [_power_over_factorial_logseq(v, length) for v in rest]
-    front = _ratio_logseq(
-        lambda m: (a + m) * (b1 + m) / (c1 + m) * y1 * scale, length)
+    ys = np.array(rest)[:, None]
+    tables = _tables_on_demand(  # y_i^m / m!, front (a)_M (b1)_M (y1 scale)^M / (c1)_M
+        _ratio_logseq,
+        lambda m: np.vstack((ys / (m + 1), (a + m) * (b1 + m) / (c1 + m) * y1 * scale)),
+        policy.max_total_degree + 1)
 
     def shell(deg, top):
         # One shell per block: the inner 2F1 of a shell past the stop degree
-        # need not converge, so none is evaluated ahead.
+        # need not converge, so none is evaluated ahead. The tables are asked
+        # for the _BLOCK_DEGREES-aligned span around deg, so they are not
+        # rebuilt shell by shell.
         inner = gauss_2f1(a + deg, b1 + deg, c1 + deg, y1, policy).value
-        return _front_shells(seqs, front, _shell_block(r - 1, deg, deg + 1), inner * base)
+        span_end = deg - deg % _BLOCK_DEGREES + _BLOCK_DEGREES
+        return _front_shells(tables(min(top, span_end)),
+                             _shell_block(r - 1, deg, deg + 1), inner * base)
 
     return _sum_shells(shell, policy, "fa_decomposition_rhs")
 

@@ -30,7 +30,8 @@ import numpy as np
 from .domains import PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
 from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _LogSeq,
-                       _shell_block, _shell_gather, _sum_shells, appell_fa)
+                       _shell_block, _shell_gather, _sum_shells, _tables_on_demand,
+                       appell_fa)
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
@@ -170,25 +171,29 @@ def _kernel_closed_d2_alternate(nu) -> complex:
 
 # --- series route ------------------------------------------------------------
 
-def _powers_logseq(z: complex, length: int) -> _LogSeq:
+def _powers_logseq(xs, length: int) -> _LogSeq:
+    """Powers x^m, m = 0..length-1, of every x in xs, in log/phase form,
+    one row per x."""
     m = np.arange(length)
-    if z == 0:
-        logmag = np.full(length, _NEG_INF)
-        logmag[0] = 0.0
-        phase = np.ones(length, dtype=complex)
-    else:
-        logmag = m * math.log(abs(z))
-        phase = np.exp(1j * math.atan2(z.imag, z.real) * m)
-    return _LogSeq(logmag, phase)
+    logs = np.array([math.log(abs(x)) if x else _NEG_INF for x in xs])[:, None]
+    angles = np.array([1j * math.atan2(x.imag, x.real) if x else 0j for x in xs])[:, None]
+    with np.errstate(invalid="ignore"):  # 0 * -inf at m = 0 when x = 0
+        logmag = m * logs
+    logmag[logs[:, 0] == _NEG_INF, 0] = 0.0
+    return _LogSeq(logmag, np.exp(angles * m))
 
 
 def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str) -> SeriesValue:
     """Sum of exp(log_coef) * prod_i xs[i]^comps[:, i] over the rows of every
     total-degree shell, where block_table(lo, top) returns (block, log_coef)
     for a block of shells from degree lo and one log-coefficient per row."""
-    length = policy.max_total_degree + 1
-    seqs = [_powers_logseq(x, length) for x in xs]
-    return _sum_shells(lambda lo, top: _shell_gather(seqs, *block_table(lo, top)), policy, what)
+    tables = _tables_on_demand(_powers_logseq, xs, policy.max_total_degree + 1)
+
+    def shells(lo, top):
+        block, log_coef = block_table(lo, top)
+        return _shell_gather(tables(block.hi), block, log_coef)
+
+    return _sum_shells(shells, policy, what)
 
 
 # Block tables are reused across every pair of one parameter set. A series

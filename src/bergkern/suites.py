@@ -224,6 +224,8 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
     (for d1) dual-derivative checks."""
     if points < 1:
         raise ValueError(f"kernel suite needs points >= 1, got {points}")
+    if domain in ("d2", "ellipsoid") and (p is not None or lam is not None):
+        raise ValueError(f"kernel suite for {domain} takes no p or lam")
     exps = _integer_exponents(exponents) if domain == "ellipsoid" else None
     t0 = time.perf_counter()
     policy = TruncationPolicy(max_total_degree=max_degree, tail_tol=tail_tol)

@@ -176,8 +176,18 @@ def test_verify_empty_count_is_usage_error(capsys, argv):
     ("verify", "norms", "--domain", "d1", "--lambda", "2", "--max-index", "0"),
     ("verify", "norms", "--domain", "d2", "--p", "2", "--max-index", "0"),
     ("verify", "norms", "--domain", "d2", "--lambda", "2", "--max-index", "0"),
+    ("verify", "kernels", "--domain", "d2", "--p", "2", "--lambda", "5", "--points", "1",
+     "--seed", "1"),
+    ("verify", "kernels", "--domain", "ellipsoid", "--p", "1,1", "--lambda", "5",
+     "--points", "1"),
+    ("eval", "--domain", "d2", "--nu", "0.25,0,0", "--p", "3", "--lambda", "9"),
+    ("eval", "--domain", "ellipsoid", "--p", "1,1", "--lambda", "4", "--nu", "0.1,0.2",
+     "--method", "series"),
+    ("norm", "--domain", "d2", "--alpha", "0,0,0", "--p", "3"),
 ], ids=["kernels-ellipsoid-fractional", "kernels-ellipsoid-inf", "eval-ellipsoid-inf",
-        "norms-d1-p-only", "norms-d1-lambda-only", "norms-d2-p", "norms-d2-lambda"])
+        "norms-d1-p-only", "norms-d1-lambda-only", "norms-d2-p", "norms-d2-lambda",
+        "kernels-d2-p-lambda", "kernels-ellipsoid-lambda", "eval-d2-p-lambda",
+        "eval-ellipsoid-lambda", "norm-d2-p"])
 def test_parameters_not_used_as_given_are_usage_errors(capsys, argv):
     # A parameter that would be truncated, overflow or be ignored must stop
     # the run instead of producing a report for other parameters.

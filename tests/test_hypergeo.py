@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bergkern import (BranchError, ConvergenceError, PoleError, TruncationPolicy,
@@ -313,6 +314,26 @@ def _clear_block_caches():
         cache.cache_clear()
 
 
+def _full_length_tables(build, arg, cap):
+    # every table built to the degree cap up front, as before demand sizing
+    table = build(arg, cap)
+    return lambda hi: table
+
+
+# Block and table settings that must all give the same shells: the defaults
+# (degree- and row-bounded blocks, tables built on demand), one shell per
+# block by rows and by degrees, blocks bounded by rows alone, and full-length
+# tables.
+_BLOCK_SETTINGS = {
+    "default": (),
+    "rows-1": ((hypergeo, "_BLOCK_ROWS", 1),),
+    "degrees-1": ((hypergeo, "_BLOCK_DEGREES", 1),),
+    "degrees-400": ((hypergeo, "_BLOCK_DEGREES", 400),),
+    "full-tables": ((hypergeo, "_tables_on_demand", _full_length_tables),
+                    (kernels, "_tables_on_demand", _full_length_tables)),
+}
+
+
 def test_block_size_does_not_change_series(monkeypatch):
     used = []
     sum_shells = hypergeo._sum_shells
@@ -330,29 +351,118 @@ def test_block_size_does_not_change_series(monkeypatch):
         for case in _BLOCK_CASES:
             used.clear()
             try:
-                value = case().value
+                value = repr(case().value)
             except ConvergenceError:
                 value = None
             out.append((value, used.copy()))
         return out
 
+    results = {}
     try:
-        _clear_block_caches()
-        default = run_cases()
-        _clear_block_caches()
-        monkeypatch.setattr(hypergeo, "_BLOCK_ROWS", 1)  # one shell per block
-        single = run_cases()
+        for name, patches in _BLOCK_SETTINGS.items():
+            with pytest.MonkeyPatch.context() as mp:
+                for module, attr, value in patches:
+                    mp.setattr(module, attr, value)
+                _clear_block_caches()
+                results[name] = run_cases()
     finally:
         monkeypatch.undo()
         _clear_block_caches()
+    default = results["default"]
     assert default[-2][1][0] > 100  # the d1 series spans several blocks
-    assert default[-1][0] is None
-    for (v_default, used_default), (v_single, used_single) in zip(default, single):
-        assert used_default == used_single
-        if v_default is None:
-            assert v_single is None
-        else:
-            assert rel(v_single, v_default) < 1e-14
+    for name, got in results.items():
+        assert got[-1][0] is None, name  # the capped d1 series still raises
+        assert got == default, name
+
+
+def _ratio_logseq_1d(ratio_fn, length):
+    # one sequence per call, as built before sequences were stacked in rows
+    r = np.asarray(ratio_fn(np.arange(length - 1)), dtype=complex)
+    mag = np.abs(r)
+    logmag = np.zeros(length)
+    phase = np.ones(length, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.cumsum(np.log(mag), out=logmag[1:])
+        np.cumprod(np.where(mag > 0.0, r / mag, 1.0), out=phase[1:])
+    return logmag, phase
+
+
+def test_stacked_ratio_logseq_rows_match_one_sequence_builds():
+    # The doubled-index sequences with one x_i = 0 (a zero ratio): every row
+    # of the one stacked build equals its own 1-D build bit for bit, and a
+    # shorter build is an exact prefix of a longer one. No RuntimeWarning
+    # may escape (the suite turns them into errors).
+    a, c = 2.5, 1.3
+    xs = (0.1 + 0.03j, 0j, -0.06 + 0.02j)
+    rows = [lambda m, x=x: x / (m + 1) for x in xs] \
+        + [lambda m: (a + 2 * m) * (a + 2 * m + 1) / (c + m)]
+    stacked = lambda m: np.vstack([row(m) for row in rows])
+    full = hypergeo._ratio_logseq(stacked, 401)
+    assert full.logmag.shape == full.phase.shape == (4, 401)
+    assert full.logmag[1, 0] == 0.0 and np.all(full.logmag[1, 1:] == -np.inf)
+    for i, row in enumerate(rows):
+        logmag, phase = _ratio_logseq_1d(row, 401)
+        assert np.array_equal(full.logmag[i], logmag)
+        assert np.array_equal(full.phase[i], phase)
+    for length in (1, 2, 32, 64):
+        short = hypergeo._ratio_logseq(stacked, length)
+        assert np.array_equal(short.logmag, full.logmag[:, :length])
+        assert np.array_equal(short.phase, full.phase[:, :length])
+    # the zero variable only adds zero terms
+    with_zero = doubled_index_multisum(a, c, xs)
+    without = doubled_index_multisum(a, c, (xs[0], xs[2]))
+    assert with_zero.shells_used == without.shells_used
+    assert repr(with_zero.value) == repr(without.value)
+
+
+def test_tables_on_demand_cover_each_request_and_stop_at_the_cap():
+    # First build to the first request; then at double length, or at the
+    # request if that is longer, never past the cap.
+    built = []
+
+    def build(ratio_fn, length):
+        built.append(length)
+        return hypergeo._ratio_logseq(ratio_fn, length)
+
+    tables = hypergeo._tables_on_demand(build, lambda m: np.vstack((m + 1.0, m - 2.0)), 100)
+    for hi in (5, 3, 6, 10, 30, 61, 100):
+        assert tables(hi).logmag.shape == (2, built[-1]) and built[-1] >= hi
+    assert built == [5, 10, 30, 61, 100]
+
+
+def test_series_tables_are_sized_by_the_shells_summed(monkeypatch):
+    # A series that stops within 20 shells builds its tables once, to its
+    # first block's span, not to the degree cap.
+    cases = (
+        (hypergeo, "_ratio_logseq",
+         lambda: appell_fa(1.7, (1.0, 1.0), (0.5, 1.0 / 3.0), (0.2 + 0.1j, -0.15 + 0.05j),
+                           kernels.KERNEL_POLICY)),
+        (kernels, "_powers_logseq",
+         lambda: kernel_series_d2_nu((0.1 + 0.02j, 0.005, 0.02j))),
+    )
+    used = []
+    sum_shells = hypergeo._sum_shells
+
+    def recorded(*args):
+        sv = sum_shells(*args)
+        used.append(sv.shells_used)
+        return sv
+
+    for module in (hypergeo, kernels):
+        monkeypatch.setattr(module, "_sum_shells", recorded)
+    for module, name, run in cases:
+        lengths = []
+        build = getattr(module, name)
+
+        def spy(arg, length, build=build):
+            lengths.append(length)
+            return build(arg, length)
+
+        used.clear()
+        monkeypatch.setattr(module, name, spy)
+        run()
+        assert len(used) == 1 and used[0] <= 20, name
+        assert len(lengths) == 1 and lengths[0] <= 64, (name, lengths)
 
 
 def test_truncation_refinement_is_monotone():
