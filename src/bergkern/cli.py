@@ -77,20 +77,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run a verification suite and write a report")
     vf.add_argument("suite", choices=("identities", "norms", "kernels"))
-    vf.add_argument("--domain", choices=("d1", "d2", "ellipsoid"), default="d2")
-    vf.add_argument("--p", type=_float_vector)
-    vf.add_argument("--lambda", dest="lam", type=float)
-    vf.add_argument("--trials", type=int, default=200)
-    vf.add_argument("--points", type=int, default=50)
-    vf.add_argument("--seed", type=int, default=7)
-    vf.add_argument("--margin", type=float, default=0.2)
+    # Defaults of None are resolved per suite; a suite rejects the flags it
+    # does not read (_VERIFY_UNREAD).
+    vf.add_argument("--domain", choices=("d1", "d2", "ellipsoid"),
+                    help="norms, kernels (default d2)")
+    vf.add_argument("--p", type=_float_vector, help="norms, kernels")
+    vf.add_argument("--lambda", dest="lam", type=float, help="norms, kernels")
+    vf.add_argument("--trials", type=int, help="identities (default 200)")
+    vf.add_argument("--points", type=int, help="kernels (default 50)")
+    vf.add_argument("--seed", type=int, help="identities, kernels (default 7)")
+    vf.add_argument("--margin", type=float, help="kernels (default 0.2)")
     vf.add_argument("--tol", type=float, default=None,
                     help="row tolerance (defaults: identities 1e-10, norms 1e-8, "
                          "kernels 1e-6; recurrence rows always 1e-9)")
     vf.add_argument("--tail-tol", type=float, default=None,
                     help="series stop tolerance (identities 1e-13, kernels 1e-10)")
-    vf.add_argument("--max-degree", type=int, default=400)
-    vf.add_argument("--max-index", type=int, default=None)
+    vf.add_argument("--max-degree", type=int, help="identities, kernels (default 400)")
+    vf.add_argument("--max-index", type=int, default=None, help="norms")
     vf.add_argument("--format", choices=("json", "csv"), default="json")
     vf.add_argument("--out", default=None, help="report path (default: stdout)")
     return parser
@@ -171,31 +174,48 @@ def _cmd_norm(args) -> int:
     return EXIT_OK
 
 
+# The verify flags each suite does not read, as dest: flag.
+_VERIFY_UNREAD = {
+    "identities": {"domain": "--domain", "p": "--p", "lam": "--lambda",
+                   "points": "--points", "margin": "--margin", "max_index": "--max-index"},
+    "norms": {"trials": "--trials", "points": "--points", "seed": "--seed",
+              "margin": "--margin", "tail_tol": "--tail-tol", "max_degree": "--max-degree"},
+    "kernels": {"trials": "--trials", "max_index": "--max-index"},
+}
+
+
+def _given(value, default):
+    return default if value is None else value
+
+
 def _cmd_verify(args) -> int:
+    unread = [flag for dest, flag in _VERIFY_UNREAD[args.suite].items()
+              if getattr(args, dest) is not None]
+    if unread:
+        raise ValueError(f"verify {args.suite} does not read {', '.join(unread)}")
+    domain = _given(args.domain, "d2")
+    max_degree = _given(args.max_degree, 400)
+    seed = _given(args.seed, 7)
     if args.suite == "identities":
         report = run_identity_suite(
-            trials=args.trials, seed=args.seed,
-            tol=1e-10 if args.tol is None else args.tol,
-            tail_tol=1e-13 if args.tail_tol is None else args.tail_tol,
-            max_degree=args.max_degree)
+            trials=_given(args.trials, 200), seed=seed, tol=_given(args.tol, 1e-10),
+            tail_tol=_given(args.tail_tol, 1e-13), max_degree=max_degree)
     elif args.suite == "norms":
-        if args.domain == "ellipsoid":
+        if domain == "ellipsoid":
             raise ValueError("norm suite supports d1 and d2 only")
         report = run_norm_suite(
-            domain=args.domain, max_index=args.max_index,
-            tol=1e-8 if args.tol is None else args.tol,
+            domain=domain, max_index=args.max_index, tol=_given(args.tol, 1e-8),
             p=_scalar_p(args), lam=args.lam)
     else:
-        if args.domain == "ellipsoid":
-            scalar_p, exps = None, (args.p if args.p is not None else (1, 1))
+        if domain == "ellipsoid":
+            scalar_p, exps = None, _given(args.p, (1, 1))
         else:
             scalar_p, exps = _scalar_p(args), (1, 1)
         report = run_kernel_suite(
-            domain=args.domain, p=scalar_p, lam=args.lam, exponents=exps,
-            points=args.points, seed=args.seed, margin=args.margin,
-            tol=1e-6 if args.tol is None else args.tol,
-            tail_tol=1e-10 if args.tail_tol is None else args.tail_tol,
-            max_degree=args.max_degree)
+            domain=domain, p=scalar_p, lam=args.lam, exponents=exps,
+            points=_given(args.points, 50), seed=seed, margin=_given(args.margin, 0.2),
+            tol=_given(args.tol, 1e-6), tail_tol=_given(args.tail_tol, 1e-10),
+            max_degree=max_degree)
 
     payload = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:

@@ -6,6 +6,11 @@ Supported domains:
   d2:          {z in C^3 : |z3|^2 < |z1|^4 + |z2|^2 < |z1|^2}
   ellipsoid(p):{z in C^n : sum |z_j|^(2 p_j) < 1}
 
+Interior points are rejection-sampled from a bounding box. Candidates are
+drawn from the seeded stream in vectorised batches, a numpy prefilter drops
+those clearly outside, and contains() judges every survivor in order, so the
+points are those of a one-candidate-at-a-time loop.
+
 Pairs are built by shrinking and rephasing one interior point coordinatewise,
 which keeps every kernel-series argument dominated by its diagonal value.
 """
@@ -16,10 +21,17 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat, starmap
+
+import numpy as np
 
 from .errors import SamplingError
 
 _MAX_ATTEMPTS_PER_POINT = 10**6
+# Rejection candidates per batch, and the prefilter's relative slack.
+_MIN_BATCH = 64
+_MAX_BATCH = 4096
+_PREFILTER_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,8 +88,9 @@ def diagonal_pair(z) -> PointPair:
     return PointPair(z, z)
 
 
-def _inequalities(spec: DomainSpec, z: tuple[complex, ...]) -> list[tuple[float, float]]:
-    """Defining strict inequalities as (lhs, rhs) pairs, lhs < rhs required."""
+def _inequalities(spec: DomainSpec, z) -> list[tuple[float, float]]:
+    """Defining strict inequalities as (lhs, rhs) pairs, lhs < rhs required.
+    Also evaluates elementwise when each z[j] is an array of coordinates."""
     if spec.kind == "d1":
         rho2 = abs(z[0]) ** 2 + abs(z[1]) ** 2
         mid = rho2 ** spec.p + abs(z[2]) ** 2
@@ -107,8 +120,29 @@ def _bounding_radii(spec: DomainSpec) -> tuple[float, ...]:
     return tuple(1.0 for _ in spec.exponents)
 
 
+def _prefilter(spec: DomainSpec, coords: np.ndarray, margin: float) -> np.ndarray:
+    """Mask over the rows of coords (candidates x (re, im) per coordinate)
+    that keeps every candidate contains() could accept: it evaluates the same
+    inequalities with numpy and drops only candidates past (1-margin)*rhs by
+    a relative _PREFILTER_SLACK, far above any rounding difference between
+    numpy's and the scalar arithmetic."""
+    z = tuple(coords[:, 2 * j] + 1j * coords[:, 2 * j + 1] for j in range(spec.dim))
+    keep = np.ones(len(coords), dtype=bool)
+    for lhs, rhs in _inequalities(spec, z):
+        keep &= lhs <= (1.0 - margin) * (1.0 + _PREFILTER_SLACK) * rhs
+    return keep
+
+
 def sample_interior(spec: DomainSpec, seed: int, count: int, margin: float = 0.0):
     """Rejection-sample `count` interior points with relative slack >= margin.
+
+    Each candidate takes (re, im) of every coordinate uniformly from the
+    bounding box, in that order, from random.Random(seed); the first `count`
+    candidates that contains() accepts are returned. Candidates are drawn in
+    batches sized from the acceptance seen so far, a numpy prefilter drops
+    those clearly outside, and contains() judges the rest in order, so the
+    points equal those of a one-candidate-at-a-time loop. SamplingError is
+    raised once one point misses _MAX_ATTEMPTS_PER_POINT candidates in a row.
 
     Deterministic for a fixed (spec, seed, count, margin).
     """
@@ -116,19 +150,40 @@ def sample_interior(spec: DomainSpec, seed: int, count: int, margin: float = 0.0
         raise ValueError("margin must lie in [0, 1)")
     if count < 0:
         raise ValueError("count must be >= 0")
+    max_attempts = _MAX_ATTEMPTS_PER_POINT
     rng = random.Random(seed)
-    radii = _bounding_radii(spec)
+    radii = np.repeat(_bounding_radii(spec), 2)
     points = []
-    for _ in range(count):
-        for attempt in range(_MAX_ATTEMPTS_PER_POINT):
-            z = tuple(complex(rng.uniform(-r, r), rng.uniform(-r, r)) for r in radii)
+    drawn = misses = 0
+    while len(points) < count:
+        # rng.uniform(-r, r) is -r + 2r * rng.random(), bit for bit
+        need = count - len(points)
+        size = min(_MAX_BATCH, max_attempts - misses,
+                   max(_MIN_BATCH, need * (drawn + 1) // (len(points) + 1)))
+        draws = np.fromiter(starmap(rng.random, repeat((), size * len(radii))), float)
+        coords = -radii + (2.0 * radii) * draws.reshape(size, len(radii))
+        drawn += size
+        pos = 0
+        for i in np.flatnonzero(_prefilter(spec, coords, margin)).tolist():
+            misses += i - pos
+            pos = i + 1
+            if misses >= max_attempts:
+                break
+            c = coords[i].tolist()
+            z = tuple(complex(re, im) for re, im in zip(c[::2], c[1::2]))
             if contains(spec, z, margin):
                 points.append(z)
-                break
+                misses = 0
+                if len(points) == count:
+                    return points
+            else:
+                misses += 1
         else:
+            misses += size - pos
+        if misses >= max_attempts:
             raise SamplingError(
                 f"no interior point of {spec.kind} found with margin {margin} "
-                f"in {_MAX_ATTEMPTS_PER_POINT} attempts")
+                f"in {max_attempts} attempts")
     return points
 
 

@@ -170,11 +170,11 @@ def _compositions(nvars: int, degrees: np.ndarray) -> np.ndarray:
     return np.column_stack((first_col, _compositions(nvars - 1, rests)))
 
 
-def _build_block(nvars: int, lo: int, top: int) -> _Block:
+def _build_block(nvars: int, lo: int, top: int, rows: int = _BLOCK_ROWS) -> _Block:
     """Shells lo, lo+1, ... below top: at most _BLOCK_DEGREES of them, as
-    many as fit in _BLOCK_ROWS rows, and at least one."""
+    many as fit in `rows` rows, and at least one."""
     sizes = _shell_sizes(nvars, np.arange(lo, min(top, lo + _BLOCK_DEGREES), dtype=np.int64))
-    keep = max(1, int(np.searchsorted(np.cumsum(sizes), _BLOCK_ROWS, side="right")))
+    keep = max(1, int(np.searchsorted(np.cumsum(sizes), rows, side="right")))
     sizes = sizes[:keep]
     comps = _compositions(nvars, np.arange(lo, lo + keep, dtype=np.int32))
     starts = np.cumsum(sizes) - sizes
@@ -188,9 +188,9 @@ def _build_block(nvars: int, lo: int, top: int) -> _Block:
 _block_cached = lru_cache(maxsize=1024)(_build_block)
 
 
-def _shell_block(nvars: int, lo: int, top: int) -> _Block:
+def _shell_block(nvars: int, lo: int, top: int, rows: int = _BLOCK_ROWS) -> _Block:
     # Blocks of 4+ variables grow fast with degree; only cache up to 3.
-    return (_block_cached if nvars <= 3 else _build_block)(nvars, lo, top)
+    return (_block_cached if nvars <= 3 else _build_block)(nvars, lo, top, rows)
 
 
 def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag,

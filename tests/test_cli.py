@@ -195,6 +195,35 @@ def test_parameters_not_used_as_given_are_usage_errors(capsys, argv):
     assert code == 2 and "usage error" in err
 
 
+_ID = ("verify", "identities", "--trials", "1")
+_NORMS = ("verify", "norms", "--domain", "d2", "--max-index", "0")
+_KERNELS = ("verify", "kernels", "--domain", "d2", "--points", "1")
+_UNREAD_FLAGS = {
+    "identities-domain": _ID + ("--domain", "d1"),
+    "identities-p": _ID + ("--p", "2"),
+    "identities-lambda": _ID + ("--lambda", "3"),
+    "identities-points": _ID + ("--points", "3"),
+    "identities-margin": _ID + ("--margin", "0.1"),
+    "identities-max-index": _ID + ("--max-index", "2"),
+    "norms-trials": _NORMS + ("--trials", "5"),
+    "norms-points": _NORMS + ("--points", "5"),
+    "norms-seed": _NORMS + ("--seed", "5"),
+    "norms-margin": _NORMS + ("--margin", "0.1"),
+    "norms-tail-tol": _NORMS + ("--tail-tol", "1e-9"),
+    "norms-max-degree": _NORMS + ("--max-degree", "100"),
+    "kernels-trials": _KERNELS + ("--trials", "5"),
+    "kernels-max-index": _KERNELS + ("--max-index", "2"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_UNREAD_FLAGS.values()), ids=list(_UNREAD_FLAGS))
+def test_verify_rejects_flags_the_suite_does_not_read(capsys, argv):
+    # Each run, without its last flag, is a passing suite; the flag would be
+    # ignored, so the report would not be for the run that was asked for.
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "usage error" in err and argv[-2] in err
+
+
 def test_verify_stdout_report_when_no_out(capsys):
     code, out, err = run_cli(capsys, "verify", "norms", "--domain", "d2",
                              "--max-index", "0")

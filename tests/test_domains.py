@@ -1,8 +1,13 @@
 """Tests for domain membership and seeded interior/pair sampling."""
 
+import random
+
+import numpy as np
 import pytest
 
 from bergkern import DomainSpec, PointPair, SamplingError, contains, diagonal_pair, sample_interior, sample_pairs
+from bergkern import domains
+from bergkern.domains import _bounding_radii
 
 
 def test_contains_d2_examples():
@@ -111,3 +116,101 @@ def test_degenerate_margin_raises_sampling_error(monkeypatch):
     monkeypatch.setattr(domains_mod, "_MAX_ATTEMPTS_PER_POINT", 2000)
     with pytest.raises(SamplingError):
         sample_interior(DomainSpec.d2(), 1, 1, 0.999999)
+
+
+# --- batched rejection sampling --------------------------------------------------
+
+def sequential_reference(spec, seed, count, margin, max_attempts=10**6):
+    """The one-candidate-at-a-time rejection loop that sample_interior
+    batches: its points, and the candidates each point took."""
+    rng = random.Random(seed)
+    radii = _bounding_radii(spec)
+    points, attempts = [], []
+    for _ in range(count):
+        for attempt in range(max_attempts):
+            z = tuple(complex(rng.uniform(-r, r), rng.uniform(-r, r)) for r in radii)
+            if contains(spec, z, margin):
+                points.append(z)
+                attempts.append(attempt + 1)
+                break
+        else:
+            raise SamplingError(f"no point in {max_attempts} attempts")
+    return points, attempts
+
+
+SAMPLER_SPECS = (DomainSpec.d2(), DomainSpec.d1(0.5, 1.0), DomainSpec.d1(2.0, 2.0),
+                 DomainSpec.d1(2.5, 3.0), DomainSpec.ellipsoid((1.0, 1.0)),
+                 DomainSpec.ellipsoid((2.0, 3.0)), DomainSpec.ellipsoid((1.0, 1.0, 1.0)))
+
+
+def _spec_id(spec):
+    params = (spec.p, spec.lam) if spec.kind == "d1" else spec.exponents
+    return f"{spec.kind}{params}" if params else spec.kind
+
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=_spec_id)
+def test_batched_sampler_matches_sequential_reference(spec):
+    for margin in (0.0, 0.05, 0.2, 0.3):
+        # d1(0.5, 1) accepts about 1 candidate in 10^4 at these margins, so
+        # 40 points would take the reference loop seconds
+        slow = spec.kind == "d1" and spec.p == 0.5 and margin >= 0.2
+        for count in (0, 1, 3 if slow else 40):
+            for seed in (1, 2, 3):
+                got = sample_interior(spec, seed, count, margin)
+                assert got == sequential_reference(spec, seed, count, margin)[0]
+
+
+def _point(coords):
+    return tuple(complex(re, im) for re, im in zip(coords[::2].tolist(), coords[1::2].tolist()))
+
+
+@pytest.mark.parametrize("spec", SAMPLER_SPECS, ids=_spec_id)
+def test_prefilter_keeps_every_accepted_point_at_the_boundary(spec):
+    # Bisect rays from an interior point to the last float step at which
+    # contains() flips, then check candidates within a few ulps of that step
+    # on both sides: the prefilter must keep every one contains() accepts.
+    rng = random.Random(17)
+    radii = np.repeat(_bounding_radii(spec), 2)
+    accepted = rejected = 0
+    for margin in (0.0, 0.05, 0.2, 0.3):
+        inside = sample_interior(spec, 5, 10, min(margin + 0.05, 0.5))
+        for z0 in inside:
+            start = np.array([part for v in z0 for part in (v.real, v.imag)])
+            end = np.array([rng.uniform(-r, r) for r in radii])
+            if contains(spec, _point(end), margin):
+                continue
+            lo, hi = 0.0, 1.0
+            while np.nextafter(lo, 1.0) < hi:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                if contains(spec, _point(start + mid * (end - start)), margin):
+                    lo = mid
+                else:
+                    hi = mid
+            ts = [lo]
+            for _ in range(4):
+                ts = [np.nextafter(ts[0], 0.0)] + ts + [np.nextafter(ts[-1], 1.0)]
+            coords = start + np.array(ts)[:, None] * (end - start)
+            keep = domains._prefilter(spec, coords, margin)
+            for row, kept in zip(coords, keep):
+                inside_now = contains(spec, _point(row), margin)
+                accepted += inside_now
+                rejected += not inside_now
+                assert kept or not inside_now
+    assert accepted and rejected
+
+
+def test_attempt_cap_counts_misses_per_point(monkeypatch):
+    # The cap bounds the candidates one point may take, not the candidates of
+    # a batch or of the whole call: with the cap at the most any point took,
+    # every point is found although the call draws many times the cap.
+    spec, seed, count, margin = DomainSpec.d2(), 5, 60, 0.2
+    points, attempts = sequential_reference(spec, seed, count, margin)
+    cap = max(attempts)
+    assert sum(attempts) > 10 * cap
+    monkeypatch.setattr(domains, "_MAX_ATTEMPTS_PER_POINT", cap)
+    assert sample_interior(spec, seed, count, margin) == points
+    monkeypatch.setattr(domains, "_MAX_ATTEMPTS_PER_POINT", cap - 1)
+    with pytest.raises(SamplingError):
+        sample_interior(spec, seed, count, margin)

@@ -1,6 +1,7 @@
 """Tests for closed-form vs series kernel routes on d1, d2, and ellipsoids."""
 
 import cmath
+import itertools
 import math
 import os
 import random
@@ -12,7 +13,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bergkern import (ConvergenceError, DomainSpec, DualComplex, OperatorWeights,
+from bergkern import (ConvergenceError, DomainSpec, DualComplex, OperatorWeights, PointPair,
                       RegionError, SingularityError, TruncationPolicy, diagonal_pair,
                       kernel_closed_d1, kernel_closed_d1_nu, kernel_closed_d2,
                       kernel_closed_d2_nu, kernel_series_d1, kernel_series_d1_nu,
@@ -382,7 +383,6 @@ def test_ellipsoid_unit_ball_collapse():
 
 
 def test_ellipsoid_pairs_hermitian():
-    from bergkern import PointPair
     spec = DomainSpec.ellipsoid((1.0, 2.0))
     for pr in sample_pairs(spec, 43, 10, 0.2):
         fwd = kernel_series_ellipsoid_nu(pr.nu, (1, 2)).value
@@ -402,6 +402,63 @@ def test_ellipsoid_series_thread_safe_on_shared_block_cache():
     hypergeo._block_cached.cache_clear()
     calls = [partial(kernel_series_ellipsoid_nu, nu, exps) for nu, exps in cases]
     assert threaded_reprs(calls) == serial
+
+
+def per_term_ellipsoid(nu, ps, policy):
+    """The residue sum term by term: one appell_fa call per k."""
+    n = len(ps)
+    args = tuple(v**pj for v, pj in zip(nu, ps))
+    total = 0j
+    for k in itertools.product(*(range(pj) for pj in ps)):
+        c = tuple((kj + 1.0) / pj for kj, pj in zip(k, ps))
+        a = 1.0 + sum(c)
+        coef = math.exp(math.lgamma(a) - sum(math.lgamma(cj) for cj in c))
+        mono = math.prod((v**kj for v, kj in zip(nu, k)), start=1.0 + 0j)
+        total += coef * mono * hypergeo.appell_fa(a, (1.0,) * n, c, args, policy).value
+    return math.prod(ps) / math.pi**n * total
+
+
+ELLIPSOID_SETS = ((1, 1), (1, 2), (2, 3), (3, 3), (2, 2), (1, 1, 1))
+
+
+@pytest.mark.parametrize("ps", ELLIPSOID_SETS, ids=str)
+def test_ellipsoid_fused_series_matches_per_term_reference(ps):
+    # Each per-term series stops on its own partial sum, so where the terms
+    # cancel its truncation error exceeds the fused series' one; a deeper
+    # reference measures the fused series. A one-term kernel repeats the
+    # reference's arithmetic exactly (so its reports keep their bytes), and
+    # there both use the same policy.
+    one_term = math.prod(ps) == 1
+    ref_policy = kernels.KERNEL_POLICY if one_term else TruncationPolicy(400, 1e-13)
+    spec = DomainSpec.ellipsoid(ps)
+    for margin in (0.05, 0.1, 0.2, 0.4):
+        for pr in sample_pairs(spec, 61, 8, margin):
+            got = kernel_series_ellipsoid_nu(pr.nu, ps).value
+            ref = per_term_ellipsoid(pr.nu, ps, ref_policy)
+            assert got == ref if one_term else rel(got, ref) <= 1e-8
+
+
+@pytest.mark.parametrize("ps", ELLIPSOID_SETS, ids=str)
+def test_ellipsoid_fused_series_hermitian_and_real_diagonal(ps):
+    spec = DomainSpec.ellipsoid(ps)
+    for pr in sample_pairs(spec, 62, 10, 0.1):
+        fwd = kernel_series_ellipsoid_nu(pr.nu, ps).value
+        rev = kernel_series_ellipsoid_nu(PointPair(pr.zeta, pr.z).nu, ps).value
+        assert fwd == rev.conjugate()
+        diag = kernel_series_ellipsoid_nu(diagonal_pair(pr.z).nu, ps).value
+        assert diag.imag == 0.0 and diag.real > 0.0
+
+
+def test_ellipsoid_fused_series_raises_where_per_term_route_does():
+    capped = TruncationPolicy(12, 1e-10)
+    for ps, nu in (((2, 3), (0.6 + 0.3j, 0.5 - 0.4j)), ((1, 1), (0.5 + 0.1j, 0.3j)),
+                   ((1, 1, 1), (0.3, 0.2 - 0.2j, 0.25j))):
+        with pytest.raises(ConvergenceError):
+            per_term_ellipsoid(nu, ps, capped)
+        with pytest.raises(ConvergenceError):
+            kernel_series_ellipsoid_nu(nu, ps, capped)
+        assert rel(kernel_series_ellipsoid_nu(nu, ps).value,
+                   per_term_ellipsoid(nu, ps, TruncationPolicy(400, 1e-13))) <= 1e-8
 
 
 def test_ellipsoid_rejects_non_integer_exponents():
