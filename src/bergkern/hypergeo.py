@@ -15,6 +15,7 @@ degree cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -183,14 +184,44 @@ def _build_block(nvars: int, lo: int, top: int, rows: int = _BLOCK_ROWS) -> _Blo
     return _Block(comps, starts, sizes, lo + keep)
 
 
-# Bounded, yet above the 350 blocks that a degree-400 series of 3 variables
-# uses, so no block is rebuilt within one evaluation.
+# A series gathers at most this many composition rows, counted from degree
+# 0: C(403, 3), every row of a 3-variable series through degree 400. It bounds
+# the time and the block memory of one series whatever its degree cap: 3
+# variables reach degree 400, 2 variables 4651, 4 variables 124.
+_MAX_SERIES_ROWS = math.comb(403, 3)
+
+
+@lru_cache(maxsize=None)
+def _last_degree(nvars: int, max_rows: int) -> int:
+    """The highest degree D such that degrees 0..D of a series of nvars
+    variables, C(D + nvars, nvars) rows, hold at most max_rows rows."""
+    lo, hi = 0, max_rows  # an upper bound, as C(D + nvars, nvars) > D
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if math.comb(mid + nvars, nvars) <= max_rows:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+# Bounded, yet above the blocks of one evaluation: 350 for a 3-variable
+# series up to the row ceiling, 760 for the (2,3) ellipsoid kernel (6 terms
+# share each block's row budget) up to the 1000-degree kernel cap. So no block
+# is rebuilt within one evaluation.
 _block_cached = lru_cache(maxsize=1024)(_build_block)
 
 
 def _shell_block(nvars: int, lo: int, top: int, rows: int = _BLOCK_ROWS) -> _Block:
+    """_build_block, ending at the row ceiling; ConvergenceError once lo
+    lies past it."""
+    last = _last_degree(nvars, _MAX_SERIES_ROWS)
+    if lo > last:
+        raise ConvergenceError(
+            f"a series of {nvars} variables would reach past degree {last}, "
+            f"the ceiling of {_MAX_SERIES_ROWS} composition rows")
     # Blocks of 4+ variables grow fast with degree; only cache up to 3.
-    return (_block_cached if nvars <= 3 else _build_block)(nvars, lo, top, rows)
+    return (_block_cached if nvars <= 3 else _build_block)(nvars, lo, min(top, last + 1), rows)
 
 
 def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag,

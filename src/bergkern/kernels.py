@@ -40,7 +40,9 @@ from .hypergeo import (_BLOCK_ROWS, DEFAULT_POLICY, SeriesValue, TruncationPolic
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
-KERNEL_POLICY = TruncationPolicy(max_total_degree=400, tail_tol=1e-10)
+# A series of 3 variables (d1, three-variable ellipsoids) stops earlier, at
+# degree 400, where it meets hypergeo's row ceiling.
+KERNEL_POLICY = TruncationPolicy(max_total_degree=1000, tail_tol=1e-10)
 
 _NEG_INF = float("-inf")
 _DENOM_FLOOR = 1e-100  # |d|^3 below 1e-300 <=> |d| below 1e-100
@@ -201,10 +203,11 @@ def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str) -> Se
     return _sum_shells(shells, policy, what)
 
 
-# Block tables are reused across every pair of one parameter set. A series
-# of up to degree 400 uses at most 350 blocks, so the bound keeps whole
-# parameter sets while capping memory when many sets are evaluated in one
-# process.
+# Block tables are reused across every pair of one parameter set. A d1
+# series stops at hypergeo's row ceiling (degree 400) and a d2 series at the
+# 1000-degree cap of KERNEL_POLICY, each within 350 blocks, so the bound keeps
+# whole parameter sets while capping memory when many sets are evaluated in
+# one process.
 _SHELL_CACHE_SIZE = 1024
 
 

@@ -3,7 +3,11 @@
 A report has gating rows (they decide the exit status) and informational
 rows (adjudication comparisons that are reported but never gate). A row
 passes when its relative error is within its tolerance; when the reference
-magnitude is below 1e-12 the absolute error is used instead.
+magnitude is below 1e-12 the absolute error is used instead. Each row
+computes its errors once, when it is made.
+
+JSON reports are single-line (the C encoder) and carry "report_version";
+version 2 is the single-line form, version 1 (no key) was indented.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 _ABS_FALLBACK = 1e-12
+REPORT_VERSION = 2
 
 
 def error_pair(lhs: complex, rhs: complex) -> tuple[float, float]:
@@ -40,13 +45,14 @@ class ReportRow:
     rhs: complex
     tol: float
 
-    @property
-    def abs_err(self) -> float:
-        return error_pair(self.lhs, self.rhs)[0]
+    abs_err: float = field(init=False)
+    rel_err: float = field(init=False)
 
-    @property
-    def rel_err(self) -> float:
-        return error_pair(self.lhs, self.rhs)[1]
+    def __post_init__(self):
+        # computed once here; every serialisation and summary reads them
+        abs_err, rel_err = error_pair(self.lhs, self.rhs)
+        object.__setattr__(self, "abs_err", abs_err)
+        object.__setattr__(self, "rel_err", rel_err)
 
     @property
     def passed(self) -> bool:
@@ -98,6 +104,7 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {
+            "report_version": REPORT_VERSION,
             "suite": self.suite,
             "parameters": self.parameters,
             "rows": [r.to_dict() for r in self.rows],
@@ -106,7 +113,9 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        # No indent: json.dumps only uses its C encoder without one. A report
+        # is a tree of dicts and lists, so the cycle check is skipped.
+        return json.dumps(self.to_dict(), check_circular=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

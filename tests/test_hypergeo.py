@@ -375,6 +375,53 @@ def test_block_size_does_not_change_series(monkeypatch):
         assert got == default, name
 
 
+def test_row_ceiling_bounds_each_series_by_its_variables():
+    ceiling = hypergeo._MAX_SERIES_ROWS
+    assert ceiling == math.comb(403, 3)
+    assert hypergeo._last_degree(3, ceiling) == 400
+    for nvars in (1, 2, 3, 4):
+        last = hypergeo._last_degree(nvars, ceiling)
+        assert math.comb(last + nvars, nvars) <= ceiling < math.comb(last + 1 + nvars, nvars)
+    # a 3-variable block ends at degree 400; one past it raises
+    assert hypergeo._shell_block(3, 400, 1001).hi == 401
+    with pytest.raises(ConvergenceError, match="past degree 400"):
+        hypergeo._shell_block(3, 401, 1001)
+    # 2 variables reach far beyond the 1000-degree kernel cap
+    block = hypergeo._shell_block(2, 900, 1001)
+    assert block.hi > 900 and block.sizes[0] == 901
+
+
+def test_d1_series_stops_at_the_row_ceiling(monkeypatch):
+    # With the ceiling at degree 20, a d1 series under a 1000-degree cap
+    # gathers shells up to degree 20, then raises, like a 20-degree cap.
+    # A series that stops earlier is unchanged.
+    his = []
+    build = hypergeo._build_block
+
+    def recorded(*args):
+        block = build(*args)
+        his.append(block.hi)
+        return block
+
+    wide = TruncationPolicy(1000, 1e-10)
+    _clear_block_caches()
+    monkeypatch.setattr(hypergeo, "_MAX_SERIES_ROWS", math.comb(23, 3))
+    monkeypatch.setattr(hypergeo, "_block_cached", recorded)
+    try:
+        with pytest.raises(ConvergenceError, match="past degree 20"):
+            kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0, wide)
+        assert max(his) == 21
+        with pytest.raises(ConvergenceError):
+            kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0, TruncationPolicy(20, 1e-10))
+        near_zero = (0.01, 0.02j, 0.005, -0.01)
+        kernels._d1_block.cache_clear()
+        assert repr(kernel_series_d1_nu(near_zero, 1.0, 2.0, wide).value) \
+            == repr(kernel_series_d1_nu(near_zero, 1.0, 2.0, TruncationPolicy(20, 1e-10)).value)
+    finally:
+        monkeypatch.undo()
+        _clear_block_caches()
+
+
 def _ratio_logseq_1d(ratio_fn, length):
     # one sequence per call, as built before sequences were stacked in rows
     r = np.asarray(ratio_fn(np.arange(length - 1)), dtype=complex)

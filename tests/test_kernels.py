@@ -461,6 +461,64 @@ def test_ellipsoid_fused_series_raises_where_per_term_route_does():
                    per_term_ellipsoid(nu, ps, TruncationPolicy(400, 1e-13))) <= 1e-8
 
 
+@pytest.mark.parametrize("p", (1, 2, 3, 5))
+def test_one_variable_ellipsoid_is_the_unit_disc(p):
+    # {|z|^(2p) < 1} is the unit disc for every p, whose kernel is
+    # 1 / (pi (1 - nu)^2): a second route for the n = 1 series.
+    policy = TruncationPolicy(1000, 1e-13)
+    for nu in (0j, 0.7, -0.7, 0.7j, 0.5 + 0.4j, -0.3 - 0.2j,
+               cmath.rect(0.7, 2.0), cmath.rect(0.7, -0.3)):
+        got = kernel_series_ellipsoid_nu((nu,), (p,), policy).value
+        assert rel(got, 1.0 / (math.pi * (1.0 - nu) ** 2)) <= 1e-9, nu
+
+
+# Eval-sweep pairs drawn at margin 0.05 that need more than 400 shells, as
+# (kind, exponents, nu, shells). Each raised ConvergenceError under the old
+# 400-degree kernel cap.
+_DEEP_PAIRS = (
+    ("ellipsoid", (2, 3), (-0.5321547851560606 + 0.8037486119534577j,
+                           -0.00030964591737559736 - 0.0003186037432633094j), 452),
+    ("ellipsoid", (2, 3), (-0.33447329383824753 + 0.9126467795052713j,
+                           -0.01948607291120191 - 0.011691675823579235j), 586),
+    ("d2", None, (-0.9400857478785917 + 0.04255156648095135j,
+                  0.001422652323509741 - 7.32004722757807e-05j,
+                  -0.09207575330298531 + 0.003951345021016267j), 612),
+    ("d2", None, (0.5055603906697177 + 0.7741349742096345j,
+                  0.005088047130985967 + 0.002635200815233528j,
+                  0.015341073877987823 - 0.000619106185991555j), 439),
+    ("ellipsoid", (1, 1), (0.5385178449205819 - 0.76788958806692j,
+                           0.0038739908607965143 + 0.005161484581347105j), 524),
+)
+
+
+@pytest.mark.parametrize("kind, ps, nu, shells", _DEEP_PAIRS,
+                         ids=[f"{kind}{ps or ''}-{shells}" for kind, ps, _, shells in _DEEP_PAIRS])
+def test_kernel_cap_reaches_deep_near_boundary_pairs(monkeypatch, kind, ps, nu, shells):
+    used = []
+    sum_shells = kernels._sum_shells
+
+    def recorded(*args):
+        sv = sum_shells(*args)
+        used.append(sv.shells_used)
+        return sv
+
+    monkeypatch.setattr(kernels, "_sum_shells", recorded)
+    old_cap = TruncationPolicy(400, kernels.KERNEL_POLICY.tail_tol)
+    if kind == "d2":
+        got = kernel_series_d2_nu(nu).value
+        ref = kernel_closed_d2_nu(nu).value
+        with pytest.raises(ConvergenceError):
+            kernel_series_d2_nu(nu, old_cap)
+    else:
+        got = kernel_series_ellipsoid_nu(nu, ps).value
+        ref = (2.0 / math.pi**2) * (1 - sum(nu)) ** -3 if ps == (1, 1) \
+            else per_term_ellipsoid(nu, ps, TruncationPolicy(1000, 1e-13))
+        with pytest.raises(ConvergenceError):
+            kernel_series_ellipsoid_nu(nu, ps, old_cap)
+    assert used[0] == shells
+    assert rel(got, ref) <= 1e-10 if kind == "d2" or ps == (1, 1) else rel(got, ref) <= 1e-9
+
+
 def test_ellipsoid_rejects_non_integer_exponents():
     for exps in ((1.5, 1.0), (math.inf, 1.0), (math.nan, 1.0), (0, 1), (-2, 1)):
         with pytest.raises(ValueError):
