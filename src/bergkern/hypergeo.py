@@ -184,10 +184,12 @@ def _build_block(nvars: int, lo: int, top: int, rows: int = _BLOCK_ROWS) -> _Blo
     return _Block(comps, starts, sizes, lo + keep)
 
 
-# A series gathers at most this many composition rows, counted from degree
-# 0: C(403, 3), every row of a 3-variable series through degree 400. It bounds
-# the time and the block memory of one series whatever its degree cap: 3
-# variables reach degree 400, 2 variables 4651, 4 variables 124.
+# A series gathers at most this many rows, counted from degree 0: C(403, 3),
+# every row of a 3-variable series through degree 400. It bounds the time and
+# the block memory of one series whatever its degree cap: 3 variables reach
+# degree 400, 2 variables 4651, 4 variables 124. A series whose compositions
+# each stand for several rows (the residue terms of an ellipsoid kernel)
+# stops at a lower degree.
 _MAX_SERIES_ROWS = math.comb(403, 3)
 
 
@@ -206,22 +208,26 @@ def _last_degree(nvars: int, max_rows: int) -> int:
 
 
 # Bounded, yet above the blocks of one evaluation: 350 for a 3-variable
-# series up to the row ceiling, 760 for the (2,3) ellipsoid kernel (6 terms
-# share each block's row budget) up to the 1000-degree kernel cap. So no block
-# is rebuilt within one evaluation.
+# series up to the row ceiling, 135 for a d2 series up to the 1000-degree
+# kernel cap. So no block is rebuilt within one evaluation.
 _block_cached = lru_cache(maxsize=1024)(_build_block)
 
 
-def _shell_block(nvars: int, lo: int, top: int, rows: int = _BLOCK_ROWS) -> _Block:
-    """_build_block, ending at the row ceiling; ConvergenceError once lo
-    lies past it."""
-    last = _last_degree(nvars, _MAX_SERIES_ROWS)
+def _shell_block(nvars: int, lo: int, top: int, rows: int = _BLOCK_ROWS,
+                 terms: int = 1) -> _Block:
+    """_build_block, ending at the row ceiling, each composition standing
+    for `terms` rows of the series; ConvergenceError once lo lies past it."""
+    last = _last_degree(nvars, _MAX_SERIES_ROWS // terms)
     if lo > last:
+        per = f" at {terms} rows per composition" if terms > 1 else ""
         raise ConvergenceError(
             f"a series of {nvars} variables would reach past degree {last}, "
-            f"the ceiling of {_MAX_SERIES_ROWS} composition rows")
-    # Blocks of 4+ variables grow fast with degree; only cache up to 3.
-    return (_block_cached if nvars <= 3 else _build_block)(nvars, lo, min(top, last + 1), rows)
+            f"the ceiling of {_MAX_SERIES_ROWS} rows{per}")
+    # Blocks of 4+ variables grow fast with degree; only cache up to 3. The
+    # caller of a block of several terms holds the rows it expands to, so
+    # that block is not held here too.
+    cached = nvars <= 3 and terms == 1
+    return (_block_cached if cached else _build_block)(nvars, lo, min(top, last + 1), rows)
 
 
 def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag,
@@ -231,11 +237,12 @@ def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag,
     value, or one per shell)."""
     comps = block.comps
     logmag, phase = seqs.logmag, seqs.phase
-    logs = logmag[0][comps[:, 0]] + row_logmag
-    phases = phase[0][comps[:, 0]]
+    # take, not fancy indexing: it is faster with the int32 rows
+    logs = logmag[0].take(comps[:, 0]) + row_logmag
+    phases = phase[0].take(comps[:, 0])
     for i in range(1, comps.shape[1]):
-        logs += logmag[i][comps[:, i]]
-        phases *= phase[i][comps[:, i]]
+        logs += logmag[i].take(comps[:, i])
+        phases *= phase[i].take(comps[:, i])
     phases *= np.exp(logs)
     return (np.add.reduceat(phases, block.starts) * shell_phase).tolist()
 

@@ -5,17 +5,17 @@ derivative is the kernel, taken exactly as one dual-number derivative along
 the direction (c_j nu_j); d2 through a rational function of the Hermitian
 products nu_j = z_j * conj(zeta_j).
 
-Series route: truncated orthonormal-monomial expansions with coefficients
-from the closed norm formulas (d1, d2) or the residue/Appell form (complex
-ellipsoids). d1 and d2 share one engine, _monomial_series, which sums the
-monomials of a few variables shell by shell in total degree: d1 in
-(nu1+nu2, nu3, nu4) and d2 in (nu1 + nu2/nu1, nu3/nu1), the binomial theorem
-folding each pair of exponents that enters only through its sum.
-The d1 coefficients are gamma ratios, evaluated for a whole block of shells
-at once by numerics.log_gamma_array. The prod p_j residue terms of an
-ellipsoid kernel share their Appell argument nu^p and their shell
-compositions, so they are summed as one series: one table build, one gather
-per block over terms x rows, and one stop rule on the combined shells.
+Series route: truncated orthonormal-monomial expansions, sum_alpha
+nu^alpha / ||z^alpha||^2, with coefficients from the closed norm formulas.
+All three kernels share one engine, _monomial_series, which sums the
+monomials of a few variables shell by shell: d1 in (nu1+nu2, nu3, nu4) and
+d2 in (nu1 + nu2/nu1, nu3/nu1) by total degree, the binomial theorem folding
+each pair of exponents that enters only through its sum; an ellipsoid in its
+nu_j, shell M holding the alpha with sum_j floor(alpha_j / p_j) = M, so that
+its shells are those of its residue/Appell form, and with its unit-exponent
+coordinates folded into their sum by the multinomial theorem. The d1 and
+ellipsoid coefficients are gamma ratios, evaluated for a whole block of
+shells at once by numerics.log_gamma_array.
 
 The removable singularity of the closed d1 potential at nu3 = 0 is eliminated
 algebraically: with w = sqrt(1 - 4*nu3), (1 - w)/(4*nu3) = 1/(1 + w) exactly,
@@ -28,20 +28,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import NamedTuple
 
 import numpy as np
 
 from .domains import PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
 from . import hypergeo
-from .hypergeo import (_BLOCK_ROWS, DEFAULT_POLICY, SeriesValue, TruncationPolicy, _LogSeq,
+from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _Block, _LogSeq,
                        _shell_block, _shell_gather, _sum_shells, _tables_on_demand)
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
-# A series of 3 variables (d1, three-variable ellipsoids) stops earlier, at
-# degree 400, where it meets hypergeo's row ceiling.
+# A d1 series stops earlier, at degree 400, where it meets hypergeo's row
+# ceiling; an ellipsoid series, whose ceiling counts every residue term,
+# stops earlier still with three exponents above 1 (degree 199 for (2,2,2)).
 KERNEL_POLICY = TruncationPolicy(max_total_degree=1000, tail_tol=1e-10)
 
 _NEG_INF = float("-inf")
@@ -190,24 +190,28 @@ def _powers_logseq(xs, length: int) -> _LogSeq:
     return _LogSeq(logmag, np.exp(angles * m))
 
 
-def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str) -> SeriesValue:
+def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str,
+                     reach: int = 1) -> SeriesValue:
     """Sum of exp(log_coef) * prod_i xs[i]^comps[:, i] over the rows of every
-    total-degree shell, where block_table(lo, top) returns (block, log_coef)
-    for a block of shells from degree lo and one log-coefficient per row."""
-    tables = _tables_on_demand(_powers_logseq, xs, policy.max_total_degree + 1)
+    shell, where block_table(lo, top) returns (block, log_coef) for a block
+    of shells from degree lo and one log-coefficient per row. The exponents
+    of a block ending before degree hi lie below reach * hi."""
+    tables = _tables_on_demand(_powers_logseq, xs, reach * (policy.max_total_degree + 1))
 
     def shells(lo, top):
         block, log_coef = block_table(lo, top)
-        return _shell_gather(tables(block.hi), block, log_coef)
+        return _shell_gather(tables(reach * block.hi), block, log_coef)
 
     return _sum_shells(shells, policy, what)
 
 
 # Block tables are reused across every pair of one parameter set. A d1
 # series stops at hypergeo's row ceiling (degree 400) and a d2 series at the
-# 1000-degree cap of KERNEL_POLICY, each within 350 blocks, so the bound keeps
-# whole parameter sets while capping memory when many sets are evaluated in
-# one process.
+# 1000-degree cap of KERNEL_POLICY, each within 350 blocks; the (2,3)
+# ellipsoid, whose 6 residue terms share each block's row budget, takes 760
+# blocks to the cap and (2,2,2) 183 to the ceiling, which counts each of its
+# 8 terms. So the bound keeps whole parameter sets while capping the blocks
+# held when many sets are evaluated in one process.
 _SHELL_CACHE_SIZE = 1024
 
 
@@ -301,96 +305,68 @@ def _integer_exponents(exponents) -> tuple[int, ...]:
     return tuple(int(e) for e in exps)
 
 
-class _ResidueTerms(NamedTuple):
-    """The residue terms 0 <= k_j < p_j of an ellipsoid's exponents."""
-
-    ks: tuple          # every k, as a tuple of ints
-    log_coefs: tuple   # log C_k = log Gamma(a_k) - sum_j log Gamma(c_kj)
-    cs: np.ndarray     # column: c = (i + 1)/p_j for each j and 0 <= i < p_j
-    fronts: np.ndarray  # column: a_k = 1 + sum_j c_kj of every term
-    var_rows: np.ndarray  # (terms, n): table row of z_j / (c_kj + m)
-    front_rows: np.ndarray  # table row of each term's front, after the cs rows
-    block_rows: int    # row budget of one block of one term
-
-
-@lru_cache(maxsize=64)
-def _residue_terms(ps: tuple[int, ...]) -> _ResidueTerms:
-    ks = tuple(itertools.product(*(range(pj) for pj in ps)))
-    fronts, log_coefs = [], []
-    for k in ks:
-        a = 1.0 + sum((kj + 1.0) / pj for kj, pj in zip(k, ps))
-        fronts.append(a)
-        log_coefs.append(math.lgamma(a) - sum(math.lgamma((kj + 1.0) / pj)
-                                              for kj, pj in zip(k, ps)))
-    cs = np.concatenate([np.arange(1.0, pj + 1.0) / pj for pj in ps])[:, None]
-    var_rows = np.array(ks, dtype=np.intp) + (np.cumsum(ps) - ps)
-    front_rows = len(cs) + np.arange(len(ks))
-    for arr in (cs, var_rows, front_rows):
+@lru_cache(maxsize=_SHELL_CACHE_SIZE)
+def _ellipsoid_block(ps: tuple[int, ...], ones: int, lo: int, top: int):
+    """A block of ellipsoid shells from degree lo, with rows alpha = k + p m
+    for every composition m of the shell's degree M and every residue
+    0 <= k_j < p_j (all terms of a shell together), and the log-coefficients
+    of nu^alpha, log Gamma(1 + sum_j c_j) - sum_j log Gamma(c_j) with
+    c_j = (alpha_j + 1)/p_j. A first variable with p_1 = 1 stands for the
+    sum of `ones` unit-exponent coordinates: their monomials of degree q
+    fold into (sum nu_j)^q, whose c is q + 1 and whose coordinates add
+    ones - 1 to the Gamma argument."""
+    ks = np.array(list(itertools.product(*(range(pj) for pj in ps))), dtype=np.int32)
+    # a shell has one row per term and composition, so each term gets a
+    # share of the row budget, and the row ceiling counts every term
+    comps = _shell_block(len(ps), lo, top, max(1, hypergeo._BLOCK_ROWS // len(ks)), len(ks))
+    alpha = (comps.comps[:, None, :] * np.array(ps, dtype=np.int32) + ks).reshape(-1, len(ps))
+    # sum_j c_j = a_k + M, so the front log-gamma is one per shell and term;
+    # each log Gamma(c_j) is looked up in a table over the range of alpha_j
+    degs = np.arange(lo, comps.hi)[:, None]
+    fronts = log_gamma_array(((ks + 1.0) / ps).sum(axis=1) + max(ones, 1) + degs)
+    lg = np.repeat(fronts, comps.sizes, axis=0).ravel()
+    for col, pj in zip(alpha.T, ps):
+        first = int(col.min())
+        lg -= log_gamma_array(np.arange(first + 1.0, col.max() + 2.0) / pj)[col - first]
+    sizes = comps.sizes * len(ks)
+    block = _Block(alpha, np.cumsum(sizes) - sizes, sizes, comps.hi)
+    for arr in (*block[:3], lg):
         arr.setflags(write=False)
-    # a block gathers terms x rows, so each term gets a share of the budget
-    return _ResidueTerms(ks, tuple(log_coefs), cs, np.array(fronts)[:, None], var_rows,
-                         front_rows, max(1, _BLOCK_ROWS // len(ks)))
+    return block, lg
 
 
 def kernel_series_ellipsoid_nu(nu, exponents,
                                policy: TruncationPolicy = KERNEL_POLICY) -> KernelValue:
-    """Residue/Appell series kernel of the complex ellipsoid
-    {sum |z_j|^(2 p_j) < 1} for positive integer exponents p_j,
+    """Monomial series kernel of the complex ellipsoid {sum |z_j|^(2 p_j) < 1}
+    for positive integer exponents p_j,
 
-        K = (prod_j p_j / pi^n) sum_k C_k nu^k F_A(a_k; 1, ..., 1; c_k; nu^p),
+        K = (prod_j p_j / pi^n) sum_alpha Gamma(1 + sum_j c_j) / prod_j Gamma(c_j) nu^alpha,
 
-    over the residue terms 0 <= k_j < p_j, with c_kj = (k_j + 1)/p_j,
-    a_k = 1 + sum_j c_kj and C_k = Gamma(a_k) / prod_j Gamma(c_kj). Every
-    term shares z = nu^p and the shell compositions, so the terms are summed
-    as one series: shell M is sum_k C_k nu^k (a_k)_M sum over |m| = M of
-    prod_j z_j^m_j / (c_kj)_m_j, and the stop rule applies to these combined
-    shells. The table holds one row z_j / (c + m) for each variable j and
-    each of its p_j values of c, then the front a_k + m of every term."""
+    with c_j = (alpha_j + 1)/p_j, each term being nu^alpha / ||z^alpha||^2.
+    Writing alpha_j = k_j + p_j m_j with 0 <= k_j < p_j, shell M holds the
+    alpha with |m| = M: the degree-M terms of the residue/Appell form
+    sum_k C_k nu^k F_A(a_k; 1, ..., 1; c_k; nu^p), regrouped as monomials.
+    The coordinates with p_j = 1 enter only through their sum, which is
+    summed as one variable (see _ellipsoid_block)."""
     nu = tuple(complex(v) for v in nu)
     ps = _integer_exponents(exponents)
     n = len(ps)
     if len(nu) != n or n == 0:
         raise ValueError("nu and exponents must have equal positive length")
-    args = tuple(v**pj for v, pj in zip(nu, ps))
-    if sum(abs(v) for v in args) >= 1.0:
+    if sum(abs(v**pj) for v, pj in zip(nu, ps)) >= 1.0:
         raise RegionError("ellipsoid kernel requires sum |nu_j|^(p_j) < 1")
 
-    terms = _residue_terms(ps)
-    weights = [math.exp(lc) * math.prod((v**kj for v, kj in zip(nu, k)), start=1.0 + 0j)
-               for k, lc in zip(terms.ks, terms.log_coefs)]
-    # Shells are summed relative to the k = 0 term, whose weight C_0 is
-    # real and positive, so that a one-term kernel repeats appell_fa's
-    # arithmetic exactly; the stop rule does not depend on the scale.
-    lead = weights[0]
-    rel_weights = np.array([w / lead for w in weights])[:, None]
-    zs = np.array([v for v, pj in zip(args, ps) for _ in range(pj)])[:, None]
-    cs, fronts, var_rows, front_rows = terms.cs, terms.fronts, terms.var_rows, terms.front_rows
-    # hypergeo._ratio_logseq is looked up per call, so a wrapper installed on
-    # it (as the benchmark's tracer does) sees the builds; the ratio is the
-    # F_A ratio (b + m) z / ((c + m)(m + 1)) at b = 1.
-    tables = _tables_on_demand(
-        hypergeo._ratio_logseq,
-        lambda m: np.vstack(((1.0 + m) * zs / ((cs + m) * (m + 1)), fronts + m)),
-        policy.max_total_degree + 1)
-
-    def shells(lo, top):
-        block = _shell_block(n, lo, top, terms.block_rows)
-        seqs = tables(block.hi)
-        degs = slice(lo, block.hi)
-        logs = np.repeat(seqs.logmag[front_rows, degs], block.sizes, axis=1)
-        phases = None
-        for j in range(n):
-            col = block.comps[:, j]
-            logs += np.take(seqs.logmag[var_rows[:, j]], col, axis=1)
-            phase = np.take(seqs.phase[var_rows[:, j]], col, axis=1)
-            phases = phase if phases is None else phases * phase
-        phases *= np.exp(logs)
-        sums = np.add.reduceat(phases, block.starts, axis=1)
-        return (sums * (rel_weights * seqs.phase[front_rows, degs])).sum(axis=0).tolist()
-
-    sv = _sum_shells(shells, policy, "ellipsoid kernel series")
+    ones = ps.count(1)
+    unit = [sum(v for v, pj in zip(nu, ps) if pj == 1)] if ones else []
+    xs = unit + [v for v, pj in zip(nu, ps) if pj != 1]
+    folded = ((1,) if ones else ()) + tuple(pj for pj in ps if pj != 1)
+    # blocks of 4+ variables grow fast with degree; only cache up to 3, as
+    # hypergeo does for compositions
+    blocks = _ellipsoid_block if len(folded) <= 3 else _ellipsoid_block.__wrapped__
+    sv = _monomial_series(xs, partial(blocks, folded, ones), policy,
+                          "ellipsoid kernel series", max(folded))
     pref = math.prod(ps) / math.pi**n
-    return KernelValue(pref * (lead * sv.value), "series", pref * abs(lead) * sv.tail_estimate)
+    return KernelValue(pref * sv.value, "series", pref * sv.tail_estimate)
 
 
 def kernel_series_ellipsoid(pair: PointPair, exponents,

@@ -198,9 +198,10 @@ def run_norm_suite(domain: str = "d2", max_index: int | None = None,
     return _finish(rep, t0)
 
 
-def _hermitian_rows(rep, prefix, pairs, evaluate, tol):
-    for i, pr in enumerate(pairs):
-        fwd = evaluate(pr)
+def _hermitian_rows(rep, prefix, pairs, forward, evaluate, tol):
+    """Rows K(z, zeta) against conj K(zeta, z), with K(z, zeta) the value
+    already computed for each pair (forward) and the reverse one evaluated."""
+    for i, (pr, fwd) in enumerate(zip(pairs, forward)):
         rev = evaluate(PointPair(pr.zeta, pr.z))
         rep.rows.append(make_row(f"{prefix}/hermitian/{i:04d}", rep.suite,
                                  {"z": list(pr.z), "zeta": list(pr.zeta)},
@@ -239,17 +240,17 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
     if domain == "d2":
         spec = DomainSpec.d2()
         pairs = sample_pairs(spec, seed, points, margin)
+        closed = [kernel_closed_d2_nu(pr.nu).value for pr in pairs]
+        series = [kernel_series_d2_nu(pr.nu, policy).value for pr in pairs]
         for i, pr in enumerate(pairs):
-            closed = kernel_closed_d2_nu(pr.nu).value
-            series = kernel_series_d2_nu(pr.nu, policy)
             rep.rows.append(make_row(f"d2/route/{i:04d}", "kernels",
-                                     {"nu": list(pr.nu)}, closed, series.value, tol))
+                                     {"nu": list(pr.nu)}, closed[i], series[i], tol))
         spot_series = kernel_series_d2_nu(D2_SPOT_NU, policy)
         rep.rows.append(make_row("d2/route/spot-quarter", "kernels",
                                  {"nu": list(D2_SPOT_NU)},
                                  kernel_closed_d2_nu(D2_SPOT_NU).value,
                                  spot_series.value, tol))
-        _hermitian_rows(rep, "d2", pairs[:points],
+        _hermitian_rows(rep, "d2", pairs, closed,
                         lambda q: kernel_closed_d2_nu(q.nu).value, _HERMITIAN_TOL)
         _positivity_rows(rep, "d2", sample_interior(spec, seed + 1, max(points // 2, 1), margin),
                          lambda q: kernel_closed_d2_nu(q.nu).value, _POSITIVITY_TOL)
@@ -267,8 +268,7 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
         for i, pr in enumerate(pairs[:3]):
             rep.informational.append(make_row(
                 f"d2/alternate-numerator/{i:04d}", "kernels", {"nu": list(pr.nu)},
-                _kernel_closed_d2_alternate(pr.nu),
-                kernel_series_d2_nu(pr.nu, policy).value, tol))
+                _kernel_closed_d2_alternate(pr.nu), series[i], tol))
         rep.informational.append(make_row(
             "d2/alternate-numerator/spot-quarter", "kernels",
             {"nu": list(D2_SPOT_NU)}, _kernel_closed_d2_alternate(D2_SPOT_NU),
@@ -279,12 +279,12 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
             raise ValueError("kernel suite for d1 needs p and lam")
         spec = DomainSpec.d1(p, lam)
         pairs = sample_pairs(spec, seed, points, margin)
+        closed = [kernel_closed_d1_nu(pr.nu, p, lam).value for pr in pairs]
+        series = [kernel_series_d1_nu(pr.nu, p, lam, policy).value for pr in pairs]
         for i, pr in enumerate(pairs):
-            closed = kernel_closed_d1_nu(pr.nu, p, lam).value
-            series = kernel_series_d1_nu(pr.nu, p, lam, policy)
             rep.rows.append(make_row(f"d1/route/{i:04d}", "kernels",
-                                     {"nu": list(pr.nu)}, closed, series.value, tol))
-        _hermitian_rows(rep, "d1", pairs,
+                                     {"nu": list(pr.nu)}, closed[i], series[i], tol))
+        _hermitian_rows(rep, "d1", pairs, closed,
                         lambda q: kernel_closed_d1_nu(q.nu, p, lam).value, _HERMITIAN_TOL)
         _positivity_rows(rep, "d1", sample_interior(spec, seed + 1, max(points // 2, 1), margin),
                          lambda q: kernel_closed_d1_nu(q.nu, p, lam).value, _POSITIVITY_TOL)
@@ -322,24 +322,31 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
                 {"nu": list(pr.nu)},
                 kernel_closed_d1_nu(pr.nu, p, lam,
                                     weights=OperatorWeights.alternate_d1(p, lam)).value,
-                kernel_series_d1_nu(pr.nu, p, lam, policy).value, tol))
+                series[i], tol))
 
     elif domain == "ellipsoid":
         spec = DomainSpec.ellipsoid(tuple(float(e) for e in exps))
         pairs = sample_pairs(spec, seed, points, margin)
-        if exps == (1, 1):
-            for i, pr in enumerate(pairs):
-                got = kernel_series_ellipsoid_nu(pr.nu, exps, policy).value
-                ref = (2.0 / math.pi**2) * (1 - pr.nu[0] - pr.nu[1]) ** -3
+
+        def evaluate(q):
+            return kernel_series_ellipsoid_nu(q.nu, exps, policy).value
+
+        ball = set(exps) == {1}
+        forward = [evaluate(pr) for pr in (pairs if ball else pairs[:20])]
+        if ball:
+            # every p_j = 1: the unit ball of C^n, n!/pi^n (1 - nu_1 - ... - nu_n)^-(n+1)
+            n = len(exps)
+            for i, (pr, got) in enumerate(zip(pairs, forward)):
+                gap = 1
+                for v in pr.nu:  # one by one: 1 - sum(nu) rounds differently
+                    gap -= v
+                ref = math.factorial(n) / math.pi**n * gap ** -(n + 1)
                 rep.rows.append(make_row(f"ellipsoid/unit-ball-collapse/{i:04d}",
                                          "kernels", {"nu": list(pr.nu)}, got, ref, tol))
-        _hermitian_rows(rep, "ellipsoid", pairs[:min(points, 20)],
-                        lambda q: kernel_series_ellipsoid_nu(q.nu, exps, policy).value,
-                        1e-10)
+        _hermitian_rows(rep, "ellipsoid", pairs[:20], forward, evaluate, 1e-10)
         _positivity_rows(rep, "ellipsoid",
                          sample_interior(spec, seed + 1, max(points // 2, 1), margin),
-                         lambda q: kernel_series_ellipsoid_nu(q.nu, exps, policy).value,
-                         _POSITIVITY_TOL)
+                         evaluate, _POSITIVITY_TOL)
     else:
         raise ValueError(f"kernel suite supports d1, d2, ellipsoid, got {domain!r}")
 

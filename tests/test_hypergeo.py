@@ -11,7 +11,7 @@ from bergkern import (BranchError, ConvergenceError, PoleError, TruncationPolicy
                       appell_fa, closed_2f1_family, closed_2f1_recurrence,
                       contiguous_relation_check, doubled_index_multisum,
                       fa_decomposition_rhs, fa_equal_params_closed, gauss_2f1,
-                      kernel_series_d1_nu, kernel_series_d2_nu)
+                      kernel_series_d1_nu, kernel_series_d2_nu, kernel_series_ellipsoid_nu)
 from bergkern import hypergeo, kernels
 
 TIGHT = TruncationPolicy(max_total_degree=400, tail_tol=1e-13)
@@ -295,8 +295,8 @@ def test_decomposition_evaluates_no_inner_series_past_its_stop():
 
 
 # Near-boundary cases: the 3-variable sums pass the first block of the default
-# row budget (degrees 0-27), the d1 and d2 kernel series span several blocks,
-# and the last case raises ConvergenceError after several blocks.
+# row budget (degrees 0-27), the d1, d2 and ellipsoid kernel series span
+# several blocks, and the last case raises ConvergenceError after several blocks.
 _NEAR_D1 = (0.35 + 0.05j, 0.25, 0.12 - 0.05j, 0.5 + 0.1j)
 _BLOCK_CASES = (
     lambda: appell_fa(1.5, (0.7, 1.3), (1.1, 0.6), (0.6 + 0.3j, -0.2 + 0.1j)),
@@ -304,13 +304,16 @@ _BLOCK_CASES = (
                       (0.4 + 0.3j, -0.25 + 0.1j, 0.1 - 0.2j)),
     lambda: doubled_index_multisum(2.5, 1.3, (0.1 + 0.03j, -0.06 + 0.02j, 0.05 - 0.05j)),
     lambda: kernel_series_d2_nu((0.6 + 0.05j, 0.15 - 0.02j, 0.3 + 0.1j)),
+    lambda: kernel_series_ellipsoid_nu((cmath.rect(0.85, 0.3), cmath.rect(0.5, -0.7)), (2, 3)),
+    lambda: kernel_series_ellipsoid_nu((0.45 - 0.2j, -0.4 + 0.1j, 0.2j), (1, 2, 1)),
     lambda: kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0),
     lambda: kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0, TruncationPolicy(120, 1e-10)),
 )
 
 
 def _clear_block_caches():
-    for cache in (hypergeo._block_cached, kernels._d1_block, kernels._d2_block):
+    for cache in (hypergeo._block_cached, kernels._d1_block, kernels._d2_block,
+                  kernels._ellipsoid_block):
         cache.cache_clear()
 
 
@@ -417,6 +420,40 @@ def test_d1_series_stops_at_the_row_ceiling(monkeypatch):
         kernels._d1_block.cache_clear()
         assert repr(kernel_series_d1_nu(near_zero, 1.0, 2.0, wide).value) \
             == repr(kernel_series_d1_nu(near_zero, 1.0, 2.0, TruncationPolicy(20, 1e-10)).value)
+    finally:
+        monkeypatch.undo()
+        _clear_block_caches()
+
+
+def test_ellipsoid_rows_count_against_the_row_ceiling(monkeypatch):
+    # Each composition of a (2,2,2) ellipsoid shell stands for 8 residue
+    # terms. Under a ceiling of C(23, 3) = 1771 rows the series stops at
+    # degree 9, the last whose 8 C(12, 3) = 1760 rows fit, and its cached
+    # blocks hold exactly those rows; its compositions are not cached as well.
+    # A 4-variable ellipsoid (16 terms, degree 4) caches no block.
+    gathered = []
+    gather = kernels._shell_gather
+
+    def recorded(seqs, block, *rest):
+        gathered.append(len(block.comps))
+        return gather(seqs, block, *rest)
+
+    _clear_block_caches()
+    monkeypatch.setattr(hypergeo, "_MAX_SERIES_ROWS", math.comb(23, 3))
+    monkeypatch.setattr(hypergeo, "_BLOCK_ROWS", 64)  # several blocks
+    monkeypatch.setattr(kernels, "_shell_gather", recorded)
+    try:
+        with pytest.raises(ConvergenceError, match="past degree 9, .* at 8 rows per"):
+            kernel_series_ellipsoid_nu((0.55, 0.55j, -0.55), (2, 2, 2))
+        assert sum(gathered) == 8 * math.comb(12, 3)
+        held = kernels._ellipsoid_block.cache_info().currsize
+        assert held == len(gathered) > 1
+        gathered.clear()
+        with pytest.raises(ConvergenceError, match="past degree 4, .* at 16 rows per"):
+            kernel_series_ellipsoid_nu((0.45, 0.45j, -0.45, 0.45), (2, 2, 2, 2))
+        assert sum(gathered) == 16 * math.comb(8, 4)
+        assert kernels._ellipsoid_block.cache_info().currsize == held
+        assert hypergeo._block_cached.cache_info().currsize == 0
     finally:
         monkeypatch.undo()
         _clear_block_caches()

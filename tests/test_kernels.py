@@ -1,6 +1,7 @@
 """Tests for closed-form vs series kernel routes on d1, d2, and ellipsoids."""
 
 import cmath
+import collections
 import itertools
 import math
 import os
@@ -20,7 +21,7 @@ from bergkern import (ConvergenceError, DomainSpec, DualComplex, OperatorWeights
                       kernel_series_d2, kernel_series_d2_nu, kernel_series_ellipsoid_nu,
                       norm_d1, norm_d2, potential_closed_d1, potential_series_d1,
                       sample_interior, sample_pairs)
-from bergkern import hypergeo, kernels
+from bergkern import hypergeo, kernels, suites
 from bergkern.kernels import _kernel_closed_d2_alternate
 
 D2_SPOT = 2816.0 / (27.0 * math.pi**3)  # frozen from the Laurent-series oracle
@@ -91,6 +92,41 @@ def test_d2_coefficient_is_reciprocal_norm():
         coeff = math.exp(shell_log_coef(kernels._d2_block, (r, a3))) \
             * math.comb(r, k) / math.pi**3
         assert rel(coeff, 1.0 / norm_d2((k - 2 - a2 - a3, a2, a3))) < 1e-12
+
+
+def ellipsoid_log_norm(alpha, ps):
+    """log ||z^alpha||^2 on {sum |z_j|^(2 p_j) < 1}, that is
+    log(pi^n prod_j Gamma(c_j) / (prod_j p_j Gamma(1 + sum_j c_j))) with
+    c_j = (alpha_j + 1)/p_j, and the log-gamma terms it sums."""
+    c = [(a + 1) / p for a, p in zip(alpha, ps)]
+    terms = [math.lgamma(1 + sum(c))] + [math.lgamma(x) for x in c]
+    return len(ps) * math.log(math.pi) - math.log(math.prod(ps)) - terms[0] + sum(terms[1:]), terms
+
+
+@pytest.mark.parametrize("ps", ((2, 3), (1, 2), (3, 3), (2, 2, 2), (1, 1, 1), (1, 2, 1)), ids=str)
+def test_ellipsoid_coefficient_is_reciprocal_norm(ps):
+    # The unit-exponent coordinates fold into one variable t = sum nu_j, the
+    # first one: the t^q coefficient times the multinomial q!/prod alpha_j!
+    # is the coefficient of nu^alpha, which is prod p_j / pi^n over the norm.
+    # A row of degree M has sum_j floor(alpha_j / p_j) = M. The tolerance
+    # scales with the log-gamma terms, as for d1 deep in its table.
+    eps = np.finfo(float).eps
+    ones = ps.count(1)
+    folded = ((1,) if ones else ()) + tuple(p for p in ps if p != 1)
+    rng = random.Random(20)
+    for _ in range(100):
+        alpha = tuple(rng.randrange(0, 40 * p) for p in ps)
+        unit = [a for a, p in zip(alpha, ps) if p == 1]
+        row = ((sum(unit),) if ones else ()) + tuple(a for a, p in zip(alpha, ps) if p != 1)
+        deg = sum(a // p for a, p in zip(row, folded))
+        block, log_coef = kernels._ellipsoid_block(folded, ones, deg, deg + 1)
+        [i] = np.flatnonzero((block.comps == row).all(axis=1))
+        log_multinomial = math.lgamma(sum(unit) + 1) - sum(math.lgamma(a + 1) for a in unit)
+        log_norm, terms = ellipsoid_log_norm(alpha, ps)
+        err = log_coef[i] + math.log(math.prod(ps) / math.pi**len(ps)) + log_multinomial \
+            + log_norm
+        tol = 64 * eps * (sum(abs(t) for t in terms) + abs(log_multinomial))
+        assert abs(err) < tol, (alpha, err, tol)
 
 
 # --- d1 potential --------------------------------------------------------------
@@ -307,6 +343,12 @@ def test_shell_table_cache_is_bounded():
     for i in range(size + 1):
         kernel_series_d1_nu((0j,) * 4, 1.0 + i / size, 2.0)
     assert cache.cache_info().currsize <= size
+    # ellipsoid blocks are keyed by the degree cap too
+    cache = kernels._ellipsoid_block
+    size = cache.cache_info().maxsize
+    for i in range(size + 1):
+        kernel_series_ellipsoid_nu((0j, 0j), (2, 3), TruncationPolicy(10 + i, 1e-10))
+    assert cache.cache_info().currsize <= size
 
 
 # --- d2 kernel routes ----------------------------------------------------------
@@ -400,6 +442,7 @@ def test_ellipsoid_series_thread_safe_on_shared_block_cache():
              ((0.45 - 0.2j, -0.4 + 0.1j, 0.2j), (1, 2, 1))]
     serial = [repr(kernel_series_ellipsoid_nu(nu, exps).value) for nu, exps in cases]
     hypergeo._block_cached.cache_clear()
+    kernels._ellipsoid_block.cache_clear()
     calls = [partial(kernel_series_ellipsoid_nu, nu, exps) for nu, exps in cases]
     assert threaded_reprs(calls) == serial
 
@@ -418,16 +461,23 @@ def per_term_ellipsoid(nu, ps, policy):
     return math.prod(ps) / math.pi**n * total
 
 
-ELLIPSOID_SETS = ((1, 1), (1, 2), (2, 3), (3, 3), (2, 2), (1, 1, 1))
+ELLIPSOID_SETS = ((1, 1), (1, 2), (2, 3), (3, 3), (2, 2), (1, 1, 1), (1, 2, 1))
+
+
+def ball_kernel(nu):
+    """n!/pi^n (1 - nu_1 - ... - nu_n)^-(n+1): the unit ball's kernel, the
+    ellipsoid with every p_j = 1."""
+    n = len(nu)
+    return math.factorial(n) / math.pi**n * (1 - sum(nu)) ** -(n + 1)
 
 
 @pytest.mark.parametrize("ps", ELLIPSOID_SETS, ids=str)
 def test_ellipsoid_fused_series_matches_per_term_reference(ps):
     # Each per-term series stops on its own partial sum, so where the terms
-    # cancel its truncation error exceeds the fused series' one; a deeper
-    # reference measures the fused series. A one-term kernel repeats the
-    # reference's arithmetic exactly (so its reports keep their bytes), and
-    # there both use the same policy.
+    # cancel its truncation error exceeds the monomial series' one; a deeper
+    # reference measures the monomial series. A one-term kernel sums the same
+    # shells as its reference, so there both use the same policy and agree
+    # to round-off, and both agree with the unit ball's closed form.
     one_term = math.prod(ps) == 1
     ref_policy = kernels.KERNEL_POLICY if one_term else TruncationPolicy(400, 1e-13)
     spec = DomainSpec.ellipsoid(ps)
@@ -435,7 +485,11 @@ def test_ellipsoid_fused_series_matches_per_term_reference(ps):
         for pr in sample_pairs(spec, 61, 8, margin):
             got = kernel_series_ellipsoid_nu(pr.nu, ps).value
             ref = per_term_ellipsoid(pr.nu, ps, ref_policy)
-            assert got == ref if one_term else rel(got, ref) <= 1e-8
+            if one_term:
+                assert rel(got, ref) <= 1e-13
+                assert rel(got, ball_kernel(pr.nu)) <= 1e-8
+            else:
+                assert rel(got, ref) <= 1e-8
 
 
 @pytest.mark.parametrize("ps", ELLIPSOID_SETS, ids=str)
@@ -473,27 +527,33 @@ def test_one_variable_ellipsoid_is_the_unit_disc(p):
 
 
 # Eval-sweep pairs drawn at margin 0.05 that need more than 400 shells, as
-# (kind, exponents, nu, shells). Each raised ConvergenceError under the old
-# 400-degree kernel cap.
+# (kind, exponents, nu, shells, tolerance against the second route). Each
+# raised ConvergenceError under the old 400-degree kernel cap. The (1,1,1)
+# pair, with sum |nu_j| = 0.921, also lay past degree 400, the row ceiling of
+# a 3-variable series, until its unit exponents folded into the one variable
+# nu_1 + nu_2 + nu_3; it meets eval-sweep's ball tolerance, 1e-8.
 _DEEP_PAIRS = (
     ("ellipsoid", (2, 3), (-0.5321547851560606 + 0.8037486119534577j,
-                           -0.00030964591737559736 - 0.0003186037432633094j), 452),
+                           -0.00030964591737559736 - 0.0003186037432633094j), 452, 1e-9),
     ("ellipsoid", (2, 3), (-0.33447329383824753 + 0.9126467795052713j,
-                           -0.01948607291120191 - 0.011691675823579235j), 586),
+                           -0.01948607291120191 - 0.011691675823579235j), 586, 1e-9),
     ("d2", None, (-0.9400857478785917 + 0.04255156648095135j,
                   0.001422652323509741 - 7.32004722757807e-05j,
-                  -0.09207575330298531 + 0.003951345021016267j), 612),
+                  -0.09207575330298531 + 0.003951345021016267j), 612, 1e-10),
     ("d2", None, (0.5055603906697177 + 0.7741349742096345j,
                   0.005088047130985967 + 0.002635200815233528j,
-                  0.015341073877987823 - 0.000619106185991555j), 439),
+                  0.015341073877987823 - 0.000619106185991555j), 439, 1e-10),
     ("ellipsoid", (1, 1), (0.5385178449205819 - 0.76788958806692j,
-                           0.0038739908607965143 + 0.005161484581347105j), 524),
+                           0.0038739908607965143 + 0.005161484581347105j), 524, 1e-10),
+    ("ellipsoid", (1, 1, 1), (-0.8718331951618867 - 0.2717187665427068j,
+                              -0.0016340308757502365 - 0.0008464093517360146j,
+                              -0.003156365947255148 - 0.004802587011390611j), 509, 1e-8),
 )
 
 
-@pytest.mark.parametrize("kind, ps, nu, shells", _DEEP_PAIRS,
-                         ids=[f"{kind}{ps or ''}-{shells}" for kind, ps, _, shells in _DEEP_PAIRS])
-def test_kernel_cap_reaches_deep_near_boundary_pairs(monkeypatch, kind, ps, nu, shells):
+@pytest.mark.parametrize("kind, ps, nu, shells, tol", _DEEP_PAIRS,
+                         ids=[f"{kind}{ps or ''}-{shells}" for kind, ps, _, shells, _ in _DEEP_PAIRS])
+def test_kernel_cap_reaches_deep_near_boundary_pairs(monkeypatch, kind, ps, nu, shells, tol):
     used = []
     sum_shells = kernels._sum_shells
 
@@ -511,12 +571,52 @@ def test_kernel_cap_reaches_deep_near_boundary_pairs(monkeypatch, kind, ps, nu, 
             kernel_series_d2_nu(nu, old_cap)
     else:
         got = kernel_series_ellipsoid_nu(nu, ps).value
-        ref = (2.0 / math.pi**2) * (1 - sum(nu)) ** -3 if ps == (1, 1) \
+        ref = ball_kernel(nu) if set(ps) == {1} \
             else per_term_ellipsoid(nu, ps, TruncationPolicy(1000, 1e-13))
         with pytest.raises(ConvergenceError):
             kernel_series_ellipsoid_nu(nu, ps, old_cap)
     assert used[0] == shells
-    assert rel(got, ref) <= 1e-10 if kind == "d2" or ps == (1, 1) else rel(got, ref) <= 1e-9
+    assert rel(got, ref) <= tol
+
+
+@pytest.mark.parametrize("ps", ((1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)), ids=str)
+def test_kernel_suite_has_ball_rows_for_every_all_ones_set(ps):
+    rep = suites.run_kernel_suite("ellipsoid", exponents=ps, points=12, seed=5, tol=1e-8)
+    rows = [r for r in rep.rows if "/unit-ball-collapse/" in r.case_id]
+    assert len(rows) == 12 and all(r.passed for r in rows)
+    for r in rows:
+        nu = tuple(complex(v) for v in r.inputs["nu"])
+        assert rel(r.rhs, ball_kernel(nu)) <= 1e-13
+    rep = suites.run_kernel_suite("ellipsoid", exponents=(1, 2), points=4, seed=5)
+    assert not any("/unit-ball-collapse/" in r.case_id for r in rep.rows)
+
+
+def test_kernel_suites_evaluate_each_value_once(monkeypatch):
+    # Hermitian rows take their forward values, and the alternate rows their
+    # series values, from the route rows; only the reversed pair, the
+    # positivity points, the continuity points, the spot value and the
+    # alternate weights are further calls.
+    counts = collections.Counter()
+    for name in ("kernel_closed_d1_nu", "kernel_closed_d2_nu", "kernel_series_d1_nu",
+                 "kernel_series_d2_nu", "kernel_series_ellipsoid_nu"):
+        def counted(*args, fn=getattr(suites, name), name=name, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(suites, name, counted)
+    cases = (
+        (dict(domain="d2", points=10),
+         {"kernel_closed_d2_nu": 10 + 10 + 5 + 40 + 1, "kernel_series_d2_nu": 10 + 1}),
+        (dict(domain="d1", p=2.0, lam=2.0, points=10),
+         {"kernel_closed_d1_nu": 10 + 10 + 5 + 40 + 3, "kernel_series_d1_nu": 10}),
+        (dict(domain="ellipsoid", exponents=(1, 1), points=30, tol=1e-8),
+         {"kernel_series_ellipsoid_nu": 30 + 20 + 15}),
+        (dict(domain="ellipsoid", exponents=(2, 3), points=30),
+         {"kernel_series_ellipsoid_nu": 20 + 20 + 15}),
+    )
+    for kwargs, expected in cases:
+        counts.clear()
+        suites.run_kernel_suite(**kwargs)
+        assert counts == expected, kwargs
 
 
 def test_ellipsoid_rejects_non_integer_exponents():
