@@ -9,15 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .domains import PointPair
+from .domains import DomainSpec, PointPair
 from .errors import BergkernError
 from .hypergeo import TruncationPolicy
-from .kernels import (KERNEL_POLICY, kernel_closed_d1_nu, kernel_closed_d2_nu,
-                      kernel_series_d1_nu, kernel_series_d2_nu,
-                      kernel_series_ellipsoid_nu)
+from .kernels import KERNEL_POLICY
 from .norms import norm_d1, norm_d2, norm_quadrature
-from .domains import DomainSpec
-from .suites import run_identity_suite, run_kernel_suite, run_norm_suite
+from .suites import _kernel_routes, run_identity_suite, run_kernel_suite, run_norm_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -99,25 +96,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scalar_p(args, default=None):
+def _scalar_p(args):
     if args.p is None:
-        return default
+        return None
     if len(args.p) != 1:
         raise ValueError("--p must be a single value for this domain")
     return args.p[0]
 
 
-def _reject_unused(args) -> None:
-    """Reject --p and --lambda where the domain has no use for them, rather
-    than report results for parameters other than those given."""
-    if args.domain == "d2" and (args.p is not None or args.lam is not None):
-        raise ValueError("--domain d2 takes no --p or --lambda")
-    if args.domain == "ellipsoid" and args.lam is not None:
-        raise ValueError("--domain ellipsoid takes no --lambda; its exponents are --p")
+def _p_and_exponents(args):
+    """--p as (d1's scalar p, an ellipsoid's exponents)."""
+    return (None, args.p) if args.domain == "ellipsoid" else (_scalar_p(args), None)
 
 
 def _cmd_eval(args) -> int:
-    _reject_unused(args)
     if args.nu is not None and (args.z is not None or args.zeta is not None):
         raise ValueError("give either --nu or the pair --z/--zeta, not both")
     if args.nu is not None:
@@ -128,22 +120,12 @@ def _cmd_eval(args) -> int:
         raise ValueError("eval needs --nu or both --z and --zeta")
 
     policy = TruncationPolicy(max_total_degree=args.max_degree, tail_tol=args.tail_tol)
-    if args.domain == "d2":
-        kv = kernel_closed_d2_nu(nu) if args.method == "closed" \
-            else kernel_series_d2_nu(nu, policy)
-    elif args.domain == "d1":
-        p = _scalar_p(args)
-        if p is None or args.lam is None:
-            raise ValueError("--domain d1 needs --p and --lambda")
-        kv = kernel_closed_d1_nu(nu, p, args.lam) if args.method == "closed" \
-            else kernel_series_d1_nu(nu, p, args.lam, policy)
-    else:
-        if args.method == "closed":
-            raise ValueError("the ellipsoid kernel is series-only")
-        if args.p is None:
-            raise ValueError("--domain ellipsoid needs --p (integer exponents)")
-        kv = kernel_series_ellipsoid_nu(nu, args.p, policy)
-
+    p, exponents = _p_and_exponents(args)
+    _, closed, series = _kernel_routes(args.domain, p, args.lam, exponents, policy)
+    route = series if args.method == "series" else closed
+    if route is None:
+        raise ValueError(f"--domain {args.domain} has no closed route; use --method series")
+    kv = route(nu)
     print(f"value = {kv.value!r}")
     print(f"method = {kv.method}")
     if kv.tail_estimate is not None:
@@ -152,8 +134,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    _reject_unused(args)
     if args.domain == "d2":
+        if args.p is not None or args.lam is not None:
+            raise ValueError("--domain d2 takes no --p or --lambda")
         spec = DomainSpec.d2()
         closed = norm_d2(args.alpha)
     else:
@@ -207,12 +190,9 @@ def _cmd_verify(args) -> int:
             domain=domain, max_index=args.max_index, tol=_given(args.tol, 1e-8),
             p=_scalar_p(args), lam=args.lam)
     else:
-        if domain == "ellipsoid":
-            scalar_p, exps = None, _given(args.p, (1, 1))
-        else:
-            scalar_p, exps = _scalar_p(args), (1, 1)
+        p, exponents = _p_and_exponents(args)
         report = run_kernel_suite(
-            domain=domain, p=scalar_p, lam=args.lam, exponents=exps,
+            domain=domain, p=p, lam=args.lam, exponents=_given(exponents, (1, 1)),
             points=_given(args.points, 50), seed=seed, margin=_given(args.margin, 0.2),
             tol=_given(args.tol, 1e-6), tail_tol=_given(args.tail_tol, 1e-10),
             max_degree=max_degree)

@@ -24,6 +24,7 @@ so no factor is ever divided by nu3.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,6 +81,17 @@ class OperatorWeights:
         return cls((2.0 / p, 2.0 / p, 1.0, 2.0 / lam), p / math.pi**4)
 
 
+def _nu(nu, n: int, what: str) -> tuple[complex, ...]:
+    """nu as a tuple of n complex numbers; ValueError on another length or a
+    non-finite component, which would otherwise give a NaN kernel value."""
+    nu = tuple(complex(v) for v in nu)
+    if len(nu) != n:
+        raise ValueError(f"{what} needs a {n}-component nu vector, got {len(nu)}")
+    if not all(map(cmath.isfinite, nu)):
+        raise ValueError(f"{what} needs a finite nu vector, got {nu}")
+    return nu
+
+
 def _plain(x) -> complex:
     return x.val if isinstance(x, DualComplex) else complex(x)
 
@@ -127,9 +139,7 @@ def kernel_closed_d1_nu(nu, p: float, lam: float,
     sum_j c_j d/dnu_j (nu_j g) equals (sum_j c_j) g + D_v g, where D_v g is
     the derivative of the potential g along v_j = c_j nu_j, taken exactly in
     one dual-number evaluation."""
-    nu = tuple(complex(v) for v in nu)
-    if len(nu) != 4:
-        raise ValueError("d1 kernel needs a 4-component nu vector")
+    nu = _nu(nu, 4, "d1 kernel")
     if weights is None:
         weights = OperatorWeights.for_d1(p, lam)
     seeded = tuple(DualComplex(v, c * v) for v, c in zip(nu, weights.weights))
@@ -151,10 +161,7 @@ def kernel_closed_d2_nu(nu) -> KernelValue:
     shorter display it replaces fails the series cross-check; see
     _kernel_closed_d2_alternate and the verification report).
     """
-    nu = tuple(complex(v) for v in nu)
-    if len(nu) != 3:
-        raise ValueError("d2 kernel needs a 3-component nu vector")
-    n1, n2, n3 = nu
+    n1, n2, n3 = nu = _nu(nu, 3, "d2 kernel")
     if n1 == 0:
         raise ValueError("d2 kernel requires nu1 != 0")
     da = n1 - n3
@@ -258,10 +265,7 @@ def potential_series_d1(nu, p: float, lam: float,
 def kernel_series_d1_nu(nu, p: float, lam: float,
                         policy: TruncationPolicy = KERNEL_POLICY) -> KernelValue:
     """Orthonormal-series d1 kernel at a Hermitian-product vector."""
-    nu = tuple(complex(v) for v in nu)
-    if len(nu) != 4:
-        raise ValueError("d1 kernel needs a 4-component nu vector")
-    n1, n2, n3, n4 = nu
+    n1, n2, n3, n4 = _nu(nu, 4, "d1 kernel")
     sv = _monomial_series((n1 + n2, n3, n4), partial(_d1_block, p, lam, True),
                           policy, "d1 kernel series")
     pref = p / math.pi**4
@@ -276,10 +280,7 @@ def kernel_series_d1(pair: PointPair, p: float, lam: float,
 def kernel_series_d2_nu(nu, policy: TruncationPolicy = KERNEL_POLICY) -> KernelValue:
     """Reindexed Laurent series for the d2 kernel, truncated by total degree
     in (k, a2, a3) and scaled by 1/(pi^3 nu1^2)."""
-    nu = tuple(complex(v) for v in nu)
-    if len(nu) != 3:
-        raise ValueError("d2 kernel needs a 3-component nu vector")
-    n1, n2, n3 = nu
+    n1, n2, n3 = _nu(nu, 3, "d2 kernel")
     if n1 == 0:
         raise ValueError("d2 kernel series requires nu1 != 0")
     x2 = n2 / n1
@@ -297,10 +298,10 @@ def kernel_series_d2(pair: PointPair, policy: TruncationPolicy = KERNEL_POLICY) 
 
 
 def _integer_exponents(exponents) -> tuple[int, ...]:
-    """The ellipsoid exponents p_j as ints; ValueError unless each is a
-    finite positive integer."""
-    exps = tuple(exponents)
-    if not all(math.isfinite(e) and e >= 1 and e == int(e) for e in exps):
+    """The ellipsoid exponents p_j as ints; ValueError unless there is at
+    least one and each is a finite positive integer."""
+    exps = () if exponents is None else tuple(exponents)
+    if not exps or not all(math.isfinite(e) and e >= 1 and e == int(e) for e in exps):
         raise ValueError(f"ellipsoid kernel needs positive integer exponents, got {exps}")
     return tuple(int(e) for e in exps)
 
@@ -348,11 +349,9 @@ def kernel_series_ellipsoid_nu(nu, exponents,
     sum_k C_k nu^k F_A(a_k; 1, ..., 1; c_k; nu^p), regrouped as monomials.
     The coordinates with p_j = 1 enter only through their sum, which is
     summed as one variable (see _ellipsoid_block)."""
-    nu = tuple(complex(v) for v in nu)
     ps = _integer_exponents(exponents)
     n = len(ps)
-    if len(nu) != n or n == 0:
-        raise ValueError("nu and exponents must have equal positive length")
+    nu = _nu(nu, n, "ellipsoid kernel")
     if sum(abs(v**pj) for v, pj in zip(nu, ps)) >= 1.0:
         raise RegionError("ellipsoid kernel requires sum |nu_j|^(p_j) < 1")
 

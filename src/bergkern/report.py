@@ -88,10 +88,6 @@ class VerificationReport:
         self.rows.sort(key=lambda r: r.case_id)
         self.informational.sort(key=lambda r: r.case_id)
 
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
     def summary(self) -> dict:
         passed = sum(1 for r in self.rows if r.passed)
         return {

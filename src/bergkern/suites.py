@@ -4,6 +4,12 @@ norm formulas vs quadrature, and kernel route agreement.
 Every sweep is seeded and deterministic; reports carry one row per checked
 case plus informational rows for the rejected formula variants that the
 validated forms replace.
+
+The kernel sweep and `bergkern eval` reach a domain's kernels through one
+route table, _kernel_routes: a closed route (d1, d2) and a series route (all
+three), with each domain's parameter rule checked there once. One suite body
+serves every domain: route rows (or the unit-ball form for an all-ones
+ellipsoid), Hermitian and positivity rows, then the closed routes' extras.
 """
 
 from __future__ import annotations
@@ -198,22 +204,35 @@ def run_norm_suite(domain: str = "d2", max_index: int | None = None,
     return _finish(rep, t0)
 
 
-def _hermitian_rows(rep, prefix, pairs, forward, evaluate, tol):
-    """Rows K(z, zeta) against conj K(zeta, z), with K(z, zeta) the value
-    already computed for each pair (forward) and the reverse one evaluated."""
-    for i, (pr, fwd) in enumerate(zip(pairs, forward)):
-        rev = evaluate(PointPair(pr.zeta, pr.z))
-        rep.rows.append(make_row(f"{prefix}/hermitian/{i:04d}", rep.suite,
-                                 {"z": list(pr.z), "zeta": list(pr.zeta)},
-                                 fwd, rev.conjugate(), tol))
+def _kernel_routes(domain: str, p, lam, exponents, policy: TruncationPolicy):
+    """(spec, closed, series) of a domain, each route mapping a nu vector to
+    a KernelValue; closed is None where the domain has no closed form. Only
+    d1 takes p and lam, and it needs both; an ellipsoid's exponents must be
+    integers. The kernel functions are looked up when a route is called."""
+    if domain not in ("d1", "d2", "ellipsoid"):
+        raise ValueError(f"kernels exist for d1, d2, ellipsoid, got {domain!r}")
+    if domain == "d1" and (p is None or lam is None):
+        raise ValueError("d1 needs p and lam")
+    if domain != "d1" and (p is not None or lam is not None):
+        raise ValueError(f"{domain} takes no p or lam")
+    if domain == "d2":
+        return (DomainSpec.d2(), lambda nu: kernel_closed_d2_nu(nu),
+                lambda nu: kernel_series_d2_nu(nu, policy))
+    if domain == "d1":
+        return (DomainSpec.d1(p, lam), lambda nu: kernel_closed_d1_nu(nu, p, lam),
+                lambda nu: kernel_series_d1_nu(nu, p, lam, policy))
+    exps = _integer_exponents(exponents)
+    return (DomainSpec.ellipsoid(exps), None,
+            lambda nu: kernel_series_ellipsoid_nu(nu, exps, policy))
 
 
-def _positivity_rows(rep, prefix, points, evaluate, tol):
-    for i, z in enumerate(points):
-        k = evaluate(diagonal_pair(z))
-        reference = complex(k.real, 0.0) if k.real > 0.0 else 0j
-        rep.rows.append(make_row(f"{prefix}/diagonal-positive/{i:04d}", rep.suite,
-                                 {"z": list(z)}, k, reference, tol))
+def _unit_ball_kernel(nu) -> complex:
+    """n!/pi^n (1 - nu_1 - ... - nu_n)^-(n+1), the kernel of the unit ball
+    of C^n: the ellipsoid with every p_j = 1."""
+    gap = 1
+    for v in nu:  # one by one: 1 - sum(nu) rounds differently
+        gap -= v
+    return math.factorial(len(nu)) / math.pi**len(nu) * gap ** -(len(nu) + 1)
 
 
 def run_kernel_suite(domain: str = "d2", p: float | None = None,
@@ -221,85 +240,74 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
                      points: int = 50, seed: int = 42, margin: float = 0.2,
                      tol: float = 1e-6, tail_tol: float = 1e-10,
                      max_degree: int = 400) -> VerificationReport:
-    """Kernel route agreement plus symmetry, positivity, continuity, and
-    (for d1) dual-derivative checks."""
+    """Kernel route agreement (or the unit-ball form for an all-ones
+    ellipsoid) plus symmetry and positivity, then the closed routes'
+    continuity, spot, dual-derivative and rejected-variant checks."""
     if points < 1:
         raise ValueError(f"kernel suite needs points >= 1, got {points}")
-    if domain in ("d2", "ellipsoid") and (p is not None or lam is not None):
-        raise ValueError(f"kernel suite for {domain} takes no p or lam")
-    exps = _integer_exponents(exponents) if domain == "ellipsoid" else None
     t0 = time.perf_counter()
     policy = TruncationPolicy(max_total_degree=max_degree, tail_tol=tail_tol)
+    spec, closed, series = _kernel_routes(domain, p, lam, exponents, policy)
     rep = VerificationReport("kernels", {
         "domain": domain, "p": p, "lam": lam,
-        "exponents": list(exps) if domain == "ellipsoid" else None,
+        "exponents": [int(e) for e in spec.exponents] or None,
         "points": points, "seed": seed, "margin": margin, "tol": tol,
         "tail_tol": tail_tol, "max_degree": max_degree,
     })
+    pairs = sample_pairs(spec, seed, points, margin)
+    ball = set(spec.exponents) == {1}
+    # Symmetry is checked on the closed route where there is one; a series
+    # route is slower and rounds worse, so it gets fewer pairs and 1e-10.
+    if closed is not None:
+        checked, sym_pairs, sym_tol = closed, pairs, _HERMITIAN_TOL
+    else:
+        checked, sym_pairs, sym_tol = series, pairs[:20], 1e-10
+    summed = [series(pr.nu).value for pr in (pairs if closed or ball else sym_pairs)]
+    forward = [closed(pr.nu).value for pr in pairs] if closed else summed
+    for i, pr in enumerate(pairs):
+        if closed:
+            rep.rows.append(make_row(f"{domain}/route/{i:04d}", "kernels",
+                                     {"nu": list(pr.nu)}, forward[i], summed[i], tol))
+        elif ball:
+            rep.rows.append(make_row(f"{domain}/unit-ball-collapse/{i:04d}", "kernels",
+                                     {"nu": list(pr.nu)}, summed[i],
+                                     _unit_ball_kernel(pr.nu), tol))
+    for i, (pr, fwd) in enumerate(zip(sym_pairs, forward)):
+        # K(z, zeta) against conj K(zeta, z)
+        rev = checked(PointPair(pr.zeta, pr.z).nu).value
+        rep.rows.append(make_row(f"{domain}/hermitian/{i:04d}", "kernels",
+                                 {"z": list(pr.z), "zeta": list(pr.zeta)},
+                                 fwd, rev.conjugate(), sym_tol))
+    for i, z in enumerate(sample_interior(spec, seed + 1, max(points // 2, 1), margin)):
+        k = checked(diagonal_pair(z).nu).value
+        rep.rows.append(make_row(f"{domain}/diagonal-positive/{i:04d}", "kernels", {"z": list(z)},
+                                 k, complex(k.real, 0.0) if k.real > 0.0 else 0j, _POSITIVITY_TOL))
+    if closed is None:
+        return _finish(rep, t0)
 
+    # nu3 -> 0 continuity of the closed route. For d2 the points need |nu1|
+    # bounded away from 0: the nu3 derivative scales like 3K/(nu1 - nu3), so
+    # tiny nu1 measures conditioning, not evaluator continuity.
+    rng = random.Random(seed + 2)
+    for i in range(20):
+        others = ([cmath.rect(rng.uniform(0.1, 0.3), rng.uniform(0.0, 2 * math.pi)),
+                   _draw_in_disk(rng, 0.03)] if domain == "d2"
+                  else [_draw_in_disk(rng, 0.1) for _ in range(3)])
+        at0, near = (closed(others[:2] + [nu3] + others[2:]).value for nu3 in (0j, 1e-8 + 0j))
+        rep.rows.append(make_row(f"{domain}/nu3-continuity/{i:04d}", "kernels",
+                                 {"nu": others}, near, at0, tol))
     if domain == "d2":
-        spec = DomainSpec.d2()
-        pairs = sample_pairs(spec, seed, points, margin)
-        closed = [kernel_closed_d2_nu(pr.nu).value for pr in pairs]
-        series = [kernel_series_d2_nu(pr.nu, policy).value for pr in pairs]
-        for i, pr in enumerate(pairs):
-            rep.rows.append(make_row(f"d2/route/{i:04d}", "kernels",
-                                     {"nu": list(pr.nu)}, closed[i], series[i], tol))
-        spot_series = kernel_series_d2_nu(D2_SPOT_NU, policy)
-        rep.rows.append(make_row("d2/route/spot-quarter", "kernels",
-                                 {"nu": list(D2_SPOT_NU)},
-                                 kernel_closed_d2_nu(D2_SPOT_NU).value,
-                                 spot_series.value, tol))
-        _hermitian_rows(rep, "d2", pairs, closed,
-                        lambda q: kernel_closed_d2_nu(q.nu).value, _HERMITIAN_TOL)
-        _positivity_rows(rep, "d2", sample_interior(spec, seed + 1, max(points // 2, 1), margin),
-                         lambda q: kernel_closed_d2_nu(q.nu).value, _POSITIVITY_TOL)
-        # continuity points need |nu1| bounded away from 0: the nu3 derivative
-        # scales like 3K/(nu1 - nu3), so tiny nu1 measures conditioning, not
-        # evaluator continuity
-        rng = random.Random(seed + 2)
-        for i in range(20):
-            n1 = cmath.rect(rng.uniform(0.1, 0.3), rng.uniform(0.0, 2 * math.pi))
-            n2 = _draw_in_disk(rng, 0.03)
-            at0 = kernel_closed_d2_nu((n1, n2, 0j)).value
-            near = kernel_closed_d2_nu((n1, n2, 1e-8 + 0j)).value
-            rep.rows.append(make_row(f"d2/nu3-continuity/{i:04d}", "kernels",
-                                     {"nu": [n1, n2]}, near, at0, tol))
-        for i, pr in enumerate(pairs[:3]):
-            rep.informational.append(make_row(
-                f"d2/alternate-numerator/{i:04d}", "kernels", {"nu": list(pr.nu)},
-                _kernel_closed_d2_alternate(pr.nu), series[i], tol))
+        spot = series(D2_SPOT_NU).value
+        rep.rows.append(make_row("d2/route/spot-quarter", "kernels", {"nu": list(D2_SPOT_NU)},
+                                 closed(D2_SPOT_NU).value, spot, tol))
         rep.informational.append(make_row(
-            "d2/alternate-numerator/spot-quarter", "kernels",
-            {"nu": list(D2_SPOT_NU)}, _kernel_closed_d2_alternate(D2_SPOT_NU),
-            spot_series.value, tol))
-
-    elif domain == "d1":
-        if p is None or lam is None:
-            raise ValueError("kernel suite for d1 needs p and lam")
-        spec = DomainSpec.d1(p, lam)
-        pairs = sample_pairs(spec, seed, points, margin)
-        closed = [kernel_closed_d1_nu(pr.nu, p, lam).value for pr in pairs]
-        series = [kernel_series_d1_nu(pr.nu, p, lam, policy).value for pr in pairs]
-        for i, pr in enumerate(pairs):
-            rep.rows.append(make_row(f"d1/route/{i:04d}", "kernels",
-                                     {"nu": list(pr.nu)}, closed[i], series[i], tol))
-        _hermitian_rows(rep, "d1", pairs, closed,
-                        lambda q: kernel_closed_d1_nu(q.nu, p, lam).value, _HERMITIAN_TOL)
-        _positivity_rows(rep, "d1", sample_interior(spec, seed + 1, max(points // 2, 1), margin),
-                         lambda q: kernel_closed_d1_nu(q.nu, p, lam).value, _POSITIVITY_TOL)
-        rng = random.Random(seed + 2)
-        for i in range(20):
-            others = [_draw_in_disk(rng, 0.1) for _ in range(3)]
-            at0 = kernel_closed_d1_nu((others[0], others[1], 0j, others[2]), p, lam).value
-            near = kernel_closed_d1_nu((others[0], others[1], 1e-8 + 0j, others[2]),
-                                       p, lam).value
-            rep.rows.append(make_row(f"d1/nu3-continuity/{i:04d}", "kernels",
-                                     {"nu": others}, near, at0, tol))
+            "d2/alternate-numerator/spot-quarter", "kernels", {"nu": list(D2_SPOT_NU)},
+            _kernel_closed_d2_alternate(D2_SPOT_NU), spot, tol))
+        alternate, variant = _kernel_closed_d2_alternate, "alternate-numerator"
+    else:
         h = 1e-5
         for i in range(_GRADIENT_CHECKS):
-            pr = pairs[i % len(pairs)]
-            nu = pr.nu
+            nu = pairs[i % len(pairs)].nu
             worst = (0.0, 0j, 0j)
             for j in range(4):
                 # a unit tangent on nu_j alone gives the partial d/dnu_j
@@ -316,38 +324,10 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
                     worst = (err, partial, fd)
             rep.rows.append(make_row(f"d1/gradient-fd/{i:04d}", "kernels",
                                      {"nu": list(nu)}, worst[1], worst[2], tol))
-        for i, pr in enumerate(pairs[:3]):
-            rep.informational.append(make_row(
-                f"d1/alternate-operator-weights/{i:04d}", "kernels",
-                {"nu": list(pr.nu)},
-                kernel_closed_d1_nu(pr.nu, p, lam,
-                                    weights=OperatorWeights.alternate_d1(p, lam)).value,
-                series[i], tol))
-
-    elif domain == "ellipsoid":
-        spec = DomainSpec.ellipsoid(tuple(float(e) for e in exps))
-        pairs = sample_pairs(spec, seed, points, margin)
-
-        def evaluate(q):
-            return kernel_series_ellipsoid_nu(q.nu, exps, policy).value
-
-        ball = set(exps) == {1}
-        forward = [evaluate(pr) for pr in (pairs if ball else pairs[:20])]
-        if ball:
-            # every p_j = 1: the unit ball of C^n, n!/pi^n (1 - nu_1 - ... - nu_n)^-(n+1)
-            n = len(exps)
-            for i, (pr, got) in enumerate(zip(pairs, forward)):
-                gap = 1
-                for v in pr.nu:  # one by one: 1 - sum(nu) rounds differently
-                    gap -= v
-                ref = math.factorial(n) / math.pi**n * gap ** -(n + 1)
-                rep.rows.append(make_row(f"ellipsoid/unit-ball-collapse/{i:04d}",
-                                         "kernels", {"nu": list(pr.nu)}, got, ref, tol))
-        _hermitian_rows(rep, "ellipsoid", pairs[:20], forward, evaluate, 1e-10)
-        _positivity_rows(rep, "ellipsoid",
-                         sample_interior(spec, seed + 1, max(points // 2, 1), margin),
-                         evaluate, _POSITIVITY_TOL)
-    else:
-        raise ValueError(f"kernel suite supports d1, d2, ellipsoid, got {domain!r}")
-
+        weights = OperatorWeights.alternate_d1(p, lam)
+        alternate, variant = (lambda nu: kernel_closed_d1_nu(nu, p, lam, weights).value,
+                              "alternate-operator-weights")
+    for i, pr in enumerate(pairs[:3]):
+        rep.informational.append(make_row(f"{domain}/{variant}/{i:04d}", "kernels",
+                                          {"nu": list(pr.nu)}, alternate(pr.nu), summed[i], tol))
     return _finish(rep, t0)

@@ -69,7 +69,7 @@ def test_criterion_2_recurrence_adjudication():
 def test_criterion_3_norms_d2():
     t0 = time.perf_counter()
     rep = run_norm_suite("d2", max_index=4, tol=1e-8)
-    ok = rep.all_passed and rep.summary()["total"] == 325
+    ok = rep.summary()["failed"] == 0 and rep.summary()["total"] == 325
     elapsed_ok = time.perf_counter() - t0 < 60.0
     _line(3, "d2 norms vs quadrature oracle at rel 1e-8", ok and elapsed_ok, t0,
           f"{rep.summary()['total']} indices, max_rel={rep.summary()['max_rel_err']:.2e}")
@@ -78,7 +78,7 @@ def test_criterion_3_norms_d2():
 def test_criterion_4_norms_d1():
     t0 = time.perf_counter()
     rep = run_norm_suite("d1", max_index=3, tol=1e-8)
-    ok = rep.all_passed and rep.summary()["total"] == 4**4 * 12
+    ok = rep.summary()["failed"] == 0 and rep.summary()["total"] == 4**4 * 12
     elapsed_ok = time.perf_counter() - t0 < 120.0
     _line(4, "d1 norms vs quadrature oracle on the (p, lam) grid at rel 1e-8",
           ok and elapsed_ok, t0,

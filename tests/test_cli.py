@@ -69,9 +69,30 @@ def test_eval_usage_errors(capsys):
     assert code == 2 and "usage error" in err
     code, _, err = run_cli(capsys, "eval", "--domain", "d2")
     assert code == 2
+    # the ellipsoid needs its exponents, and has no closed route
+    code, _, err = run_cli(capsys, "eval", "--domain", "ellipsoid", "--nu", "0.1,0.1",
+                           "--method", "series")
+    assert code == 2 and "usage error" in err
+    code, _, err = run_cli(capsys, "eval", "--domain", "ellipsoid", "--p", "1,1",
+                           "--nu", "0.1,0.1")
+    assert code == 2 and "usage error" in err
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "eval", "--domain", "d2", "--nu", "potato")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--domain", "d2", "--nu", "nan,0,0"),
+    ("--domain", "d2", "--nu", "inf,0,0"),
+    ("--domain", "d2", "--nu", "nan,0,0", "--method", "series"),
+    ("--domain", "d2", "--z", "inf,0,0", "--zeta", "1,0,0"),
+    ("--domain", "d1", "--p", "1", "--lambda", "2", "--nu", "0,0,0,nan"),
+    ("--domain", "ellipsoid", "--p", "2,3", "--nu", "nan,0.1", "--method", "series"),
+], ids=["d2-nan", "d2-inf", "d2-series-nan", "d2-pair-inf", "d1-nan", "ellipsoid-nan"])
+def test_eval_non_finite_nu_is_usage_error(capsys, argv):
+    # a NaN value must not be printed with exit 0
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert code == 2 and "usage error" in err and "finite" in err and out == ""
 
 
 def test_eval_region_error_exit_1(capsys):

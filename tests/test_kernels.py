@@ -396,6 +396,30 @@ def test_kernel_d2_guards():
         kernel_series_d2_nu((0.1, 0.2, 0.05))      # |nu1| + |nu2/nu1| >= 1
 
 
+_ENTRY_POINTS = {
+    "closed-d1": (lambda nu: kernel_closed_d1_nu(nu, 1.0, 2.0), (0.01, 0.02, 0.03, 0.04)),
+    "series-d1": (lambda nu: kernel_series_d1_nu(nu, 1.0, 2.0), (0.01, 0.02, 0.03, 0.04)),
+    "closed-d2": (kernel_closed_d2_nu, (0.25, 0.0, 0.0)),
+    "series-d2": (kernel_series_d2_nu, (0.25, 0.0, 0.0)),
+    "series-ellipsoid": (lambda nu: kernel_series_ellipsoid_nu(nu, (2, 3)), (0.1, 0.2j)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENTRY_POINTS))
+def test_kernel_entry_points_reject_non_finite_and_misshapen_nu(name):
+    # a non-finite nu would give a NaN value (an ellipsoid would sum to the
+    # degree cap first), so each entry point refuses it, and a wrong length
+    evaluate, nu = _ENTRY_POINTS[name]
+    assert math.isfinite(abs(evaluate(nu).value))
+    bad = (math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(math.inf, 0.0))
+    for j, v in itertools.product(range(len(nu)), bad):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(nu[:j] + (v,) + nu[j + 1:])
+    for wrong in (nu[:-1], nu + (0.0,)):
+        with pytest.raises(ValueError, match="component"):
+            evaluate(wrong)
+
+
 def test_kernel_d2_series_truncation_self_consistency():
     # halving the tolerance never moves the value by more than the reported tail
     nu = (0.2 + 0.02j, 0.01 - 0.01j, 0.03j)
@@ -589,6 +613,47 @@ def test_kernel_suite_has_ball_rows_for_every_all_ones_set(ps):
         assert rel(r.rhs, ball_kernel(nu)) <= 1e-13
     rep = suites.run_kernel_suite("ellipsoid", exponents=(1, 2), points=4, seed=5)
     assert not any("/unit-ball-collapse/" in r.case_id for r in rep.rows)
+
+
+# family -> (row count, tolerance, gating), with tolerance None for the
+# suite's own tol; hermitian rows stop at 20 pairs for ellipsoids
+_SUITE_FAMILIES = (
+    (dict(domain="d2", points=6), {
+        "d2/route": (7, None, True), "d2/hermitian": (6, 1e-12, True),
+        "d2/diagonal-positive": (3, 1e-10, True), "d2/nu3-continuity": (20, None, True),
+        "d2/alternate-numerator": (4, None, False)}),
+    (dict(domain="d1", p=2.0, lam=2.0, points=6), {
+        "d1/route": (6, None, True), "d1/hermitian": (6, 1e-12, True),
+        "d1/diagonal-positive": (3, 1e-10, True), "d1/nu3-continuity": (20, None, True),
+        "d1/gradient-fd": (25, None, True),
+        "d1/alternate-operator-weights": (3, None, False)}),
+    (dict(domain="ellipsoid", exponents=(1, 1), points=22, tol=1e-8), {
+        "ellipsoid/unit-ball-collapse": (22, None, True),
+        "ellipsoid/hermitian": (20, 1e-10, True),
+        "ellipsoid/diagonal-positive": (11, 1e-10, True)}),
+    (dict(domain="ellipsoid", exponents=(2, 3), points=6), {
+        "ellipsoid/hermitian": (6, 1e-10, True),
+        "ellipsoid/diagonal-positive": (3, 1e-10, True)}),
+    (dict(domain="ellipsoid", exponents=(1, 1, 1), points=6, tol=1e-8), {
+        "ellipsoid/unit-ball-collapse": (6, None, True),
+        "ellipsoid/hermitian": (6, 1e-10, True),
+        "ellipsoid/diagonal-positive": (3, 1e-10, True)}),
+)
+
+
+@pytest.mark.parametrize("kwargs, families", _SUITE_FAMILIES,
+                         ids=["d2", "d1", "ellipsoid-1-1", "ellipsoid-2-3", "ellipsoid-1-1-1"])
+def test_kernel_suite_families(kwargs, families):
+    rep = suites.run_kernel_suite(seed=5, **kwargs)
+    tol = kwargs.get("tol", 1e-6)
+    seen = collections.defaultdict(list)
+    for gating, rows in ((True, rep.rows), (False, rep.informational)):
+        for r in rows:
+            seen[r.case_id.rsplit("/", 1)[0]].append((r.tol, gating))
+    assert set(seen) == set(families)
+    for family, (count, family_tol, gating) in families.items():
+        assert seen[family] == [(family_tol or tol, gating)] * count, family
+    assert rep.summary()["failed"] == 0
 
 
 def test_kernel_suites_evaluate_each_value_once(monkeypatch):
