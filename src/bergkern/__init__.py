@@ -6,8 +6,7 @@ from .domains import DomainSpec, PointPair, contains, diagonal_pair, sample_inte
 from .errors import (BergkernError, BranchError, ConvergenceError, PoleError,
                      QuadratureError, RegionError, SamplingError, SingularityError)
 from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, appell_fa,
-                       closed_2f1_family, closed_2f1_recurrence,
-                       contiguous_relation_check, doubled_index_multisum,
+                       closed_2f1_family, closed_2f1_recurrence, doubled_index_multisum,
                        fa_decomposition_rhs, fa_equal_params_closed, gauss_2f1,
                        recurrence_coefficients)
 from .kernels import (KERNEL_POLICY, KernelValue, OperatorWeights, kernel_closed_d1,

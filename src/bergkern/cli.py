@@ -1,5 +1,9 @@
 """Command-line interface: kernel evaluation, norm queries, verification suites.
 
+`verify` passes a suite function only the flags given, so the function's own
+defaults are the command's, and a flag the function does not take is a usage
+error. Domain parameters are checked by DomainSpec.of.
+
 Exit codes: 0 all checks passed, 1 evaluation/verification failure,
 2 usage error.
 """
@@ -7,13 +11,14 @@ Exit codes: 0 all checks passed, 1 evaluation/verification failure,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from .domains import DomainSpec, PointPair
 from .errors import BergkernError
 from .hypergeo import TruncationPolicy
 from .kernels import KERNEL_POLICY
-from .norms import norm_d1, norm_d2, norm_quadrature
+from .norms import norm_closed, norm_quadrature
 from .suites import _kernel_routes, run_identity_suite, run_kernel_suite, run_norm_suite
 
 EXIT_OK = 0
@@ -74,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run a verification suite and write a report")
     vf.add_argument("suite", choices=("identities", "norms", "kernels"))
-    # Defaults of None are resolved per suite; a suite rejects the flags it
-    # does not read (_VERIFY_UNREAD).
     vf.add_argument("--domain", choices=("d1", "d2", "ellipsoid"),
                     help="norms, kernels (default d2)")
     vf.add_argument("--p", type=_float_vector, help="norms, kernels")
@@ -134,17 +137,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    if args.domain == "d2":
-        if args.p is not None or args.lam is not None:
-            raise ValueError("--domain d2 takes no --p or --lambda")
-        spec = DomainSpec.d2()
-        closed = norm_d2(args.alpha)
-    else:
-        p = _scalar_p(args)
-        if p is None or args.lam is None:
-            raise ValueError("--domain d1 needs --p and --lambda")
-        spec = DomainSpec.d1(p, args.lam)
-        closed = norm_d1(args.alpha, p, args.lam)
+    spec = DomainSpec.of(args.domain, _scalar_p(args), args.lam)
+    closed = norm_closed(spec, args.alpha)
     print(f"norm = {closed!r}")
     if args.oracle:
         oracle = norm_quadrature(spec, args.alpha)
@@ -157,45 +151,25 @@ def _cmd_norm(args) -> int:
     return EXIT_OK
 
 
-# The verify flags each suite does not read, as dest: flag.
-_VERIFY_UNREAD = {
-    "identities": {"domain": "--domain", "p": "--p", "lam": "--lambda",
-                   "points": "--points", "margin": "--margin", "max_index": "--max-index"},
-    "norms": {"trials": "--trials", "points": "--points", "seed": "--seed",
-              "margin": "--margin", "tail_tol": "--tail-tol", "max_degree": "--max-degree"},
-    "kernels": {"trials": "--trials", "max_index": "--max-index"},
-}
-
-
-def _given(value, default):
-    return default if value is None else value
+_SUITES = {"identities": run_identity_suite, "norms": run_norm_suite,
+           "kernels": run_kernel_suite}
+_NOT_SUITE_ARGS = ("command", "suite", "format", "out")
 
 
 def _cmd_verify(args) -> int:
-    unread = [flag for dest, flag in _VERIFY_UNREAD[args.suite].items()
-              if getattr(args, dest) is not None]
+    run = _SUITES[args.suite]
+    given = {dest: value for dest, value in vars(args).items()
+             if value is not None and dest not in _NOT_SUITE_ARGS}
+    unread = ["--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+              for dest in given if dest not in inspect.signature(run).parameters]
     if unread:
         raise ValueError(f"verify {args.suite} does not read {', '.join(unread)}")
-    domain = _given(args.domain, "d2")
-    max_degree = _given(args.max_degree, 400)
-    seed = _given(args.seed, 7)
-    if args.suite == "identities":
-        report = run_identity_suite(
-            trials=_given(args.trials, 200), seed=seed, tol=_given(args.tol, 1e-10),
-            tail_tol=_given(args.tail_tol, 1e-13), max_degree=max_degree)
-    elif args.suite == "norms":
-        if domain == "ellipsoid":
-            raise ValueError("norm suite supports d1 and d2 only")
-        report = run_norm_suite(
-            domain=domain, max_index=args.max_index, tol=_given(args.tol, 1e-8),
-            p=_scalar_p(args), lam=args.lam)
-    else:
-        p, exponents = _p_and_exponents(args)
-        report = run_kernel_suite(
-            domain=domain, p=p, lam=args.lam, exponents=_given(exponents, (1, 1)),
-            points=_given(args.points, 50), seed=seed, margin=_given(args.margin, 0.2),
-            tol=_given(args.tol, 1e-6), tail_tol=_given(args.tail_tol, 1e-10),
-            max_degree=max_degree)
+    if "p" in given:
+        if args.suite == "kernels" and args.domain == "ellipsoid":
+            given["exponents"] = given.pop("p")
+        else:
+            given["p"] = _scalar_p(args)
+    report = run(**given)
 
     payload = report.to_json() if args.format == "json" else report.to_csv()
     if args.out:

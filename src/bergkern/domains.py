@@ -34,6 +34,13 @@ _MAX_BATCH = 4096
 _PREFILTER_SLACK = 1e-9
 
 
+def _positive(value, what: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and > 0, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     kind: str  # "d1" | "d2" | "ellipsoid"
@@ -42,10 +49,25 @@ class DomainSpec:
     exponents: tuple[float, ...] = ()
 
     @classmethod
+    def of(cls, kind: str, p=None, lam=None, exponents=None) -> "DomainSpec":
+        """The domain of a kind from the parameters given: only d1 takes p
+        and lam, and it needs both; only an ellipsoid takes exponents, and
+        it needs at least one; every parameter is finite and > 0."""
+        if kind not in ("d1", "d2", "ellipsoid"):
+            raise ValueError(f"domain must be d1, d2 or ellipsoid, got {kind!r}")
+        if kind == "d1" and (p is None or lam is None):
+            raise ValueError("d1 needs p and lam")
+        if kind != "d1" and (p is not None or lam is not None):
+            raise ValueError(f"{kind} takes no p or lam")
+        if kind != "ellipsoid" and exponents is not None:
+            raise ValueError(f"{kind} takes no exponents")
+        if kind == "d1":
+            return cls.d1(p, lam)
+        return cls.d2() if kind == "d2" else cls.ellipsoid(() if exponents is None else exponents)
+
+    @classmethod
     def d1(cls, p: float, lam: float) -> "DomainSpec":
-        if not (p > 0 and lam > 0):
-            raise ValueError("d1 requires p > 0 and lam > 0")
-        return cls(kind="d1", p=float(p), lam=float(lam))
+        return cls(kind="d1", p=_positive(p, "d1 p"), lam=_positive(lam, "d1 lam"))
 
     @classmethod
     def d2(cls) -> "DomainSpec":
@@ -53,9 +75,9 @@ class DomainSpec:
 
     @classmethod
     def ellipsoid(cls, exponents) -> "DomainSpec":
-        exps = tuple(float(e) for e in exponents)
-        if not exps or any(e <= 0 for e in exps):
-            raise ValueError("ellipsoid exponents must be positive and non-empty")
+        exps = tuple(_positive(e, "ellipsoid exponent") for e in exponents)
+        if not exps:
+            raise ValueError("ellipsoid needs at least one exponent")
         return cls(kind="ellipsoid", exponents=exps)
 
     @property

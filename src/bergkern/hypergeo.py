@@ -486,27 +486,3 @@ def closed_2f1_recurrence(variant: str, a: float, z: complex) -> complex:
         cb = -b * z / (4 * (b + 2) * zm1)
         return ca * closed_2f1_family("ii", b, z) + cb * closed_2f1_family("iii", b, z)
     raise ValueError(f"closed_2f1_recurrence supports variants 'iv' and 'v', got {variant!r}")
-
-
-def contiguous_relation_check(a: float, z: complex,
-                              policy: TruncationPolicy = DEFAULT_POLICY,
-                              coefficients: str = "validated") -> tuple[complex, complex]:
-    """Both sides of the contiguous relation for F((a+3)/2,(a+4)/2; a; z),
-    every 2F1 evaluated by direct series.
-
-    coefficients="validated" uses recurrence_coefficients; "alternate" uses the
-    rejected coefficient set (kept so the verification report can show that it
-    fails).
-    """
-    z = complex(z)
-    lhs = gauss_2f1((a + 3) / 2, (a + 4) / 2, a, z, policy).value
-    f2 = gauss_2f1((a + 3) / 2, (a + 4) / 2, a + 2, z, policy).value
-    f3 = gauss_2f1((a + 3) / 2, (a + 4) / 2, a + 3, z, policy).value
-    if coefficients == "validated":
-        c2, c3 = recurrence_coefficients(a, z)
-        rhs = c2 * f2 + c3 * f3
-    elif coefficients == "alternate":
-        rhs = _alternate_recurrence_rhs(a, z, f2, f3)
-    else:
-        raise ValueError(f"coefficients must be 'validated' or 'alternate', got {coefficients!r}")
-    return lhs, rhs

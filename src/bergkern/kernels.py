@@ -108,6 +108,8 @@ def potential_closed_d1(nu, p: float, lam: float):
     if abs(_plain(nu3)) >= 0.25:
         raise RegionError(f"potential_closed_d1 requires |nu3| < 1/4, got {_plain(nu3)}")
     expo = 4.0 / p + 2.0 / lam
+    if expo >= 1024.0:  # 2**expo overflows a double
+        raise RegionError(f"potential_closed_d1 requires 4/p + 2/lam < 1024, got {expo}")
     w = principal_sqrt(1.0 - 4.0 * nu3)
     onepw = w + 1.0
     scaled_c = (2.0**expo) / (principal_pow(1.0 - 4.0 * nu3, 1.5)

@@ -62,8 +62,7 @@ def norm_d2(alpha) -> float:
 def norm_d1(alpha, p: float, lam: float) -> float:
     """Squared L2(d1(p, lam)) norm of z^alpha, alpha >= 0 componentwise."""
     a1, a2, a3, a4 = check_index_d1(alpha)
-    if not (p > 0 and lam > 0):
-        raise ValueError("norm_d1 requires p > 0 and lam > 0")
+    DomainSpec.d1(p, lam)
     s, _ = d1_exponents(alpha, p, lam)
     lg = log_gamma(a1 + 1.0) + log_gamma(a2 + 1.0) + log_gamma(a3 + 1.0) \
         + log_gamma(2 * s - a3 - 1.0) - log_gamma(a1 + a2 + 2.0) - log_gamma(2 * s)

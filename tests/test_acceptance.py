@@ -59,8 +59,12 @@ def test_criterion_2_recurrence_adjudication():
     note = (f"recurrence-derived max_rel={max(r.rel_err for r in derived):.2e}; "
             f"direct displays pass {sum(r.passed for r in direct_iv)}/200 (iv), "
             f"{sum(r.passed for r in direct_v)}/200 (v) [informational]")
-    # regression guard: the displays stay rejected, the derivation stays valid
-    ok = ok and not any(r.passed for r in direct_iv + direct_v)
+    alternate = [r for r in rep.informational
+                 if r.case_id.startswith("alternate-relation-coefficients")]
+    # regression guard: the displays and the alternate coefficient set stay
+    # rejected, the derivation stays valid
+    ok = ok and not any(r.passed for r in direct_iv + direct_v + alternate)
+    ok = ok and len(alternate) == 50
     elapsed_ok = time.perf_counter() - t0 < 30.0
     _line(2, "two-term closed displays adjudicated via recurrence at rel 1e-9",
           ok and elapsed_ok, t0, note)

@@ -1,6 +1,7 @@
 """CLI contract tests: flags, outputs, exit codes, report determinism."""
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -11,7 +12,8 @@ import sys
 
 import pytest
 
-from bergkern.cli import main
+from bergkern import run_identity_suite, run_kernel_suite, run_norm_suite
+from bergkern.cli import build_parser, main
 
 D2_SPOT = 2816.0 / (27.0 * math.pi**3)
 
@@ -102,6 +104,13 @@ def test_eval_region_error_exit_1(capsys):
     assert "RegionError" in err
 
 
+def test_eval_tiny_p_is_region_error_exit_1(capsys):
+    # 2**(4/p + 2/lam) would overflow: a RegionError, not a traceback
+    code, out, err = run_cli(capsys, "eval", "--domain", "d1", "--p", "1e-3",
+                             "--lambda", "2", "--nu", "0.01,0,0,0")
+    assert code == 1 and out == "" and "RegionError" in err
+
+
 def test_norm_commands(capsys):
     code, out, _ = run_cli(capsys, "norm", "--domain", "d2", "--alpha", "0,0,0")
     assert code == 0
@@ -175,6 +184,9 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "usage error" in err
     code, _, err = run_cli(capsys, "verify", "norms", "--domain", "ellipsoid")
     assert code == 2
+    # --p is an ellipsoid's exponents only for the kernel suite
+    code, _, err = run_cli(capsys, "verify", "norms", "--domain", "ellipsoid", "--p", "1,2")
+    assert code == 2 and "usage error" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,10 +217,16 @@ def test_verify_empty_count_is_usage_error(capsys, argv):
     ("eval", "--domain", "ellipsoid", "--p", "1,1", "--lambda", "4", "--nu", "0.1,0.2",
      "--method", "series"),
     ("norm", "--domain", "d2", "--alpha", "0,0,0", "--p", "3"),
+    ("norm", "--domain", "d1", "--p", "inf", "--lambda", "2", "--alpha", "0,0,0,0"),
+    ("eval", "--domain", "d1", "--p", "1", "--lambda", "inf", "--nu", "0.01,0,0,0",
+     "--method", "series"),
+    ("verify", "norms", "--domain", "d1", "--p", "2", "--lambda", "inf", "--max-index", "0"),
+    ("verify", "kernels", "--domain", "d1", "--p", "inf", "--lambda", "2", "--points", "1"),
 ], ids=["kernels-ellipsoid-fractional", "kernels-ellipsoid-inf", "eval-ellipsoid-inf",
         "norms-d1-p-only", "norms-d1-lambda-only", "norms-d2-p", "norms-d2-lambda",
         "kernels-d2-p-lambda", "kernels-ellipsoid-lambda", "eval-d2-p-lambda",
-        "eval-ellipsoid-lambda", "norm-d2-p"])
+        "eval-ellipsoid-lambda", "norm-d2-p", "norm-d1-p-inf", "eval-d1-lambda-inf",
+        "norms-d1-lambda-inf", "kernels-d1-p-inf"])
 def test_parameters_not_used_as_given_are_usage_errors(capsys, argv):
     # A parameter that would be truncated, overflow or be ignored must stop
     # the run instead of producing a report for other parameters.
@@ -243,6 +261,31 @@ def test_verify_rejects_flags_the_suite_does_not_read(capsys, argv):
     # ignored, so the report would not be for the run that was asked for.
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and "usage error" in err and argv[-2] in err
+
+
+@pytest.mark.parametrize("suite, run", [("identities", run_identity_suite),
+                                        ("norms", run_norm_suite),
+                                        ("kernels", run_kernel_suite)])
+def test_verify_defaults_are_the_suite_defaults(tmp_path, capsys, suite, run):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", suite, "--out", str(out_path))
+    assert code == 0
+    strip = lambda text: re.sub(r'"wall_time_ms": \d+', '"wall_time_ms": 0', text)
+    assert strip(out_path.read_text()) == strip(run().to_json())
+
+
+def test_verify_help_states_the_suite_defaults():
+    # a "(default X)" in a verify flag's help is the default of each suite named
+    suites = {"identities": run_identity_suite, "norms": run_norm_suite,
+              "kernels": run_kernel_suite}
+    command = next(a for a in build_parser()._actions if a.dest == "command")
+    stated = [(name, action.dest, m.group(2))
+              for action in command.choices["verify"]._actions
+              for m in [re.fullmatch(r"(.+) \(default (\S+)\)", action.help or "")] if m
+              for name in m.group(1).split(", ")]
+    assert len(stated) == 9
+    for name, dest, text in stated:
+        assert str(inspect.signature(suites[name]).parameters[dest].default) == text
 
 
 def test_verify_stdout_report_when_no_out(capsys):

@@ -1,5 +1,6 @@
 """Tests for domain membership and seeded interior/pair sampling."""
 
+import math
 import random
 
 import numpy as np
@@ -35,9 +36,57 @@ def test_domain_spec_validation():
         DomainSpec.ellipsoid(())
     with pytest.raises(ValueError):
         DomainSpec.ellipsoid((1.0, -2.0))
+    with pytest.raises(ValueError):
+        DomainSpec.d1(math.inf, 1.0)
+    with pytest.raises(ValueError):
+        DomainSpec.d1(1.0, math.inf)
+    with pytest.raises(ValueError):
+        DomainSpec.ellipsoid((math.inf, 1.0))
     assert DomainSpec.d1(1.5, 2.0).dim == 4
     assert DomainSpec.d2().dim == 3
     assert DomainSpec.ellipsoid((2.0, 1.0, 1.0)).dim == 3
+
+
+_INF, _NAN = math.inf, math.nan
+# (kind, p, lam, exponents) -> the spec DomainSpec.of builds, or None where
+# it must raise ValueError
+_OF_TABLE = {
+    "d1": (("d1", 2, 3, None), DomainSpec("d1", 2.0, 3.0)),
+    "d1-none": (("d1", None, None, None), None),
+    "d1-p-only": (("d1", 2, None, None), None),
+    "d1-lam-only": (("d1", None, 3, None), None),
+    "d1-exponents": (("d1", 2, 3, (1, 1)), None),
+    "d1-p-inf": (("d1", _INF, 3, None), None),
+    "d1-lam-inf": (("d1", 2, _INF, None), None),
+    "d1-p-nan": (("d1", _NAN, 3, None), None),
+    "d1-p-zero": (("d1", 0, 3, None), None),
+    "d1-lam-negative": (("d1", 2, -1, None), None),
+    "d2": (("d2", None, None, None), DomainSpec("d2")),
+    "d2-p": (("d2", 2, None, None), None),
+    "d2-lam": (("d2", None, 3, None), None),
+    "d2-exponents": (("d2", None, None, (1, 1)), None),
+    "ellipsoid": (("ellipsoid", None, None, (2, 3)), DomainSpec("ellipsoid", exponents=(2.0, 3.0))),
+    "ellipsoid-fractional": (("ellipsoid", None, None, (0.5,)),
+                             DomainSpec("ellipsoid", exponents=(0.5,))),
+    "ellipsoid-none": (("ellipsoid", None, None, None), None),
+    "ellipsoid-empty": (("ellipsoid", None, None, ()), None),
+    "ellipsoid-p": (("ellipsoid", 2, None, (1, 1)), None),
+    "ellipsoid-lam": (("ellipsoid", None, 3, (1, 1)), None),
+    "ellipsoid-inf": (("ellipsoid", None, None, (_INF, 1)), None),
+    "ellipsoid-nan": (("ellipsoid", None, None, (1, _NAN)), None),
+    "ellipsoid-zero": (("ellipsoid", None, None, (0, 1)), None),
+    "ellipsoid-negative": (("ellipsoid", None, None, (-1,)), None),
+    "unknown-kind": (("d3", None, None, None), None),
+}
+
+
+@pytest.mark.parametrize("args, spec", list(_OF_TABLE.values()), ids=list(_OF_TABLE))
+def test_domain_spec_of_parameter_rule(args, spec):
+    if spec is None:
+        with pytest.raises(ValueError):
+            DomainSpec.of(*args)
+    else:
+        assert DomainSpec.of(*args) == spec
 
 
 def test_sample_interior_counts_and_membership():

@@ -9,9 +9,9 @@ import pytest
 
 from bergkern import (BranchError, ConvergenceError, PoleError, TruncationPolicy,
                       appell_fa, closed_2f1_family, closed_2f1_recurrence,
-                      contiguous_relation_check, doubled_index_multisum,
-                      fa_decomposition_rhs, fa_equal_params_closed, gauss_2f1,
-                      kernel_series_d1_nu, kernel_series_d2_nu, kernel_series_ellipsoid_nu)
+                      doubled_index_multisum, fa_decomposition_rhs, fa_equal_params_closed,
+                      gauss_2f1, kernel_series_d1_nu, kernel_series_d2_nu,
+                      kernel_series_ellipsoid_nu, recurrence_coefficients)
 from bergkern import hypergeo, kernels
 
 TIGHT = TruncationPolicy(max_total_degree=400, tail_tol=1e-13)
@@ -233,14 +233,22 @@ def test_recurrence_forms_match_series_and_direct_forms_do_not():
     assert rel(closed_2f1_family("v", a, z), s_v) > 1e-3
 
 
+def _recurrence_family(a, z):
+    # F((a+3)/2, (a+4)/2; c; z) at c = a, a+2 and a+3, by direct series
+    return [gauss_2f1((a + 3) / 2, (a + 4) / 2, c, complex(z), TIGHT).value
+            for c in (a, a + 2, a + 3)]
+
+
 def test_contiguous_relation_sample_points():
     for a, z in ((2.5, 0.3), (4.0, -0.4), (1.1, 0.05)):
-        lhs, rhs = contiguous_relation_check(a, z, TIGHT)
-        assert abs(lhs - rhs) / abs(lhs) < 1e-9
+        lhs, f2, f3 = _recurrence_family(a, z)
+        c2, c3 = recurrence_coefficients(a, complex(z))
+        assert abs(lhs - (c2 * f2 + c3 * f3)) / abs(lhs) < 1e-9
 
 
 def test_contiguous_relation_alternate_coefficients_fail():
-    lhs, rhs = contiguous_relation_check(2.5, 0.3, TIGHT, coefficients="alternate")
+    lhs, f2, f3 = _recurrence_family(2.5, 0.3)
+    rhs = hypergeo._alternate_recurrence_rhs(2.5, complex(0.3), f2, f3)
     assert abs(lhs - rhs) / abs(lhs) > 1e-3
 
 

@@ -207,6 +207,15 @@ def test_potential_region_errors():
         potential_closed_d1((0j, 0j, 0j, 1.1 + 0j), 1.0, 1.0)  # mu4 >= 1
 
 
+def test_closed_d1_tiny_p_is_a_region_error_not_an_overflow():
+    nu = (0.01 + 0j, 0j, 0j, 0j)
+    with pytest.raises(RegionError):
+        kernel_closed_d1_nu(nu, 1e-3, 2.0)  # 4/p + 2/lam = 4001: 2**4001 overflows
+    # 4/p + 2/lam = 1001 still fits a double, and the routes agree there
+    closed = kernel_closed_d1_nu(nu, 0.004, 2.0).value
+    assert rel(closed, kernel_series_d1_nu(nu, 0.004, 2.0).value) < 1e-10
+
+
 # --- d1 kernel routes ----------------------------------------------------------
 
 def test_kernel_d1_at_zero_matches_head_coefficient():

@@ -74,6 +74,8 @@ def test_norm_d1_admissibility():
         norm_d1((0, 0, 0), 1.0, 2.0)
     with pytest.raises(ValueError):
         norm_d1((0, 0, 0, 0), -1.0, 2.0)
+    with pytest.raises(ValueError):
+        norm_d1((0, 0, 0, 0), 1.0, math.inf)
 
 
 def test_norm_d1_against_oracle_spot():
