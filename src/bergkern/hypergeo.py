@@ -60,8 +60,9 @@ class SeriesValue:
 
 def _sum_shells(block_fn, policy: TruncationPolicy, what: str) -> SeriesValue:
     """Apply the stop rule shell by shell to the shells that block_fn(lo, top)
-    returns in blocks: the values of degrees lo, lo+1, ... (at least one,
-    none at or past top)."""
+    returns in blocks, each an iterable of the values of degrees lo, lo+1,
+    ... (at least one, none at or past top). An iterable may run all the way
+    to top; it is dropped unfinished once the rule stops."""
     total = 0j
     run = 0
     deg = 0
@@ -275,15 +276,16 @@ def gauss_2f1(a: float, b: float, c: float, z: complex,
     _check_lower_param(c, "gauss_2f1")
     if abs(z) >= 1.0:
         raise ConvergenceError(f"gauss_2f1 requires |z| < 1, got |z| = {abs(z)}")
-    term = 1.0 + 0j
 
-    def shell(deg, top):
-        nonlocal term
-        if deg > 0:
+    def terms(lo, top):
+        # one block from degree lo = 0: every term, each from the one before
+        term = 1.0 + 0j
+        yield term
+        for deg in range(1, top):
             term = term * ((a + deg - 1) * (b + deg - 1)) / ((c + deg - 1) * deg) * z
-        return (term,)
+            yield term
 
-    return _sum_shells(shell, policy, "gauss_2f1")
+    return _sum_shells(terms, policy, "gauss_2f1")
 
 
 def appell_fa(a: float, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:

@@ -96,6 +96,22 @@ def _plain(x) -> complex:
     return x.val if isinstance(x, DualComplex) else complex(x)
 
 
+def _d1_scale_exponent(p: float, lam: float, what: str) -> float:
+    """4/p + 2/lam, the exponent of the closed d1 potential's scale factor
+    2**(4/p + 2/lam). ValueError unless p, lam > 0; RegionError from 1024
+    on, where the factor overflows a double. Both d1 routes call this, so
+    they accept the same (p, lam): far past the bound the series would lose
+    its digits silently (0.02 at p = 1e-300, where the kernel is near
+    1e299), each coefficient being a difference of two log-gammas near
+    2s log(2s) with s > 2/p."""
+    if not (p > 0.0 and lam > 0.0):
+        raise ValueError(f"d1 needs p > 0 and lam > 0, got p = {p}, lam = {lam}")
+    expo = 4.0 / p + 2.0 / lam
+    if expo >= 1024.0:
+        raise RegionError(f"{what} requires 4/p + 2/lam < 1024, got {expo}")
+    return expo
+
+
 def potential_closed_d1(nu, p: float, lam: float):
     """Closed-form scalar potential of the d1 kernel, as a function of the
     four Hermitian products. Accepts complex or DualComplex entries and
@@ -107,9 +123,7 @@ def potential_closed_d1(nu, p: float, lam: float):
     nu1, nu2, nu3, nu4 = nu
     if abs(_plain(nu3)) >= 0.25:
         raise RegionError(f"potential_closed_d1 requires |nu3| < 1/4, got {_plain(nu3)}")
-    expo = 4.0 / p + 2.0 / lam
-    if expo >= 1024.0:  # 2**expo overflows a double
-        raise RegionError(f"potential_closed_d1 requires 4/p + 2/lam < 1024, got {expo}")
+    expo = _d1_scale_exponent(p, lam, "potential_closed_d1")
     w = principal_sqrt(1.0 - 4.0 * nu3)
     onepw = w + 1.0
     scaled_c = (2.0**expo) / (principal_pow(1.0 - 4.0 * nu3, 1.5)
@@ -260,6 +274,7 @@ def potential_series_d1(nu, p: float, lam: float,
     """Series oracle for the closed d1 potential (same coefficients as the
     kernel series, without the operator multiplier or prefactor)."""
     n1, n2, n3, n4 = (complex(v) for v in nu)
+    _d1_scale_exponent(p, lam, "potential_series_d1")
     return _monomial_series((n1 + n2, n3, n4), partial(_d1_block, p, lam, False),
                             policy, "d1 kernel series")
 
@@ -268,6 +283,7 @@ def kernel_series_d1_nu(nu, p: float, lam: float,
                         policy: TruncationPolicy = KERNEL_POLICY) -> KernelValue:
     """Orthonormal-series d1 kernel at a Hermitian-product vector."""
     n1, n2, n3, n4 = _nu(nu, 4, "d1 kernel")
+    _d1_scale_exponent(p, lam, "d1 kernel series")
     sv = _monomial_series((n1 + n2, n3, n4), partial(_d1_block, p, lam, True),
                           policy, "d1 kernel series")
     pref = p / math.pi**4

@@ -4,12 +4,17 @@ independent quadrature oracle.
 The closed forms are gamma-ratio expressions evaluated through log-gamma.
 The oracle reduces each norm to a single theta integral (the two inner
 integrals are power functions with polynomial limits and are integrated
-exactly), so it never uses the gamma identities it is checking.
+exactly), so it never uses the gamma identities it is checking. Many
+indices share that integral (a d1 integrand depends on alpha only through
+a1+a2, a3 and a4, a d2 one only through a1+a2+a3 and a2), so each distinct
+(sine, cosine) exponent pair is integrated once per process and kept in a
+bounded cache; the default norm grids need 570 entries.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,8 +115,11 @@ def adaptive_gauss(f, lo: float, hi: float, tol: float = QUAD_TOL,
     return total
 
 
+@lru_cache(maxsize=4096)  # the default norm grids need 570 entries
 def _theta_moment(sin_exp: float, cos_exp: float) -> float:
-    """integral over (0, pi/2) of sin^sin_exp * cos^cos_exp by quadrature."""
+    """integral over (0, pi/2) of sin^sin_exp * cos^cos_exp by quadrature.
+    Callers pass float exponents: an int and its equal float share one cache
+    entry, so the value must not depend on which of them came first."""
     if sin_exp < 0 or cos_exp < 0:
         raise ValueError("combined trigonometric exponents must be nonnegative")
 
@@ -129,7 +137,7 @@ def norm_quadrature(spec: DomainSpec, alpha) -> float:
         # exactly on the admissible set.
         sin_exp = 2 * (a1 + a2 + a3) + 5
         cos_exp = 2 * a2 + 1
-        theta = _theta_moment(sin_exp, cos_exp)
+        theta = _theta_moment(float(sin_exp), float(cos_exp))
         return 4.0 * math.pi**3 * theta / ((2 * a3 + 2) * (a1 + 2 * a2 + 2 * a3 + 5))
     if spec.kind == "d1":
         a1, a2, a3, a4 = check_index_d1(alpha)
@@ -138,7 +146,7 @@ def norm_quadrature(spec: DomainSpec, alpha) -> float:
         big_b = (2 * a4 + 2) / lam
         sin_exp = 2 * a3 + 1
         cos_exp = 2 * big_a + 2 * a3 + 2 * big_b + 1
-        theta = _theta_moment(sin_exp, cos_exp)
+        theta = _theta_moment(float(sin_exp), float(cos_exp))
         front = 8.0 * math.pi**4 * math.exp(
             log_gamma(a1 + 1.0) + log_gamma(a2 + 1.0) - log_gamma(a1 + a2 + 2.0)) / p
         r_denominator = big_a + 2 * a3 + 2 * big_b + 2  # exponent + 1 of the R integral

@@ -111,6 +111,14 @@ def test_eval_tiny_p_is_region_error_exit_1(capsys):
     assert code == 1 and out == "" and "RegionError" in err
 
 
+def test_eval_series_tiny_p_is_region_error_exit_1(capsys):
+    # the series route refuses the same (p, lam) as the closed one, instead
+    # of printing a wrong value
+    code, out, err = run_cli(capsys, "eval", "--domain", "d1", "--p", "1e-300",
+                             "--lambda", "2", "--nu", "0.01,0,0,0", "--method", "series")
+    assert code == 1 and out == "" and "RegionError" in err
+
+
 def test_norm_commands(capsys):
     code, out, _ = run_cli(capsys, "norm", "--domain", "d2", "--alpha", "0,0,0")
     assert code == 0

@@ -80,6 +80,52 @@ def test_gauss_2f1_errors():
         gauss_2f1(1.0, 1.0, 1.0, 0.9, TruncationPolicy(max_total_degree=5, tail_tol=1e-13))
 
 
+def closure_2f1(a, b, c, z, policy=hypergeo.DEFAULT_POLICY):
+    # reference: the earlier gauss_2f1, called back once per term, each call
+    # returning a 1-tuple
+    z = complex(z)
+    term = 1.0 + 0j
+
+    def shell(deg, top):
+        nonlocal term
+        if deg > 0:
+            term = term * ((a + deg - 1) * (b + deg - 1)) / ((c + deg - 1) * deg) * z
+        return (term,)
+
+    return hypergeo._sum_shells(shell, policy, "gauss_2f1")
+
+
+def _outcome(fn, *args):
+    try:
+        sv = fn(*args)
+    except ConvergenceError as exc:
+        return "ConvergenceError", str(exc)
+    return repr(sv.value), repr(sv.tail_estimate), sv.shells_used
+
+
+def test_gauss_2f1_matches_the_per_term_callback_bit_for_bit():
+    rng = random.Random(2024)
+    cases = [(1.3, 0.7, 2.1, 0j), (2.5, -1.5, -2.5, 0.5), (-0.5, 3.0, -0.25, 0.3j)]
+    for _ in range(320):
+        a = rng.uniform(-3.0, 6.0)
+        b = rng.uniform(-3.0, 6.0)
+        c = rng.choice((rng.uniform(0.5, 6.0), -rng.randrange(4) - rng.uniform(0.1, 0.9)))
+        z = cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(-math.pi, math.pi))
+        cases.append((a, b, c, z))
+    cases += [(1.0, 1.0, 1.0, 0.95), (0.5, 0.5, 1.5, -0.95j)]
+    outcomes = set()
+    for policy in (hypergeo.DEFAULT_POLICY, TIGHT):
+        for a, b, c, z in cases:
+            got = _outcome(gauss_2f1, a, b, c, z, policy)
+            assert got == _outcome(closure_2f1, a, b, c, z, policy), (a, b, c, z)
+            outcomes.add(got[0] == "ConvergenceError")
+    assert outcomes == {False, True}  # both summed and exhausted series compared
+    short = TruncationPolicy(max_total_degree=5, tail_tol=1e-13)
+    got = _outcome(gauss_2f1, 1.0, 1.0, 1.0, 0.9, short)
+    assert got[0] == "ConvergenceError"
+    assert got == _outcome(closure_2f1, 1.0, 1.0, 1.0, 0.9, short)
+
+
 def test_appell_fa_at_zero_and_collapse_to_2f1():
     assert appell_fa(1.1, (0.5,), (1.5,), (0.0,)).value == 1.0 + 0j
     rng = random.Random(9)

@@ -216,6 +216,27 @@ def test_closed_d1_tiny_p_is_a_region_error_not_an_overflow():
     assert rel(closed, kernel_series_d1_nu(nu, 0.004, 2.0).value) < 1e-10
 
 
+def test_d1_routes_refuse_the_same_tiny_p():
+    # far past the bound the series loses its digits silently (about 0.02 at
+    # p = 1e-300, where the kernel is near 1e299), so both routes refuse
+    # wherever 2**(4/p + 2/lam) overflows
+    nu = (0.01 + 0j, 0j, 0j, 0j)
+    routes = (kernel_closed_d1_nu, kernel_series_d1_nu, potential_closed_d1,
+              potential_series_d1)
+    for p in (1e-300, 1e-3, 0.0039):
+        for route in routes:
+            with pytest.raises(RegionError, match="4/p"):
+                route(nu, p, 2.0)
+    with pytest.raises(RegionError):
+        kernel_series_d1_nu(nu, 1.0, 2.0 / 1024.0)  # 4 + 1024: lam alone can overflow
+    for p, lam in ((0.0, 2.0), (1.0, 0.0), (-1.0, 2.0), (math.nan, 2.0)):
+        for route in routes[1:]:  # the closed kernel's weights divide by p first
+            with pytest.raises(ValueError):
+                route(nu, p, lam)
+    closed = potential_closed_d1(nu, 0.004, 2.0)
+    assert rel(closed, potential_series_d1(nu, 0.004, 2.0).value) < 1e-10
+
+
 # --- d1 kernel routes ----------------------------------------------------------
 
 def test_kernel_d1_at_zero_matches_head_coefficient():

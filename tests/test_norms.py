@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import random
+import threading
 
 import numpy as np
 import pytest
 
 from bergkern import (DomainSpec, adaptive_gauss, norm_closed, norm_d1, norm_d2,
-                      norm_quadrature)
+                      norm_quadrature, run_norm_suite)
+from bergkern import norms
 
 D2 = DomainSpec.d2()
 
@@ -114,3 +117,108 @@ def test_norm_closed_dispatch():
         norm_closed(DomainSpec.ellipsoid((1.0, 1.0)), (0, 0))
     with pytest.raises(ValueError):
         norm_quadrature(DomainSpec.ellipsoid((1.0, 1.0)), (0, 0))
+
+
+# --- the theta-moment cache ------------------------------------------------------
+
+def test_each_distinct_theta_moment_is_integrated_once(monkeypatch):
+    calls = []
+    real = norms.adaptive_gauss
+    monkeypatch.setattr(norms, "adaptive_gauss",
+                        lambda *args: calls.append(args) or real(*args))
+    # d1 depends on alpha through (a1+a2, a3, a4) and on (p, lam) through the
+    # cosine exponent only; d2 through (a1+a2+a3, a2); 3 pairs are shared
+    for domains, expected in ((("d1",), 498), (("d2",), 75), (("d2", "d1"), 570)):
+        norms._theta_moment.cache_clear()
+        calls.clear()
+        for domain in domains:
+            run_norm_suite(domain)
+        assert len(calls) == expected, domains
+        assert norms._theta_moment.cache_info().currsize == expected
+
+
+def _theta_exponents(spec, alpha):
+    # the oracle's (sine, cosine) exponents, restated in the same float order
+    if spec.kind == "d2":
+        a1, a2, a3 = alpha
+        return 2 * (a1 + a2 + a3) + 5, 2 * a2 + 1
+    a1, a2, a3, a4 = alpha
+    big_a = (2 * a1 + 2 * a2 + 4) / spec.p
+    big_b = (2 * a4 + 2) / spec.lam
+    return 2 * a3 + 1, 2 * big_a + 2 * a3 + 2 * big_b + 1
+
+
+def test_cached_oracle_equals_a_fresh_quadrature(monkeypatch):
+    # a key that rounded the exponents would hand one integrand another's value
+    rng = random.Random(11)
+    cases = [(D2, alpha) for alpha in ((-2, 0, 0), (1, 1, 1), (-5, 1, 2), (6, 4, 4))]
+    cases += [(DomainSpec.d1(p, lam), tuple(rng.randrange(4) for _ in range(4)))
+              for p, lam in ((0.5, 1.0), (2.5, 3.0), (0.7, 1.3), (1.0, 2.0))
+              for _ in range(6)]
+    # cosine exponents 1e-9 apart in relative terms, which a rounded key merges
+    cases += [(DomainSpec.d1(0.7 * (1.0 + k * 1e-9), 1.3), (1, 2, 0, 3)) for k in range(3)]
+    norms._theta_moment.cache_clear()
+    for spec, alpha in cases:
+        norm_quadrature(spec, alpha)  # fill the cache first
+    seen = []
+    cached = norms._theta_moment
+    monkeypatch.setattr(norms, "_theta_moment",
+                        lambda s, c: seen.append((s, c, cached(s, c))) or seen[-1][2])
+    for spec, alpha in cases:
+        norm_quadrature(spec, alpha)
+    assert len(seen) == len(cases)
+    for (spec, alpha), (s, c, value) in zip(cases, seen):
+        sin_exp, cos_exp = _theta_exponents(spec, alpha)
+        assert (s, c) == (sin_exp, cos_exp)
+        fresh = adaptive_gauss(lambda t: np.sin(t)**sin_exp * np.cos(t)**cos_exp,
+                               0.0, 0.5 * math.pi)
+        assert repr(value) == repr(fresh)
+
+
+def test_int_and_float_exponents_share_one_entry():
+    # d2 (-5, 3, 0) and d1 (0, 0, 0, 0) at p = lam = 2 both integrate
+    # sin^1 cos^7, d2 from int exponents and d1 from float ones
+    norms._theta_moment.cache_clear()
+    norm_quadrature(D2, (-5, 3, 0))
+    norm_quadrature(DomainSpec.d1(2.0, 2.0), (0, 0, 0, 0))
+    info = norms._theta_moment.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # and an int exponent integrates to the same bits as its float
+    fresh = norms._theta_moment.__wrapped__
+    for sin_exp, cos_exp in itertools.product((1, 5, 13, 21), (1, 7, 21)):
+        assert repr(fresh(sin_exp, cos_exp)) == repr(fresh(float(sin_exp), float(cos_exp)))
+
+
+def _report_json(report):
+    report.wall_time_ms = 0
+    return report.to_json()
+
+
+def test_norm_report_does_not_depend_on_what_the_cache_holds():
+    norms._theta_moment.cache_clear()
+    cold = _report_json(run_norm_suite("d1"))
+    norms._theta_moment.cache_clear()
+    run_norm_suite("d2")
+    assert _report_json(run_norm_suite("d1")) == cold
+
+
+def test_threads_sharing_the_cache_get_the_serial_values():
+    grid = [(DomainSpec.d1(p, lam), alpha)
+            for p, lam in itertools.product((0.5, 1.0, 2.0, 2.5), (1.0, 2.0, 3.0))
+            for alpha in itertools.product(range(4), repeat=4)]
+    norms._theta_moment.cache_clear()
+    serial = [norm_quadrature(spec, alpha) for spec, alpha in grid]
+    norms._theta_moment.cache_clear()
+    results = [None] * 4
+    barrier = threading.Barrier(4)
+
+    def work(k):
+        barrier.wait()
+        results[k] = [norm_quadrature(spec, alpha) for spec, alpha in grid]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(list(map(repr, r)) == list(map(repr, serial)) for r in results)
