@@ -11,6 +11,14 @@ A series builds its log/phase tables in one vectorised pass, on demand: the
 first block sizes them, and a later block that needs more rebuilds them at
 double length, so a series that stops early never builds the tables of the
 degree cap.
+
+gauss_2f1 sums its terms one by one in Python complex arithmetic, which is
+cheapest for one series. gauss_2f1_batch sums many at once, one numpy pass
+per degree over every series still running, and repeats that arithmetic on
+real and imaginary float arrays, so each of its values equals the scalar
+call's bit for bit; the identity suite takes each family's 2F1s from one
+batch. fa_decomposition_rhs and that suite share _decomposition_series,
+which takes the inner 2F1 of each shell from a callable.
 """
 
 from __future__ import annotations
@@ -269,13 +277,17 @@ def _front_series(nvars: int, ratios, policy: TruncationPolicy, what: str) -> Se
     return _sum_shells(shells, policy, what)
 
 
+def _check_gauss_args(c: float, z: complex) -> None:
+    _check_lower_param(c, "gauss_2f1")
+    if abs(z) >= 1.0:
+        raise ConvergenceError(f"gauss_2f1 requires |z| < 1, got |z| = {abs(z)}")
+
+
 def gauss_2f1(a: float, b: float, c: float, z: complex,
               policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Direct series sum of 2F1(a, b; c; z) for |z| < 1."""
     z = complex(z)
-    _check_lower_param(c, "gauss_2f1")
-    if abs(z) >= 1.0:
-        raise ConvergenceError(f"gauss_2f1 requires |z| < 1, got |z| = {abs(z)}")
+    _check_gauss_args(c, z)
 
     def terms(lo, top):
         # one block from degree lo = 0: every term, each from the one before
@@ -286,6 +298,81 @@ def gauss_2f1(a: float, b: float, c: float, z: complex,
             yield term
 
     return _sum_shells(terms, policy, "gauss_2f1")
+
+
+class SeriesBatch(NamedTuple):
+    """Elementwise gauss_2f1 results, in the broadcast shape of the inputs.
+    An element that used up the policy is flagged exhausted, and its other
+    fields read nan, nan and 0."""
+
+    value: np.ndarray          # complex
+    tail_estimate: np.ndarray  # float
+    shells_used: np.ndarray    # int64
+    exhausted: np.ndarray      # bool
+
+
+def gauss_2f1_batch(a, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesBatch:
+    """gauss_2f1 of every element of the broadcast arrays a, b, c and z,
+    summed in one vectorised pass per degree, equal bit for bit to the
+    scalar calls. Each term repeats CPython's complex arithmetic on float
+    real and imaginary arrays (numpy's complex division would round
+    differently), and the stop rule of _sum_shells applies per element.
+    A pole or |z| >= 1 raises the scalar's error for the first such element;
+    an element that uses up the policy is flagged, not raised."""
+    a, b, c, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                                     np.asarray(c, dtype=float), np.asarray(z, dtype=complex))
+    shape = a.shape
+    a, b, c, z = (v.ravel() for v in (a, b, c, z))
+    zr, zi = z.real.copy(), z.imag.copy()
+    for i in np.flatnonzero(((c <= 0.0) & (c == np.round(c))) | (np.hypot(zr, zi) >= 1.0)):
+        _check_gauss_args(float(c[i]), complex(z[i]))
+    n = a.size
+    value = np.full(n, complex("nan+nanj"))
+    tail = np.full(n, np.nan)
+    used = np.zeros(n, dtype=np.int64)
+    exhausted = np.ones(n, dtype=bool)
+    live = np.arange(n)                 # positions of the elements still summing
+    tr, ti = np.ones(n), np.zeros(n)    # the current term
+    sr, si = np.zeros(n), np.zeros(n)   # the partial sum
+    run = np.zeros(n, dtype=np.int64)   # small shells in a row
+    with np.errstate(all="ignore"):     # the scalar sum overflows silently too
+        for deg in range(policy.max_total_degree + 1):
+            if not live.size:
+                break
+            if deg:
+                # term * x, with x converted to complex(x, 0.0)
+                x = (a + deg - 1) * (b + deg - 1)
+                pr = tr * x - ti * 0.0
+                pi = tr * 0.0 + ti * x
+                # / complex(d, 0.0) by Smith's method, whose denominator
+                # d + 0.0 * ratio is d itself
+                d = (c + deg - 1) * deg
+                if not d.all():
+                    raise ZeroDivisionError("complex division by zero")
+                ratio = 0.0 / d
+                qr = (pr + pi * ratio) / d
+                qi = (pi - pr * ratio) / d
+                # * z
+                tr = qr * zr - qi * zi
+                ti = qr * zi + qi * zr
+            sr += tr
+            si += ti
+            mag = np.hypot(tr, ti)
+            small = mag <= policy.tail_tol * np.maximum(np.hypot(sr, si), _TINY)
+            run = np.where(small, run + 1, 0)
+            stop = run >= _SMALL_SHELLS_TO_STOP
+            if stop.any():
+                done = live[stop]
+                value.real[done] = sr[stop]
+                value.imag[done] = si[stop]
+                tail[done] = mag[stop]
+                used[done] = deg + 1
+                exhausted[done] = False
+                keep = ~stop
+                live, a, b, c, zr, zi, tr, ti, sr, si, run = (
+                    v[keep] for v in (live, a, b, c, zr, zi, tr, ti, sr, si, run))
+    return SeriesBatch(value.reshape(shape), tail.reshape(shape), used.reshape(shape),
+                       exhausted.reshape(shape))
 
 
 def appell_fa(a: float, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
@@ -350,6 +437,17 @@ def fa_decomposition_rhs(a: float, b1: float, c1: float, y,
         M = m_2 + ... + m_r.
     """
     y = tuple(complex(v) for v in y)
+    return _decomposition_series(  # gauss_2f1 is looked up at each call
+        a, b1, c1, y, policy,
+        lambda deg: gauss_2f1(a + deg, b1 + deg, c1 + deg, y[0], policy).value)
+
+
+def _decomposition_series(a: float, b1: float, c1: float, y, policy: TruncationPolicy,
+                          inner) -> SeriesValue:
+    """fa_decomposition_rhs, with inner(M) giving the shell-M factor
+    2F1(a+M, b1+M; c1+M; y_1). inner is called for each shell summed, in
+    order, and for no shell past the stop."""
+    y = tuple(complex(v) for v in y)
     r = len(y)
     if r < 2:
         raise ValueError("fa_decomposition_rhs needs at least 2 variables")
@@ -374,10 +472,10 @@ def fa_decomposition_rhs(a: float, b1: float, c1: float, y,
         # need not converge, so none is evaluated ahead. The tables are asked
         # for the _BLOCK_DEGREES-aligned span around deg, so they are not
         # rebuilt shell by shell.
-        inner = gauss_2f1(a + deg, b1 + deg, c1 + deg, y1, policy).value
+        factor = inner(deg) * base
         span_end = deg - deg % _BLOCK_DEGREES + _BLOCK_DEGREES
         return _front_shells(tables(min(top, span_end)),
-                             _shell_block(r - 1, deg, deg + 1), inner * base)
+                             _shell_block(r - 1, deg, deg + 1), factor)
 
     return _sum_shells(shell, policy, "fa_decomposition_rhs")
 

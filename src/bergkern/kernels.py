@@ -156,6 +156,8 @@ def kernel_closed_d1_nu(nu, p: float, lam: float,
     the derivative of the potential g along v_j = c_j nu_j, taken exactly in
     one dual-number evaluation."""
     nu = _nu(nu, 4, "d1 kernel")
+    # before the weights, which divide by p and lam
+    _d1_scale_exponent(p, lam, "closed d1 kernel")
     if weights is None:
         weights = OperatorWeights.for_d1(p, lam)
     seeded = tuple(DualComplex(v, c * v) for v, c in zip(nu, weights.weights))

@@ -6,6 +6,10 @@ case plus informational rows for the rejected formula variants that the
 validated forms replace. Each suite's signature holds its defaults, which
 `bergkern verify` takes for every flag left out.
 
+The identity sweep draws each family's inputs first, then sums the family's
+Gauss 2F1 series in one batched pass (hypergeo.gauss_2f1_batch, equal bit
+for bit to gauss_2f1), then makes its rows in order.
+
 The kernel sweep and `bergkern eval` reach a domain's kernels through one
 route table, _kernel_routes: a closed route (d1, d2) and a series route (all
 three). DomainSpec.of checks a domain's parameters, for the norm sweep too.
@@ -22,11 +26,13 @@ import math
 import random
 import time
 
+import numpy as np
+
 from .domains import DomainSpec, PointPair, diagonal_pair, sample_interior, sample_pairs
-from .hypergeo import (TruncationPolicy, _alternate_recurrence_rhs, appell_fa,
-                       closed_2f1_family, closed_2f1_recurrence, doubled_index_multisum,
-                       fa_decomposition_rhs, fa_equal_params_closed, gauss_2f1,
-                       recurrence_coefficients)
+from .hypergeo import (SeriesBatch, TruncationPolicy, _alternate_recurrence_rhs,
+                       _decomposition_series, appell_fa, closed_2f1_family,
+                       closed_2f1_recurrence, doubled_index_multisum, fa_equal_params_closed,
+                       gauss_2f1, gauss_2f1_batch, recurrence_coefficients)
 from .kernels import (OperatorWeights, _integer_exponents, _kernel_closed_d2_alternate,
                       kernel_closed_d1_nu, kernel_closed_d2_nu, kernel_series_d1_nu,
                       kernel_series_d2_nu, kernel_series_ellipsoid_nu, potential_closed_d1)
@@ -59,12 +65,52 @@ def _draw_z_right_halfplane(rng: random.Random, radius: float = 0.6,
             return z
 
 
+def _batch_value(batch: SeriesBatch, index, args, policy: TruncationPolicy) -> complex:
+    """The batch's value at index; at an element that used up the policy,
+    gauss_2f1(*args) itself, which raises the scalar's error at the row that
+    reads it."""
+    if batch.exhausted[index]:
+        return gauss_2f1(*args, policy).value
+    return complex(batch.value[index])
+
+
+def _gauss_batch(args, policy: TruncationPolicy):
+    """One gauss_2f1_batch over the (a, b, c, z) tuples of args, and the
+    lookup of args[k]'s value."""
+    batch = gauss_2f1_batch(*(np.array(v) for v in zip(*args)), policy)
+    return lambda k: _batch_value(batch, k, args[k], policy)
+
+
+# Inner 2F1s of the decomposition family taken from one batch, degrees 0-31;
+# a trial stops after 8-22 shells at the README's seed.
+_DECOMPOSITION_DEGREES = 32
+
+
+def _decomposition_inner(table: SeriesBatch, i: int, a: float, b1: float, c1: float,
+                         y1: complex, policy: TruncationPolicy):
+    """The inner 2F1 of shell deg of decomposition trial i, from row i of
+    table (degrees 0, 1, ...), or the scalar call past its end or at an
+    element that used up the policy."""
+    def inner(deg: int) -> complex:
+        args = (a + deg, b1 + deg, c1 + deg, y1)
+        if deg < table.exhausted.shape[1]:
+            return _batch_value(table, (i, deg), args, policy)
+        return gauss_2f1(*args, policy).value
+    return inner
+
+
 def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
                        recurrence_tol: float = 1e-9, tail_tol: float = 1e-13,
                        max_degree: int = 400) -> VerificationReport:
     """Hypergeometric identity sweep: multisum collapse, closed 2F1 forms,
     equal-parameter collapse, decomposition formula, and the contiguous
-    recurrence family."""
+    recurrence family.
+
+    Each family draws all its inputs first, in the order of its rows, then
+    sums its Gauss series in one gauss_2f1_batch, then makes its rows. No
+    draw depends on an evaluated value, and a series that uses up the policy
+    raises at its row, so the report and any error are those of evaluating
+    row by row."""
     if trials < 1:
         raise ValueError(f"identity suite needs trials >= 1, got {trials}")
     t0 = time.perf_counter()
@@ -76,30 +122,30 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
     })
     rng = random.Random(seed)
 
-    for i in range(trials):
+    draws = []
+    for _ in range(trials):
         r = rng.choice((1, 2, 3))
         a = rng.uniform(0.5, 6.0)
         c = rng.uniform(0.5, 6.0)
         raw = [_draw_in_disk(rng, 1.0) for _ in range(r)]
         scale = rng.uniform(0.02, 0.2) / max(sum(abs(v) for v in raw), 1e-12)
-        x = tuple(v * scale for v in raw)
+        draws.append((r, a, c, tuple(v * scale for v in raw)))
+    rhs = _gauss_batch([(a / 2, (a + 1) / 2, c, 4 * sum(x)) for _, a, c, x in draws], policy)
+    for i, (r, a, c, x) in enumerate(draws):
         lhs = doubled_index_multisum(a, c, x, policy).value
-        rhs = gauss_2f1(a / 2, (a + 1) / 2, c, 4 * sum(x), policy).value
         rep.rows.append(make_row(f"multisum-collapse/{i:04d}", "identities",
-                                 {"r": r, "a": a, "c": c, "x": list(x)}, lhs, rhs, tol))
+                                 {"r": r, "a": a, "c": c, "x": list(x)}, lhs, rhs(i), tol))
 
     params = {"i": lambda a: ((a + 1) / 2, (a + 2) / 2, a),
               "ii": lambda a: ((a + 3) / 2, (a + 4) / 2, a + 2),
               "iii": lambda a: ((a + 3) / 2, (a + 4) / 2, a + 3)}
-    for variant, param_fn in params.items():
-        for i in range(trials):
-            a = rng.uniform(0.5, 6.0)
-            z = _draw_z_right_halfplane(rng)
-            aa, bb, cc = param_fn(a)
-            lhs = closed_2f1_family(variant, a, z)
-            rhs = gauss_2f1(aa, bb, cc, z, policy).value
-            rep.rows.append(make_row(f"closed-2f1-{variant}/{i:04d}", "identities",
-                                     {"a": a, "z": z}, lhs, rhs, tol))
+    draws = [(variant, i, rng.uniform(0.5, 6.0), _draw_z_right_halfplane(rng))
+             for variant in params for i in range(trials)]
+    rhs = _gauss_batch([params[variant](a) + (z,) for variant, _, a, z in draws], policy)
+    for k, (variant, i, a, z) in enumerate(draws):
+        rep.rows.append(make_row(f"closed-2f1-{variant}/{i:04d}", "identities",
+                                 {"a": a, "z": z}, closed_2f1_family(variant, a, z),
+                                 rhs(k), tol))
 
     for i in range(trials):
         n = rng.choice((1, 2, 3))
@@ -114,7 +160,8 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
                                  {"n": n, "a": a, "b": list(b), "z": list(z)},
                                  lhs, rhs, tol))
 
-    for i in range(trials):
+    draws = []
+    for _ in range(trials):
         r = rng.choice((2, 3))
         a = rng.uniform(0.5, 6.0)
         b1 = rng.uniform(0.5, 6.0)
@@ -123,8 +170,13 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
         y1 = _draw_in_disk(rng, 0.3)
         raw = [_draw_in_disk(rng, 1.0) for _ in range(r - 1)]
         scale = rng.uniform(0.02, 0.3) / max(sum(abs(v) for v in raw), 1e-12)
-        y = (y1,) + tuple(v * scale for v in raw)
-        lhs = fa_decomposition_rhs(a, b1, c1, y, policy).value
+        draws.append((r, a, b1, c1, shared, (y1,) + tuple(v * scale for v in raw)))
+    degrees = np.arange(_DECOMPOSITION_DEGREES)
+    table = gauss_2f1_batch(*(np.add.outer([d[k] for d in draws], degrees) for k in (1, 2, 3)),
+                            np.array([d[5][0] for d in draws])[:, None], policy)
+    for i, (r, a, b1, c1, shared, y) in enumerate(draws):
+        lhs = _decomposition_series(a, b1, c1, y, policy,
+                                    _decomposition_inner(table, i, a, b1, c1, y[0], policy)).value
         rhs = appell_fa(a, (b1,) + (shared,) * (r - 1), (c1,) + (shared,) * (r - 1),
                         y, policy).value
         rep.rows.append(make_row(f"decomposition/{i:04d}", "identities",
@@ -133,14 +185,15 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
 
     # contiguous recurrence family: validated forms gate, rejected displays
     # and the rejected coefficient set are informational
-    for i in range(trials):
-        a = rng.uniform(0.5, 6.0)
-        z = _draw_z_right_halfplane(rng)
-        s_iv = gauss_2f1((a + 3) / 2, (a + 4) / 2, a, z, policy).value
-        s_v = gauss_2f1((a + 2) / 2, (a + 3) / 2, a, z, policy).value
-        # s_iv against its c = a+2 and c = a+3 neighbours
-        f2 = gauss_2f1((a + 3) / 2, (a + 4) / 2, a + 2, z, policy).value
-        f3 = gauss_2f1((a + 3) / 2, (a + 4) / 2, a + 3, z, policy).value
+    draws = [(rng.uniform(0.5, 6.0), _draw_z_right_halfplane(rng)) for _ in range(trials)]
+    series = _gauss_batch([args + (z,) for a, z in draws for args in (
+        ((a + 3) / 2, (a + 4) / 2, a),        # s_iv
+        ((a + 2) / 2, (a + 3) / 2, a),        # s_v
+        ((a + 3) / 2, (a + 4) / 2, a + 2),    # f2 and f3, s_iv's c = a+2 and
+        ((a + 3) / 2, (a + 4) / 2, a + 3))],  # c = a+3 neighbours
+        policy)
+    for i, (a, z) in enumerate(draws):
+        s_iv, s_v, f2, f3 = (series(4 * i + k) for k in range(4))
         c2, c3 = recurrence_coefficients(a, z)
         rep.rows.append(make_row(f"recurrence-closed-iv/{i:04d}", "identities",
                                  {"a": a, "z": z},

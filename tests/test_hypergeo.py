@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from bergkern import (BranchError, ConvergenceError, PoleError, TruncationPolicy
                       doubled_index_multisum, fa_decomposition_rhs, fa_equal_params_closed,
                       gauss_2f1, kernel_series_d1_nu, kernel_series_d2_nu,
                       kernel_series_ellipsoid_nu, recurrence_coefficients)
-from bergkern import hypergeo, kernels
+from bergkern import hypergeo, kernels, suites
 
 TIGHT = TruncationPolicy(max_total_degree=400, tail_tol=1e-13)
 
@@ -103,7 +104,7 @@ def _outcome(fn, *args):
     return repr(sv.value), repr(sv.tail_estimate), sv.shells_used
 
 
-def test_gauss_2f1_matches_the_per_term_callback_bit_for_bit():
+def _bit_for_bit_cases():
     rng = random.Random(2024)
     cases = [(1.3, 0.7, 2.1, 0j), (2.5, -1.5, -2.5, 0.5), (-0.5, 3.0, -0.25, 0.3j)]
     for _ in range(320):
@@ -112,7 +113,11 @@ def test_gauss_2f1_matches_the_per_term_callback_bit_for_bit():
         c = rng.choice((rng.uniform(0.5, 6.0), -rng.randrange(4) - rng.uniform(0.1, 0.9)))
         z = cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(-math.pi, math.pi))
         cases.append((a, b, c, z))
-    cases += [(1.0, 1.0, 1.0, 0.95), (0.5, 0.5, 1.5, -0.95j)]
+    return cases + [(1.0, 1.0, 1.0, 0.95), (0.5, 0.5, 1.5, -0.95j)]
+
+
+def test_gauss_2f1_matches_the_per_term_callback_bit_for_bit():
+    cases = _bit_for_bit_cases()
     outcomes = set()
     for policy in (hypergeo.DEFAULT_POLICY, TIGHT):
         for a, b, c, z in cases:
@@ -124,6 +129,46 @@ def test_gauss_2f1_matches_the_per_term_callback_bit_for_bit():
     got = _outcome(gauss_2f1, 1.0, 1.0, 1.0, 0.9, short)
     assert got[0] == "ConvergenceError"
     assert got == _outcome(closure_2f1, 1.0, 1.0, 1.0, 0.9, short)
+
+
+def test_gauss_2f1_batch_matches_the_scalar_bit_for_bit():
+    # and terminating series (a or b a non-positive integer), whose terms
+    # turn exactly zero, and a near -1, whose terms at 1e-12 give two small
+    # shells and then large ones again
+    cases = _bit_for_bit_cases() + [(-1.0, 2.0, 1.5, 0.5), (-2.0, -1.0, 0.5, -0.3 - 0.2j),
+                                    (-1 + 1.12e-13, 25.7, 0.174, 0.372 - 0.0425j)]
+    a, b, c, z = (np.array(v) for v in zip(*cases))
+    outcomes = set()
+    for policy in (hypergeo.DEFAULT_POLICY, TIGHT,
+                   TruncationPolicy(max_total_degree=5, tail_tol=1e-13)):
+        batch = hypergeo.gauss_2f1_batch(a, b, c, z, policy)
+        for i, case in enumerate(cases):
+            want = _outcome(gauss_2f1, *case, policy)
+            if batch.exhausted[i]:
+                assert want[0] == "ConvergenceError", case
+            else:
+                assert (repr(complex(batch.value[i])), repr(float(batch.tail_estimate[i])),
+                        int(batch.shells_used[i])) == want, case
+            outcomes.add(bool(batch.exhausted[i]))
+    assert outcomes == {False, True}
+    # inputs broadcast, and the results keep their shape
+    grid = hypergeo.gauss_2f1_batch(np.add.outer([1.5, 2.5], np.arange(3)), 0.7, 1.9,
+                                    np.array([0.3j, -0.4])[:, None], TIGHT)
+    assert grid.value.shape == grid.shells_used.shape == (2, 3)
+    assert repr(complex(grid.value[1, 2])) == repr(gauss_2f1(4.5, 0.7, 1.9, -0.4, TIGHT).value)
+    empty = hypergeo.gauss_2f1_batch([], [], [], [])
+    assert empty.value.shape == empty.exhausted.shape == (0,)
+
+
+def test_gauss_2f1_batch_raises_the_scalar_errors():
+    # the first bad element's error, as the scalar call raises it
+    for case in ((1.0, 1.0, -2.0, 0.5), (1.0, 1.0, 2.0, 1.0), (1.0, 1.0, 2.0, 0.6 + 0.8j),
+                 (1.0, 1.0, 1e-20, 0.5)):  # (1e-20 + 1) - 1 divides by zero
+        with pytest.raises(Exception) as scalar:
+            gauss_2f1(*case)
+        batch_args = [np.array([0.5, v, v]) for v in case[:3]] + [np.array([0.1, case[3], 0.99j])]
+        with pytest.raises(scalar.type, match=re.escape(str(scalar.value))):
+            hypergeo.gauss_2f1_batch(*batch_args)
 
 
 def test_appell_fa_at_zero_and_collapse_to_2f1():
@@ -346,6 +391,32 @@ def test_decomposition_evaluates_no_inner_series_past_its_stop():
             mp.setattr(hypergeo, "gauss_2f1", counted)
             sv = fa_decomposition_rhs(a, b1, c1, y, TIGHT)
         assert len(calls) == sv.shells_used
+
+
+def test_decomposition_from_the_suite_table_matches_the_public_series():
+    # The identity suite reads each shell's inner 2F1 from one batch over
+    # degrees 0-31. An entry past the stop may use up the policy unread; a
+    # shell past the table, or at a used-up entry, calls gauss_2f1 itself.
+    degrees = np.arange(suites._DECOMPOSITION_DEGREES)
+    used_up = TruncationPolicy(max_total_degree=40, tail_tol=1e-13)
+    cases = {
+        "entries past the stop used up": (1.2, 0.7, 1.4, (0.2, 0.3), used_up),
+        "past the table": (5.0, 5.5, 0.8, (-0.29, 0.5 + 0.1j), TIGHT),
+        "entry before the stop used up": (1.2, 0.7, 1.4, (0.2, 0.3),
+                                          TruncationPolicy(max_total_degree=30, tail_tol=1e-13)),
+    }
+    outcomes = {}
+    for name, (a, b1, c1, y, policy) in cases.items():
+        table = hypergeo.gauss_2f1_batch((a + degrees)[None, :], b1 + degrees, c1 + degrees,
+                                         y[0], policy)
+        inner = suites._decomposition_inner(table, 0, a, b1, c1, y[0], policy)
+        got = _outcome(hypergeo._decomposition_series, a, b1, c1, y, policy, inner)
+        assert got == _outcome(fa_decomposition_rhs, a, b1, c1, y, policy), name
+        outcomes[name] = got[-1], table.exhausted[0]
+    shells, exhausted = outcomes["entries past the stop used up"]
+    assert not exhausted[:shells].any() and exhausted[shells:].any()
+    assert outcomes["past the table"][0] == 41
+    assert outcomes["entry before the stop used up"][0].startswith("gauss_2f1: policy exhausted")
 
 
 # Near-boundary cases: the 3-variable sums pass the first block of the default

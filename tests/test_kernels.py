@@ -230,7 +230,7 @@ def test_d1_routes_refuse_the_same_tiny_p():
     with pytest.raises(RegionError):
         kernel_series_d1_nu(nu, 1.0, 2.0 / 1024.0)  # 4 + 1024: lam alone can overflow
     for p, lam in ((0.0, 2.0), (1.0, 0.0), (-1.0, 2.0), (math.nan, 2.0)):
-        for route in routes[1:]:  # the closed kernel's weights divide by p first
+        for route in routes:
             with pytest.raises(ValueError):
                 route(nu, p, lam)
     closed = potential_closed_d1(nu, 0.004, 2.0)
