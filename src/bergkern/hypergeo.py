@@ -352,7 +352,6 @@ def gauss_2f1_batch(a, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> Se
                 ratio = 0.0 / d
                 qr = (pr + pi * ratio) / d
                 qi = (pi - pr * ratio) / d
-                # * z
                 tr = qr * zr - qi * zi
                 ti = qr * zi + qi * zr
             sr += tr
