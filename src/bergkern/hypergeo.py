@@ -180,11 +180,11 @@ def _compositions(nvars: int, degrees: np.ndarray) -> np.ndarray:
     return np.column_stack((first_col, _compositions(nvars - 1, rests)))
 
 
-def _build_block(nvars: int, lo: int, top: int, rows: int = _BLOCK_ROWS) -> _Block:
+def _build_block(nvars: int, lo: int, top: int) -> _Block:
     """Shells lo, lo+1, ... below top: at most _BLOCK_DEGREES of them, as
-    many as fit in `rows` rows, and at least one."""
+    many as fit in _BLOCK_ROWS rows, and at least one."""
     sizes = _shell_sizes(nvars, np.arange(lo, min(top, lo + _BLOCK_DEGREES), dtype=np.int64))
-    keep = max(1, int(np.searchsorted(np.cumsum(sizes), rows, side="right")))
+    keep = max(1, int(np.searchsorted(np.cumsum(sizes), _BLOCK_ROWS, side="right")))
     sizes = sizes[:keep]
     comps = _compositions(nvars, np.arange(lo, lo + keep, dtype=np.int32))
     starts = np.cumsum(sizes) - sizes
@@ -196,9 +196,7 @@ def _build_block(nvars: int, lo: int, top: int, rows: int = _BLOCK_ROWS) -> _Blo
 # A series gathers at most this many rows, counted from degree 0: C(403, 3),
 # every row of a 3-variable series through degree 400. It bounds the time and
 # the block memory of one series whatever its degree cap: 3 variables reach
-# degree 400, 2 variables 4651, 4 variables 124. A series whose compositions
-# each stand for several rows (the residue terms of an ellipsoid kernel)
-# stops at a lower degree.
+# degree 400, 2 variables 4651, 4 variables 124.
 _MAX_SERIES_ROWS = math.comb(403, 3)
 
 
@@ -218,25 +216,22 @@ def _last_degree(nvars: int, max_rows: int) -> int:
 
 # Bounded, yet above the blocks of one evaluation: 350 for a 3-variable
 # series up to the row ceiling, 135 for a d2 series up to the 1000-degree
-# kernel cap. So no block is rebuilt within one evaluation.
+# kernel cap, 573 for a 2-variable series up to degree 2000 (the (1,2)
+# ellipsoid's scaled cap). A 2-variable series to degree 3000, the (2,3)
+# ellipsoid's, takes 1549 and so evicts its own first blocks.
 _block_cached = lru_cache(maxsize=1024)(_build_block)
 
 
-def _shell_block(nvars: int, lo: int, top: int, rows: int = _BLOCK_ROWS,
-                 terms: int = 1) -> _Block:
-    """_build_block, ending at the row ceiling, each composition standing
-    for `terms` rows of the series; ConvergenceError once lo lies past it."""
-    last = _last_degree(nvars, _MAX_SERIES_ROWS // terms)
+def _shell_block(nvars: int, lo: int, top: int) -> _Block:
+    """_build_block, ending at the row ceiling; ConvergenceError once lo lies
+    past it."""
+    last = _last_degree(nvars, _MAX_SERIES_ROWS)
     if lo > last:
-        per = f" at {terms} rows per composition" if terms > 1 else ""
         raise ConvergenceError(
             f"a series of {nvars} variables would reach past degree {last}, "
-            f"the ceiling of {_MAX_SERIES_ROWS} rows{per}")
-    # Blocks of 4+ variables grow fast with degree; only cache up to 3. The
-    # caller of a block of several terms holds the rows it expands to, so
-    # that block is not held here too.
-    cached = nvars <= 3 and terms == 1
-    return (_block_cached if cached else _build_block)(nvars, lo, min(top, last + 1), rows)
+            f"the ceiling of {_MAX_SERIES_ROWS} rows")
+    # blocks of 4+ variables grow fast with degree; only cache up to 3
+    return (_block_cached if nvars <= 3 else _build_block)(nvars, lo, min(top, last + 1))
 
 
 def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag,
@@ -283,6 +278,13 @@ def _check_gauss_args(c: float, z: complex) -> None:
         raise ConvergenceError(f"gauss_2f1 requires |z| < 1, got |z| = {abs(z)}")
 
 
+def _rounded_pole(c: float, deg: int) -> PoleError:
+    """The error of a 2F1 term whose denominator (c + deg - 1) deg rounds to
+    0.0, as it does for c = 1e-20 at deg = 1."""
+    return PoleError(f"gauss_2f1: lower parameter {c} rounds to a pole, "
+                     f"c + {deg - 1} = 0.0 at degree {deg}")
+
+
 def gauss_2f1(a: float, b: float, c: float, z: complex,
               policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Direct series sum of 2F1(a, b; c; z) for |z| < 1."""
@@ -294,7 +296,10 @@ def gauss_2f1(a: float, b: float, c: float, z: complex,
         term = 1.0 + 0j
         yield term
         for deg in range(1, top):
-            term = term * ((a + deg - 1) * (b + deg - 1)) / ((c + deg - 1) * deg) * z
+            try:
+                term = term * ((a + deg - 1) * (b + deg - 1)) / ((c + deg - 1) * deg) * z
+            except ZeroDivisionError:
+                raise _rounded_pole(c, deg) from None
             yield term
 
     return _sum_shells(terms, policy, "gauss_2f1")
@@ -348,7 +353,7 @@ def gauss_2f1_batch(a, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> Se
                 # d + 0.0 * ratio is d itself
                 d = (c + deg - 1) * deg
                 if not d.all():
-                    raise ZeroDivisionError("complex division by zero")
+                    raise _rounded_pole(float(c[np.argmin(d != 0.0)]), deg)
                 ratio = 0.0 / d
                 qr = (pr + pi * ratio) / d
                 qi = (pi - pr * ratio) / d

@@ -8,11 +8,10 @@ products nu_j = z_j * conj(zeta_j).
 Series route: truncated orthonormal-monomial expansions, sum_alpha
 nu^alpha / ||z^alpha||^2, with coefficients from the closed norm formulas.
 All three kernels share one engine, _monomial_series, which sums the
-monomials of a few variables shell by shell: d1 in (nu1+nu2, nu3, nu4) and
-d2 in (nu1 + nu2/nu1, nu3/nu1) by total degree, the binomial theorem folding
-each pair of exponents that enters only through its sum; an ellipsoid in its
-nu_j, shell M holding the alpha with sum_j floor(alpha_j / p_j) = M, so that
-its shells are those of its residue/Appell form, and with its unit-exponent
+monomials of a few variables by total degree, shell by shell: d1 in
+(nu1+nu2, nu3, nu4) and d2 in (nu1 + nu2/nu1, nu3/nu1), the binomial theorem
+folding each pair of exponents that enters only through its sum; an
+ellipsoid, for any positive exponents, in its nu_j, with its unit-exponent
 coordinates folded into their sum by the multinomial theorem. The d1 and
 ellipsoid coefficients are gamma ratios, evaluated for a whole block of
 shells at once by numerics.log_gamma_array.
@@ -25,24 +24,23 @@ so no factor is ever divided by nu3.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .domains import PointPair
+from .domains import DomainSpec, PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
-from . import hypergeo
-from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _Block, _LogSeq,
-                       _shell_block, _shell_gather, _sum_shells, _tables_on_demand)
+from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _LogSeq, _shell_block,
+                       _shell_gather, _sum_shells, _tables_on_demand)
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
 # A d1 series stops earlier, at degree 400, where it meets hypergeo's row
-# ceiling; an ellipsoid series, whose ceiling counts every residue term,
-# stops earlier still with three exponents above 1 (degree 199 for (2,2,2)).
+# ceiling. An ellipsoid series scales the cap by its largest exponent (see
+# kernel_series_ellipsoid_nu), and (2,2,2), a series of 3 variables, meets
+# the ceiling at degree 400 too.
 KERNEL_POLICY = TruncationPolicy(max_total_degree=1000, tail_tol=1e-10)
 
 _NEG_INF = float("-inf")
@@ -98,15 +96,14 @@ def _plain(x) -> complex:
 
 def _d1_scale_exponent(p: float, lam: float, what: str) -> float:
     """4/p + 2/lam, the exponent of the closed d1 potential's scale factor
-    2**(4/p + 2/lam). ValueError unless p, lam > 0; RegionError from 1024
-    on, where the factor overflows a double. Both d1 routes call this, so
-    they accept the same (p, lam): far past the bound the series would lose
-    its digits silently (0.02 at p = 1e-300, where the kernel is near
-    1e299), each coefficient being a difference of two log-gammas near
-    2s log(2s) with s > 2/p."""
-    if not (p > 0.0 and lam > 0.0):
-        raise ValueError(f"d1 needs p > 0 and lam > 0, got p = {p}, lam = {lam}")
-    expo = 4.0 / p + 2.0 / lam
+    2**(4/p + 2/lam). ValueError unless p and lam are finite and > 0, the
+    rule of DomainSpec.d1; RegionError from 1024 on, where the factor
+    overflows a double. Both d1 routes call this, so they accept the same
+    (p, lam): far past the bound the series would lose its digits silently
+    (0.02 at p = 1e-300, where the kernel is near 1e299), each coefficient
+    being a difference of two log-gammas near 2s log(2s) with s > 2/p."""
+    spec = DomainSpec.d1(p, lam)
+    expo = 4.0 / spec.p + 2.0 / spec.lam
     if expo >= 1024.0:
         raise RegionError(f"{what} requires 4/p + 2/lam < 1024, got {expo}")
     return expo
@@ -215,28 +212,28 @@ def _powers_logseq(xs, length: int) -> _LogSeq:
     return _LogSeq(logmag, np.exp(angles * m))
 
 
-def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str,
-                     reach: int = 1) -> SeriesValue:
+def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str) -> SeriesValue:
     """Sum of exp(log_coef) * prod_i xs[i]^comps[:, i] over the rows of every
     shell, where block_table(lo, top) returns (block, log_coef) for a block
-    of shells from degree lo and one log-coefficient per row. The exponents
-    of a block ending before degree hi lie below reach * hi."""
-    tables = _tables_on_demand(_powers_logseq, xs, reach * (policy.max_total_degree + 1))
+    of shells from degree lo and one log-coefficient per row."""
+    tables = _tables_on_demand(_powers_logseq, xs, policy.max_total_degree + 1)
 
     def shells(lo, top):
         block, log_coef = block_table(lo, top)
-        return _shell_gather(tables(reach * block.hi), block, log_coef)
+        return _shell_gather(tables(block.hi), block, log_coef)
 
     return _sum_shells(shells, policy, what)
 
 
 # Block tables are reused across every pair of one parameter set. A d1
 # series stops at hypergeo's row ceiling (degree 400) and a d2 series at the
-# 1000-degree cap of KERNEL_POLICY, each within 350 blocks; the (2,3)
-# ellipsoid, whose 6 residue terms share each block's row budget, takes 760
-# blocks to the cap and (2,2,2) 183 to the ceiling, which counts each of its
-# 8 terms. So the bound keeps whole parameter sets while capping the blocks
-# held when many sets are evaluated in one process.
+# 1000-degree cap of KERNEL_POLICY, each within 350 blocks, as does (2,2,2),
+# which meets the ceiling. The (1,2) ellipsoid takes 573 blocks to its scaled
+# cap of 2000 degrees; (2,3) takes 1549 to its cap of 3000, so only a (2,3)
+# series that raises at the cap evicts blocks of its own set, and its
+# deepest pinned pair (1172 shells) stops within 190. So the bound keeps
+# whole parameter sets while capping the blocks held when many sets are
+# evaluated in one process.
 _SHELL_CACHE_SIZE = 1024
 
 
@@ -317,73 +314,57 @@ def kernel_series_d2(pair: PointPair, policy: TruncationPolicy = KERNEL_POLICY) 
     return kernel_series_d2_nu(pair.nu, policy)
 
 
-def _integer_exponents(exponents) -> tuple[int, ...]:
-    """The ellipsoid exponents p_j as ints; ValueError unless there is at
-    least one and each is a finite positive integer."""
-    exps = () if exponents is None else tuple(exponents)
-    if not exps or not all(math.isfinite(e) and e >= 1 and e == int(e) for e in exps):
-        raise ValueError(f"ellipsoid kernel needs positive integer exponents, got {exps}")
-    return tuple(int(e) for e in exps)
-
-
 @lru_cache(maxsize=_SHELL_CACHE_SIZE)
-def _ellipsoid_block(ps: tuple[int, ...], ones: int, lo: int, top: int):
-    """A block of ellipsoid shells from degree lo, with rows alpha = k + p m
-    for every composition m of the shell's degree M and every residue
-    0 <= k_j < p_j (all terms of a shell together), and the log-coefficients
-    of nu^alpha, log Gamma(1 + sum_j c_j) - sum_j log Gamma(c_j) with
-    c_j = (alpha_j + 1)/p_j. A first variable with p_1 = 1 stands for the
-    sum of `ones` unit-exponent coordinates: their monomials of degree q
-    fold into (sum nu_j)^q, whose c is q + 1 and whose coordinates add
-    ones - 1 to the Gamma argument."""
-    ks = np.array(list(itertools.product(*(range(pj) for pj in ps))), dtype=np.int32)
-    # a shell has one row per term and composition, so each term gets a
-    # share of the row budget, and the row ceiling counts every term
-    comps = _shell_block(len(ps), lo, top, max(1, hypergeo._BLOCK_ROWS // len(ks)), len(ks))
-    alpha = (comps.comps[:, None, :] * np.array(ps, dtype=np.int32) + ks).reshape(-1, len(ps))
-    # sum_j c_j = a_k + M, so the front log-gamma is one per shell and term;
-    # each log Gamma(c_j) is looked up in a table over the range of alpha_j
-    degs = np.arange(lo, comps.hi)[:, None]
-    fronts = log_gamma_array(((ks + 1.0) / ps).sum(axis=1) + max(ones, 1) + degs)
-    lg = np.repeat(fronts, comps.sizes, axis=0).ravel()
-    for col, pj in zip(alpha.T, ps):
-        first = int(col.min())
-        lg -= log_gamma_array(np.arange(first + 1.0, col.max() + 2.0) / pj)[col - first]
-    sizes = comps.sizes * len(ks)
-    block = _Block(alpha, np.cumsum(sizes) - sizes, sizes, comps.hi)
-    for arr in (*block[:3], lg):
-        arr.setflags(write=False)
+def _ellipsoid_block(ps: tuple[float, ...], ones: int, lo: int, top: int):
+    """A block of ellipsoid shells from degree lo, with rows alpha, and the
+    log-coefficients of nu^alpha, log Gamma(sum_j c_j + max(ones, 1)) -
+    sum_j log Gamma(c_j) with c_j = (alpha_j + 1)/p_j. A first variable with
+    p_1 = 1 stands for the sum of `ones` unit-exponent coordinates: their
+    monomials of degree q fold into (sum nu_j)^q, whose c is q + 1 and whose
+    coordinates add ones - 1 to the Gamma argument."""
+    block = _shell_block(len(ps), lo, top)
+    # c_j and log Gamma(c_j) are looked up in tables over alpha_j = 0..hi-1
+    exps = np.arange(1.0, block.hi + 1.0)
+    front = np.full(len(block.comps), float(max(ones, 1)))
+    lg_c = np.zeros(len(block.comps))
+    for col, pj in zip(block.comps.T, ps):
+        c = exps / pj
+        front += c.take(col)
+        lg_c += log_gamma_array(c).take(col)
+    lg = log_gamma_array(front) - lg_c
+    lg.setflags(write=False)
     return block, lg
 
 
 def kernel_series_ellipsoid_nu(nu, exponents,
                                policy: TruncationPolicy = KERNEL_POLICY) -> KernelValue:
     """Monomial series kernel of the complex ellipsoid {sum |z_j|^(2 p_j) < 1}
-    for positive integer exponents p_j,
+    for positive exponents p_j,
 
         K = (prod_j p_j / pi^n) sum_alpha Gamma(1 + sum_j c_j) / prod_j Gamma(c_j) nu^alpha,
 
-    with c_j = (alpha_j + 1)/p_j, each term being nu^alpha / ||z^alpha||^2.
-    Writing alpha_j = k_j + p_j m_j with 0 <= k_j < p_j, shell M holds the
-    alpha with |m| = M: the degree-M terms of the residue/Appell form
-    sum_k C_k nu^k F_A(a_k; 1, ..., 1; c_k; nu^p), regrouped as monomials.
+    with c_j = (alpha_j + 1)/p_j, each term being nu^alpha / ||z^alpha||^2,
+    summed by total degree |alpha|. A pair dominated by coordinate j needs
+    about p_j total degrees per degree of its residue form, alpha_j =
+    k_j + p_j m_j, so the policy's degree cap is scaled by max(1, max_j p_j).
     The coordinates with p_j = 1 enter only through their sum, which is
     summed as one variable (see _ellipsoid_block)."""
-    ps = _integer_exponents(exponents)
+    ps = DomainSpec.ellipsoid(exponents).exponents
     n = len(ps)
     nu = _nu(nu, n, "ellipsoid kernel")
-    if sum(abs(v**pj) for v, pj in zip(nu, ps)) >= 1.0:
+    if sum(abs(v) ** pj for v, pj in zip(nu, ps)) >= 1.0:
         raise RegionError("ellipsoid kernel requires sum |nu_j|^(p_j) < 1")
 
     ones = ps.count(1)
     unit = [sum(v for v, pj in zip(nu, ps) if pj == 1)] if ones else []
     xs = unit + [v for v, pj in zip(nu, ps) if pj != 1]
-    folded = ((1,) if ones else ()) + tuple(pj for pj in ps if pj != 1)
+    folded = ((1.0,) if ones else ()) + tuple(pj for pj in ps if pj != 1)
     # blocks of 4+ variables grow fast with degree; only cache up to 3, as
     # hypergeo does for compositions
     blocks = _ellipsoid_block if len(folded) <= 3 else _ellipsoid_block.__wrapped__
-    sv = _monomial_series(xs, partial(blocks, folded, ones), policy,
-                          "ellipsoid kernel series", max(folded))
+    cap = math.ceil(policy.max_total_degree * max(1.0, *ps))
+    sv = _monomial_series(xs, partial(blocks, folded, ones),
+                          replace(policy, max_total_degree=cap), "ellipsoid kernel series")
     pref = math.prod(ps) / math.pi**n
     return KernelValue(pref * sv.value, "series", pref * sv.tail_estimate)
 

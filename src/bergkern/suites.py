@@ -33,9 +33,9 @@ from .hypergeo import (SeriesBatch, TruncationPolicy, _alternate_recurrence_rhs,
                        _decomposition_series, appell_fa, closed_2f1_family,
                        closed_2f1_recurrence, doubled_index_multisum, fa_equal_params_closed,
                        gauss_2f1, gauss_2f1_batch, recurrence_coefficients)
-from .kernels import (OperatorWeights, _integer_exponents, _kernel_closed_d2_alternate,
-                      kernel_closed_d1_nu, kernel_closed_d2_nu, kernel_series_d1_nu,
-                      kernel_series_d2_nu, kernel_series_ellipsoid_nu, potential_closed_d1)
+from .kernels import (OperatorWeights, _kernel_closed_d2_alternate, kernel_closed_d1_nu,
+                      kernel_closed_d2_nu, kernel_series_d1_nu, kernel_series_d2_nu,
+                      kernel_series_ellipsoid_nu, potential_closed_d1)
 from .norms import norm_closed, norm_quadrature
 from .numerics import DualComplex
 from .report import VerificationReport, make_row
@@ -259,10 +259,9 @@ def run_norm_suite(domain: str = "d2", max_index: int | None = None,
 def _kernel_routes(domain: str, p, lam, exponents, policy: TruncationPolicy):
     """(spec, closed, series) of a domain, each route mapping a nu vector to
     a KernelValue; closed is None where the domain has no closed form.
-    DomainSpec.of checks the parameters, and the ellipsoid kernel also needs
-    integer exponents. Exponents are read for an ellipsoid only, so
-    run_kernel_suite's default (1, 1) does not stop a d1 or d2 suite. The
-    kernel functions are looked up when a route is called."""
+    DomainSpec.of checks the parameters. Exponents are read for an
+    ellipsoid only, so run_kernel_suite's default (1, 1) does not stop a d1
+    or d2 suite. The kernel functions are looked up when a route is called."""
     spec = DomainSpec.of(domain, p, lam, exponents if domain == "ellipsoid" else None)
     if domain == "d2":
         return (spec, lambda nu: kernel_closed_d2_nu(nu),
@@ -270,8 +269,7 @@ def _kernel_routes(domain: str, p, lam, exponents, policy: TruncationPolicy):
     if domain == "d1":
         return (spec, lambda nu: kernel_closed_d1_nu(nu, p, lam),
                 lambda nu: kernel_series_d1_nu(nu, p, lam, policy))
-    exps = _integer_exponents(spec.exponents)
-    return spec, None, lambda nu: kernel_series_ellipsoid_nu(nu, exps, policy)
+    return spec, None, lambda nu: kernel_series_ellipsoid_nu(nu, spec.exponents, policy)
 
 
 def _unit_ball_kernel(nu) -> complex:
@@ -298,7 +296,8 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
     spec, closed, series = _kernel_routes(domain, p, lam, exponents, policy)
     rep = VerificationReport("kernels", {
         "domain": domain, "p": p, "lam": lam,
-        "exponents": [int(e) for e in spec.exponents] or None,
+        # an integer exponent as an int, so (2, 3) reads [2, 3]
+        "exponents": [int(e) if e.is_integer() else e for e in spec.exponents] or None,
         "points": points, "seed": seed, "margin": margin, "tol": tol,
         "tail_tol": tail_tol, "max_degree": max_degree,
     })

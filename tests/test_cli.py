@@ -167,6 +167,19 @@ def test_verify_report_determinism(tmp_path, capsys):
     assert strip(paths[0].read_text()) == strip(paths[1].read_text())
 
 
+@pytest.mark.parametrize("given, recorded", [
+    ("1.5,2", [1.5, 2]), ("2,3", [2, 3]), ("0.5,1", [0.5, 1])], ids=["1.5-2", "2-3", "0.5-1"])
+def test_verify_kernels_report_records_the_exponents_as_given(tmp_path, capsys, given, recorded):
+    # a real exponent is written as given, an integer one as an int
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "kernels", "--domain", "ellipsoid", "--p", given,
+                         "--points", "3", "--seed", "42", "--tol", "1e-8", "--out", str(path))
+    assert code == 0
+    text = path.read_text()
+    assert json.loads(text)["parameters"]["exponents"] == recorded
+    assert f'"exponents": {json.dumps(recorded)}' in text
+
+
 def test_verify_csv_format(tmp_path, capsys):
     out_path = tmp_path / "report.csv"
     code, _, _ = run_cli(capsys, "verify", "norms", "--domain", "d2",
@@ -210,7 +223,7 @@ def test_verify_empty_count_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "kernels", "--domain", "ellipsoid", "--p", "2.5,3", "--points", "2"),
+    ("verify", "kernels", "--domain", "ellipsoid", "--p", "0,3", "--points", "2"),
     ("verify", "kernels", "--domain", "ellipsoid", "--p", "inf,1", "--points", "2"),
     ("eval", "--domain", "ellipsoid", "--p", "inf,1", "--nu", "0.1,0.1", "--method", "series"),
     ("verify", "norms", "--domain", "d1", "--p", "2", "--max-index", "0"),
@@ -230,11 +243,14 @@ def test_verify_empty_count_is_usage_error(capsys, argv):
      "--method", "series"),
     ("verify", "norms", "--domain", "d1", "--p", "2", "--lambda", "inf", "--max-index", "0"),
     ("verify", "kernels", "--domain", "d1", "--p", "inf", "--lambda", "2", "--points", "1"),
-], ids=["kernels-ellipsoid-fractional", "kernels-ellipsoid-inf", "eval-ellipsoid-inf",
+    ("verify", "kernels", "--domain", "ellipsoid", "--p", "nan,1", "--points", "2"),
+    ("verify", "kernels", "--domain", "ellipsoid", "--p", "-2,1", "--points", "2"),
+], ids=["kernels-ellipsoid-zero", "kernels-ellipsoid-inf", "eval-ellipsoid-inf",
         "norms-d1-p-only", "norms-d1-lambda-only", "norms-d2-p", "norms-d2-lambda",
         "kernels-d2-p-lambda", "kernels-ellipsoid-lambda", "eval-d2-p-lambda",
         "eval-ellipsoid-lambda", "norm-d2-p", "norm-d1-p-inf", "eval-d1-lambda-inf",
-        "norms-d1-lambda-inf", "kernels-d1-p-inf"])
+        "norms-d1-lambda-inf", "kernels-d1-p-inf", "kernels-ellipsoid-nan",
+        "kernels-ellipsoid-negative"])
 def test_parameters_not_used_as_given_are_usage_errors(capsys, argv):
     # A parameter that would be truncated, overflow or be ignored must stop
     # the run instead of producing a report for other parameters.

@@ -163,12 +163,24 @@ def test_gauss_2f1_batch_matches_the_scalar_bit_for_bit():
 def test_gauss_2f1_batch_raises_the_scalar_errors():
     # the first bad element's error, as the scalar call raises it
     for case in ((1.0, 1.0, -2.0, 0.5), (1.0, 1.0, 2.0, 1.0), (1.0, 1.0, 2.0, 0.6 + 0.8j),
-                 (1.0, 1.0, 1e-20, 0.5)):  # (1e-20 + 1) - 1 divides by zero
+                 (1.0, 1.0, 1e-20, 0.5)):  # (1e-20 + 1) - 1 rounds to a pole
         with pytest.raises(Exception) as scalar:
             gauss_2f1(*case)
         batch_args = [np.array([0.5, v, v]) for v in case[:3]] + [np.array([0.1, case[3], 0.99j])]
         with pytest.raises(scalar.type, match=re.escape(str(scalar.value))):
             hypergeo.gauss_2f1_batch(*batch_args)
+
+
+@pytest.mark.parametrize("c, deg", ((1e-20, 1), (-1.0 + 2.0**-53, 2)), ids=["1e-20", "-1+2^-53"])
+def test_gauss_2f1_lower_parameter_rounding_to_a_pole_is_a_pole_error(c, deg):
+    # c + deg - 1 rounds to 0.0, so the degree-deg term would divide by zero:
+    # the scalar and the batch raise the same PoleError, not ZeroDivisionError
+    assert c + deg - 1 == 0.0 and c != round(c)
+    with pytest.raises(PoleError, match=f"rounds to a pole, .* at degree {deg}$") as scalar:
+        gauss_2f1(1.0, 1.0, c, 0.5)
+    with pytest.raises(PoleError) as batch:
+        hypergeo.gauss_2f1_batch(1.0, 1.0, np.array([0.5, c, 2.0]), 0.5)
+    assert str(batch.value) == str(scalar.value)
 
 
 def test_appell_fa_at_zero_and_collapse_to_2f1():
@@ -501,6 +513,23 @@ def test_block_size_does_not_change_series(monkeypatch):
     for name, got in results.items():
         assert got[-1][0] is None, name  # the capped d1 series still raises
         assert got == default, name
+    # the rows-1 setting reaches the d1 blocks: each holds one shell
+    spans = []
+    gather = kernels._shell_gather
+
+    def recorded_gather(seqs, block, *rest):
+        spans.append(len(block.sizes))
+        return gather(seqs, block, *rest)
+
+    try:
+        monkeypatch.setattr(hypergeo, "_BLOCK_ROWS", 1)
+        monkeypatch.setattr(kernels, "_shell_gather", recorded_gather)
+        _clear_block_caches()
+        kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0)
+    finally:
+        monkeypatch.undo()
+        _clear_block_caches()
+    assert len(spans) == default[-2][1][0] and set(spans) == {1}
 
 
 def test_row_ceiling_bounds_each_series_by_its_variables():
@@ -551,11 +580,10 @@ def test_d1_series_stops_at_the_row_ceiling(monkeypatch):
 
 
 def test_ellipsoid_rows_count_against_the_row_ceiling(monkeypatch):
-    # Each composition of a (2,2,2) ellipsoid shell stands for 8 residue
-    # terms. Under a ceiling of C(23, 3) = 1771 rows the series stops at
-    # degree 9, the last whose 8 C(12, 3) = 1760 rows fit, and its cached
-    # blocks hold exactly those rows; its compositions are not cached as well.
-    # A 4-variable ellipsoid (16 terms, degree 4) caches no block.
+    # Under a ceiling of C(23, 3) = 1771 rows a (2,2,2) ellipsoid, a series
+    # of 3 variables, stops at degree 20, and its cached blocks hold exactly
+    # the rows through degree 20. A 4-variable ellipsoid, which stops at
+    # degree 11, caches no block.
     gathered = []
     gather = kernels._shell_gather
 
@@ -568,17 +596,18 @@ def test_ellipsoid_rows_count_against_the_row_ceiling(monkeypatch):
     monkeypatch.setattr(hypergeo, "_BLOCK_ROWS", 64)  # several blocks
     monkeypatch.setattr(kernels, "_shell_gather", recorded)
     try:
-        with pytest.raises(ConvergenceError, match="past degree 9, .* at 8 rows per"):
+        with pytest.raises(ConvergenceError, match="3 variables would reach past degree 20"):
             kernel_series_ellipsoid_nu((0.55, 0.55j, -0.55), (2, 2, 2))
-        assert sum(gathered) == 8 * math.comb(12, 3)
+        assert sum(gathered) == math.comb(23, 3)
         held = kernels._ellipsoid_block.cache_info().currsize
         assert held == len(gathered) > 1
+        assert hypergeo._block_cached.cache_info().currsize == held
         gathered.clear()
-        with pytest.raises(ConvergenceError, match="past degree 4, .* at 16 rows per"):
+        with pytest.raises(ConvergenceError, match="4 variables would reach past degree 11"):
             kernel_series_ellipsoid_nu((0.45, 0.45j, -0.45, 0.45), (2, 2, 2, 2))
-        assert sum(gathered) == 16 * math.comb(8, 4)
+        assert sum(gathered) == math.comb(15, 4)
         assert kernels._ellipsoid_block.cache_info().currsize == held
-        assert hypergeo._block_cached.cache_info().currsize == 0
+        assert hypergeo._block_cached.cache_info().currsize == held
     finally:
         monkeypatch.undo()
         _clear_block_caches()

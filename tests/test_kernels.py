@@ -103,22 +103,23 @@ def ellipsoid_log_norm(alpha, ps):
     return len(ps) * math.log(math.pi) - math.log(math.prod(ps)) - terms[0] + sum(terms[1:]), terms
 
 
-@pytest.mark.parametrize("ps", ((2, 3), (1, 2), (3, 3), (2, 2, 2), (1, 1, 1), (1, 2, 1)), ids=str)
+@pytest.mark.parametrize("ps", ((2, 3), (1, 2), (3, 3), (2, 2, 2), (1, 1, 1), (1, 2, 1),
+                                (1.5, 2.5), (0.5, 1 / 3)), ids=str)
 def test_ellipsoid_coefficient_is_reciprocal_norm(ps):
     # The unit-exponent coordinates fold into one variable t = sum nu_j, the
     # first one: the t^q coefficient times the multinomial q!/prod alpha_j!
     # is the coefficient of nu^alpha, which is prod p_j / pi^n over the norm.
-    # A row of degree M has sum_j floor(alpha_j / p_j) = M. The tolerance
-    # scales with the log-gamma terms, as for d1 deep in its table.
+    # Each row is looked up in the one-shell block of its total degree. The
+    # tolerance scales with the log-gamma terms, as for d1 deep in its table.
     eps = np.finfo(float).eps
     ones = ps.count(1)
     folded = ((1,) if ones else ()) + tuple(p for p in ps if p != 1)
     rng = random.Random(20)
     for _ in range(100):
-        alpha = tuple(rng.randrange(0, 40 * p) for p in ps)
+        alpha = tuple(rng.randrange(0, math.ceil(40 * p)) for p in ps)
         unit = [a for a, p in zip(alpha, ps) if p == 1]
         row = ((sum(unit),) if ones else ()) + tuple(a for a, p in zip(alpha, ps) if p != 1)
-        deg = sum(a // p for a, p in zip(row, folded))
+        deg = sum(row)
         block, log_coef = kernels._ellipsoid_block(folded, ones, deg, deg + 1)
         [i] = np.flatnonzero((block.comps == row).all(axis=1))
         log_multinomial = math.lgamma(sum(unit) + 1) - sum(math.lgamma(a + 1) for a in unit)
@@ -229,7 +230,10 @@ def test_d1_routes_refuse_the_same_tiny_p():
                 route(nu, p, 2.0)
     with pytest.raises(RegionError):
         kernel_series_d1_nu(nu, 1.0, 2.0 / 1024.0)  # 4 + 1024: lam alone can overflow
-    for p, lam in ((0.0, 2.0), (1.0, 0.0), (-1.0, 2.0), (math.nan, 2.0)):
+    # an infinite p or lam, which DomainSpec.d1 refuses, too: the series
+    # would read inf+nanj or a finite value with no closed one to match
+    for p, lam in ((0.0, 2.0), (1.0, 0.0), (-1.0, 2.0), (math.nan, 2.0), (math.inf, 2.0),
+                   (1.0, math.inf)):
         for route in routes:
             with pytest.raises(ValueError):
                 route(nu, p, lam)
@@ -569,7 +573,7 @@ def test_ellipsoid_fused_series_raises_where_per_term_route_does():
                    per_term_ellipsoid(nu, ps, TruncationPolicy(400, 1e-13))) <= 1e-8
 
 
-@pytest.mark.parametrize("p", (1, 2, 3, 5))
+@pytest.mark.parametrize("p", (1, 2, 3, 5, 1 / 3, 0.5, 1.5, 2.5))
 def test_one_variable_ellipsoid_is_the_unit_disc(p):
     # {|z|^(2p) < 1} is the unit disc for every p, whose kernel is
     # 1 / (pi (1 - nu)^2): a second route for the n = 1 series.
@@ -580,17 +584,48 @@ def test_one_variable_ellipsoid_is_the_unit_disc(p):
         assert rel(got, 1.0 / (math.pi * (1.0 - nu) ** 2)) <= 1e-9, nu
 
 
+def pushed_forward_ball_kernel(nu, ms):
+    """The kernel of the ellipsoid with p_j = 1/m_j, onto which
+    z -> (z_1^m_1, ..., z_n^m_n) maps the unit ball properly, by Bell's
+    transformation rule: n!/(pi^n prod_j m_j^2) times the sum over the
+    prod_j m_j choices of s_j, an m_j-th root of nu_j, of
+    (1 - sum_j s_j)^-(n+1) / prod_j s_j^(m_j - 1)."""
+    n = len(nu)
+    roots = [[cmath.exp((cmath.log(v) + 2j * math.pi * k) / m) for k in range(m)]
+             for v, m in zip(nu, ms)]
+    total = sum((1 - sum(s)) ** -(n + 1) / math.prod(sj ** (m - 1) for sj, m in zip(s, ms))
+                for s in itertools.product(*roots))
+    return math.factorial(n) / (math.pi**n * math.prod(m * m for m in ms)) * total
+
+
+@pytest.mark.parametrize("ms", ((2,), (2, 3), (1, 2), (3, 3)), ids=str)
+def test_ellipsoid_with_exponents_one_over_m_is_the_ball_pushed_forward(ms):
+    # Zinov'ev's family p_j = 1/m_j, whose exponents are below 1 where
+    # m_j > 1: a second route for a real-exponent series. The push-forward
+    # cancels as nu -> 0, so |nu_j| stays in [0.01, 0.1].
+    ps = tuple(1 / m for m in ms)
+    policy = TruncationPolicy(1000, 1e-13)
+    rng = random.Random(47)
+    for _ in range(10):
+        nu = tuple(cmath.rect(rng.uniform(0.01, 0.1), rng.uniform(-math.pi, math.pi))
+                   for _ in ms)
+        got = kernel_series_ellipsoid_nu(nu, ps, policy).value
+        assert rel(got, pushed_forward_ball_kernel(nu, ms)) <= 1e-10, nu
+
+
 # Eval-sweep pairs drawn at margin 0.05 that need more than 400 shells, as
 # (kind, exponents, nu, shells, tolerance against the second route). Each
-# raised ConvergenceError under the old 400-degree kernel cap. The (1,1,1)
+# raised ConvergenceError under the old 400-degree kernel cap. The (2,3)
+# pairs, dominated by their p = 3 coordinate, need about three total-degree
+# shells per degree of the residue form. The (1,1,1)
 # pair, with sum |nu_j| = 0.921, also lay past degree 400, the row ceiling of
 # a 3-variable series, until its unit exponents folded into the one variable
 # nu_1 + nu_2 + nu_3; it meets eval-sweep's ball tolerance, 1e-8.
 _DEEP_PAIRS = (
     ("ellipsoid", (2, 3), (-0.5321547851560606 + 0.8037486119534577j,
-                           -0.00030964591737559736 - 0.0003186037432633094j), 452, 1e-9),
+                           -0.00030964591737559736 - 0.0003186037432633094j), 903, 1e-9),
     ("ellipsoid", (2, 3), (-0.33447329383824753 + 0.9126467795052713j,
-                           -0.01948607291120191 - 0.011691675823579235j), 586, 1e-9),
+                           -0.01948607291120191 - 0.011691675823579235j), 1172, 1e-9),
     ("d2", None, (-0.9400857478785917 + 0.04255156648095135j,
                   0.001422652323509741 - 7.32004722757807e-05j,
                   -0.09207575330298531 + 0.003951345021016267j), 612, 1e-10),
@@ -608,6 +643,10 @@ _DEEP_PAIRS = (
 @pytest.mark.parametrize("kind, ps, nu, shells, tol", _DEEP_PAIRS,
                          ids=[f"{kind}{ps or ''}-{shells}" for kind, ps, _, shells, _ in _DEEP_PAIRS])
 def test_kernel_cap_reaches_deep_near_boundary_pairs(monkeypatch, kind, ps, nu, shells, tol):
+    # An ellipsoid scales the policy's cap by max(1, max_j p_j), so a pair
+    # that needs `shells` shells, the last of degree shells - 1, converges
+    # under the smallest cap whose scaled degree reaches that, and raises
+    # under the cap one below it.
     used = []
     sum_shells = kernels._sum_shells
 
@@ -617,19 +656,21 @@ def test_kernel_cap_reaches_deep_near_boundary_pairs(monkeypatch, kind, ps, nu, 
         return sv
 
     monkeypatch.setattr(kernels, "_sum_shells", recorded)
-    old_cap = TruncationPolicy(400, kernels.KERNEL_POLICY.tail_tol)
+    scale = max(ps) if kind == "ellipsoid" else 1
+    enough = math.ceil((shells - 1) / scale)
     if kind == "d2":
-        got = kernel_series_d2_nu(nu).value
+        series = kernel_series_d2_nu
         ref = kernel_closed_d2_nu(nu).value
-        with pytest.raises(ConvergenceError):
-            kernel_series_d2_nu(nu, old_cap)
     else:
-        got = kernel_series_ellipsoid_nu(nu, ps).value
+        series = partial(kernel_series_ellipsoid_nu, exponents=ps)
         ref = ball_kernel(nu) if set(ps) == {1} \
             else per_term_ellipsoid(nu, ps, TruncationPolicy(1000, 1e-13))
-        with pytest.raises(ConvergenceError):
-            kernel_series_ellipsoid_nu(nu, ps, old_cap)
-    assert used[0] == shells
+    got = series(nu).value
+    assert used == [shells]
+    tail_tol = kernels.KERNEL_POLICY.tail_tol
+    assert repr(series(nu, policy=TruncationPolicy(enough, tail_tol)).value) == repr(got)
+    with pytest.raises(ConvergenceError):
+        series(nu, policy=TruncationPolicy(enough - 1, tail_tol))
     assert rel(got, ref) <= tol
 
 
@@ -714,10 +755,12 @@ def test_kernel_suites_evaluate_each_value_once(monkeypatch):
         assert counts == expected, kwargs
 
 
-def test_ellipsoid_rejects_non_integer_exponents():
-    for exps in ((1.5, 1.0), (math.inf, 1.0), (math.nan, 1.0), (0, 1), (-2, 1)):
+def test_ellipsoid_rejects_non_finite_or_non_positive_exponents():
+    # the rule of DomainSpec.ellipsoid; a real exponent such as 1.5 is valid
+    for exps in ((math.inf, 1.0), (math.nan, 1.0), (0, 1), (-2, 1), ()):
         with pytest.raises(ValueError):
-            kernel_series_ellipsoid_nu((0.1, 0.1), exps)
+            kernel_series_ellipsoid_nu((0.1, 0.1)[:len(exps)], exps)
+    assert math.isfinite(abs(kernel_series_ellipsoid_nu((0.1, 0.1), (1.5, 1.0)).value))
     with pytest.raises(RegionError):
         kernel_series_ellipsoid_nu((0.8, 0.3), (1, 1))
 
