@@ -26,25 +26,18 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _complex_vector(text: str) -> tuple[complex, ...]:
-    try:
-        return tuple(complex(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad complex vector {text!r}: {exc}")
+def _vector(convert, kind: str):
+    """An argparse type: comma-separated values, each read by convert."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(part) for part in text.split(","))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {kind} vector {text!r}: {exc}")
+    return parse
 
 
-def _float_vector(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float vector {text!r}: {exc}")
-
-
-def _int_vector(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer vector {text!r}: {exc}")
+_complex_vector = _vector(complex, "complex")
+_float_vector = _vector(float, "float")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     nm = sub.add_parser("norm", help="closed-form monomial norm, optionally vs oracle")
     nm.add_argument("--domain", required=True, choices=("d1", "d2"))
-    nm.add_argument("--alpha", required=True, type=_int_vector)
+    nm.add_argument("--alpha", required=True, type=_vector(int, "integer"))
     nm.add_argument("--p", type=_float_vector)
     nm.add_argument("--lambda", dest="lam", type=float)
     nm.add_argument("--oracle", action="store_true",

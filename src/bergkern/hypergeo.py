@@ -6,11 +6,13 @@ total degree). Shell terms are combined in log-magnitude/phase form so that
 rising factorials like (a)_{2M} and factorial denominators never overflow or
 underflow individually near the edge of the convergence region. Shells are
 gathered in vectorised blocks of consecutive degrees, at most 32 degrees and
-about 4096 terms each; the stop rule still applies shell by shell, in order.
-A series builds its log/phase tables in one vectorised pass, on demand: the
+about 4096 terms each; the stop rule still applies shell by shell, in order,
+and is the only code that knows the degree cap: a block is keyed by its first
+degree alone, and the rule drops it unfinished at the stop or at the cap. A
+series builds its log/phase tables in one vectorised pass, on demand: the
 first block sizes them, and a later block that needs more rebuilds them at
-double length, so a series that stops early never builds the tables of the
-degree cap.
+double length, with no cap, so a series that stops early never builds the
+tables of a deep series.
 
 gauss_2f1 sums its terms one by one in Python complex arithmetic, which is
 cheapest for one series. gauss_2f1_batch sums many at once, one numpy pass
@@ -18,11 +20,13 @@ per degree over every series still running, and repeats that arithmetic on
 real and imaginary float arrays, so each of its values equals the scalar
 call's bit for bit; the identity suite takes each family's 2F1s from one
 batch. fa_decomposition_rhs and that suite share _decomposition_series,
-which takes the inner 2F1 of each shell from a callable.
+which gathers its shells in blocks like every other series but takes the
+inner 2F1 of each shell from a callable, lazily, as the stop rule reaches it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,16 +71,16 @@ class SeriesValue:
 
 
 def _sum_shells(block_fn, policy: TruncationPolicy, what: str) -> SeriesValue:
-    """Apply the stop rule shell by shell to the shells that block_fn(lo, top)
+    """Apply the stop rule shell by shell to the shells that block_fn(lo)
     returns in blocks, each an iterable of the values of degrees lo, lo+1,
-    ... (at least one, none at or past top). An iterable may run all the way
-    to top; it is dropped unfinished once the rule stops."""
+    ... (at least one; it may run on without end). Only this rule knows the
+    degree cap: it drops an iterable unfinished at the stop or once it has
+    summed the shell of degree max_total_degree, so it asks for none past."""
     total = 0j
     run = 0
     deg = 0
-    top = policy.max_total_degree + 1
-    while deg < top:
-        for shell in block_fn(deg, top):
+    while True:
+        for shell in block_fn(deg):
             total += shell
             mag = abs(shell)
             deg += 1
@@ -86,9 +90,10 @@ def _sum_shells(block_fn, policy: TruncationPolicy, what: str) -> SeriesValue:
                     return SeriesValue(complex(total), float(mag), deg)
             else:
                 run = 0
-    raise ConvergenceError(
-        f"{what}: policy exhausted at total degree {policy.max_total_degree} "
-        "before shells shrank below tail_tol")
+            if deg > policy.max_total_degree:
+                raise ConvergenceError(
+                    f"{what}: policy exhausted at total degree {policy.max_total_degree} "
+                    "before shells shrank below tail_tol")
 
 
 def _check_lower_param(c: float, what: str) -> None:
@@ -96,15 +101,12 @@ def _check_lower_param(c: float, what: str) -> None:
         raise PoleError(f"{what}: lower parameter {c} is a non-positive integer")
 
 
-class _LogSeq:
+class _LogSeq(NamedTuple):
     """Complex sequences stored as log-magnitude plus unit phase, one
     sequence per row; the last axis runs over the index."""
 
-    __slots__ = ("logmag", "phase")
-
-    def __init__(self, logmag: np.ndarray, phase: np.ndarray):
-        self.logmag = logmag
-        self.phase = phase
+    logmag: np.ndarray
+    phase: np.ndarray
 
 
 def _ratio_logseq(ratio_fn, length: int) -> _LogSeq:
@@ -123,12 +125,12 @@ def _ratio_logseq(ratio_fn, length: int) -> _LogSeq:
     return _LogSeq(logmag, phase)
 
 
-def _tables_on_demand(build, arg, cap: int):
+def _tables_on_demand(build, arg):
     """tables(hi): the tables build(arg, length) with length >= hi. The
     first request builds them to hi; a later one past their end rebuilds
-    them at double length (or hi, if longer), capped at cap. Every table
-    row is a sequential cumulative product or an elementwise power, so a
-    longer build repeats the shorter one's entries exactly."""
+    them at double length, or at hi if that is longer. Every table row is a
+    sequential cumulative product or an elementwise power, so a longer
+    build repeats the shorter one's entries exactly."""
     held = None
 
     def tables(hi: int) -> _LogSeq:
@@ -136,7 +138,7 @@ def _tables_on_demand(build, arg, cap: int):
         if held is None:
             held = build(arg, hi)
         elif held.logmag.shape[-1] < hi:
-            held = build(arg, min(cap, max(hi, 2 * held.logmag.shape[-1])))
+            held = build(arg, max(hi, 2 * held.logmag.shape[-1]))
         return held
 
     return tables
@@ -180,10 +182,11 @@ def _compositions(nvars: int, degrees: np.ndarray) -> np.ndarray:
     return np.column_stack((first_col, _compositions(nvars - 1, rests)))
 
 
-def _build_block(nvars: int, lo: int, top: int) -> _Block:
-    """Shells lo, lo+1, ... below top: at most _BLOCK_DEGREES of them, as
-    many as fit in _BLOCK_ROWS rows, and at least one."""
-    sizes = _shell_sizes(nvars, np.arange(lo, min(top, lo + _BLOCK_DEGREES), dtype=np.int64))
+def _build_block(nvars: int, lo: int) -> _Block:
+    """Shells lo, lo+1, ... up to the row ceiling: at most _BLOCK_DEGREES
+    of them, as many as fit in _BLOCK_ROWS rows, and at least one."""
+    end = min(lo + _BLOCK_DEGREES, _last_degree(nvars, _MAX_SERIES_ROWS) + 1)
+    sizes = _shell_sizes(nvars, np.arange(lo, end, dtype=np.int64))
     keep = max(1, int(np.searchsorted(np.cumsum(sizes), _BLOCK_ROWS, side="right")))
     sizes = sizes[:keep]
     comps = _compositions(nvars, np.arange(lo, lo + keep, dtype=np.int32))
@@ -218,27 +221,28 @@ def _last_degree(nvars: int, max_rows: int) -> int:
 # series up to the row ceiling, 135 for a d2 series up to the 1000-degree
 # kernel cap, 573 for a 2-variable series up to degree 2000 (the (1,2)
 # ellipsoid's scaled cap). A 2-variable series to degree 3000, the (2,3)
-# ellipsoid's, takes 1549 and so evicts its own first blocks.
+# ellipsoid's, takes 1549 and so evicts its own first blocks. A block is
+# keyed by its first degree, not by the cap, so one entry serves every cap.
 _block_cached = lru_cache(maxsize=1024)(_build_block)
 
+# Blocks of more variables than this grow fast with degree and are not cached.
+_CACHED_VARS = 3
 
-def _shell_block(nvars: int, lo: int, top: int) -> _Block:
-    """_build_block, ending at the row ceiling; ConvergenceError once lo lies
-    past it."""
+
+def _shell_block(nvars: int, lo: int) -> _Block:
+    """_build_block, cached up to _CACHED_VARS variables; ConvergenceError
+    once lo lies past the row ceiling."""
     last = _last_degree(nvars, _MAX_SERIES_ROWS)
     if lo > last:
         raise ConvergenceError(
             f"a series of {nvars} variables would reach past degree {last}, "
             f"the ceiling of {_MAX_SERIES_ROWS} rows")
-    # blocks of 4+ variables grow fast with degree; only cache up to 3
-    return (_block_cached if nvars <= 3 else _build_block)(nvars, lo, min(top, last + 1))
+    return (_block_cached if nvars <= _CACHED_VARS else _build_block)(nvars, lo)
 
 
-def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag,
-                  shell_phase=1.0) -> list[complex]:
+def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag) -> np.ndarray:
     """Per-shell sums of exp(row_logmag) * prod_i seq_i[comps[:, i]] over
-    the block's rows, seq_i being row i of seqs, times shell_phase (one
-    value, or one per shell)."""
+    the block's rows, seq_i being row i of seqs."""
     comps = block.comps
     logmag, phase = seqs.logmag, seqs.phase
     # take, not fancy indexing: it is faster with the int32 rows
@@ -248,26 +252,28 @@ def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag,
         logs += logmag[i].take(comps[:, i])
         phases *= phase[i].take(comps[:, i])
     phases *= np.exp(logs)
-    return (np.add.reduceat(phases, block.starts) * shell_phase).tolist()
+    return np.add.reduceat(phases, block.starts)
 
 
-def _front_shells(seqs: _LogSeq, block: _Block, scale: complex = 1.0) -> list[complex]:
-    """Shells of scale * front[M] * prod_i seq_i[m_i] over m_1+...+m_n = M,
-    where front is the last row of seqs and seq_i its row i."""
-    lo = block.hi - len(block.sizes)
-    return _shell_gather(seqs, block, np.repeat(seqs.logmag[-1, lo:block.hi], block.sizes),
-                         seqs.phase[-1, lo:block.hi] * scale)
+def _front_product(lo: int, sums: np.ndarray, phase: np.ndarray) -> list[complex]:
+    return (sums * phase).tolist()
 
 
-def _front_series(nvars: int, ratios, policy: TruncationPolicy, what: str) -> SeriesValue:
-    """Sum of the _front_shells of nvars variables, the sequences being
-    built from ratios by _ratio_logseq: one row per variable, then the
-    front."""
-    tables = _tables_on_demand(_ratio_logseq, ratios, policy.max_total_degree + 1)
+def _front_series(nvars: int, ratios, policy: TruncationPolicy, what: str,
+                  finish=_front_product) -> SeriesValue:
+    """Sum of the shells front[M] * prod_i seq_i[m_i] over m_1+...+m_n = M,
+    the sequences being built from ratios by _ratio_logseq: one row per
+    variable, then the front. A block's shells are finish(lo, sums, phase),
+    from its per-shell sums of |front[M]| * prod_i seq_i[m_i] and the phases
+    of front[M]."""
+    tables = _tables_on_demand(_ratio_logseq, ratios)
 
-    def shells(lo, top):
-        block = _shell_block(nvars, lo, top)
-        return _front_shells(tables(block.hi), block)
+    def shells(lo):
+        block = _shell_block(nvars, lo)
+        seqs = tables(block.hi)
+        front = slice(lo, block.hi)
+        sums = _shell_gather(seqs, block, np.repeat(seqs.logmag[-1, front], block.sizes))
+        return finish(lo, sums, seqs.phase[-1, front])
 
     return _sum_shells(shells, policy, what)
 
@@ -291,11 +297,11 @@ def gauss_2f1(a: float, b: float, c: float, z: complex,
     z = complex(z)
     _check_gauss_args(c, z)
 
-    def terms(lo, top):
+    def terms(lo):
         # one block from degree lo = 0: every term, each from the one before
         term = 1.0 + 0j
         yield term
-        for deg in range(1, top):
+        for deg in itertools.count(1):
             try:
                 term = term * ((a + deg - 1) * (b + deg - 1)) / ((c + deg - 1) * deg) * z
             except ZeroDivisionError:
@@ -450,7 +456,7 @@ def _decomposition_series(a: float, b1: float, c1: float, y, policy: TruncationP
                           inner) -> SeriesValue:
     """fa_decomposition_rhs, with inner(M) giving the shell-M factor
     2F1(a+M, b1+M; c1+M; y_1). inner is called for each shell summed, in
-    order, and for no shell past the stop."""
+    order, and for no shell past the stop or the degree cap."""
     y = tuple(complex(v) for v in y)
     r = len(y)
     if r < 2:
@@ -465,23 +471,18 @@ def _decomposition_series(a: float, b1: float, c1: float, y, policy: TruncationP
     base = principal_pow(1.0 - srest, -a)
     scale = 1.0 / (1.0 - srest)
 
+    def finish(lo, sums, phase):
+        for k in range(len(sums)):
+            # The inner 2F1 of a shell past the stop need not converge, so
+            # each is evaluated only as its shell is yielded. The products are
+            # numpy's, on length-1 slices: Python's complex product rounds
+            # differently.
+            yield (sums[k:k + 1] * (phase[k:k + 1] * (inner(lo + k) * base))).item()
+
     ys = np.array(rest)[:, None]
-    tables = _tables_on_demand(  # y_i^m / m!, front (a)_M (b1)_M (y1 scale)^M / (c1)_M
-        _ratio_logseq,
-        lambda m: np.vstack((ys / (m + 1), (a + m) * (b1 + m) / (c1 + m) * y1 * scale)),
-        policy.max_total_degree + 1)
-
-    def shell(deg, top):
-        # One shell per block: the inner 2F1 of a shell past the stop degree
-        # need not converge, so none is evaluated ahead. The tables are asked
-        # for the _BLOCK_DEGREES-aligned span around deg, so they are not
-        # rebuilt shell by shell.
-        factor = inner(deg) * base
-        span_end = deg - deg % _BLOCK_DEGREES + _BLOCK_DEGREES
-        return _front_shells(tables(min(top, span_end)),
-                             _shell_block(r - 1, deg, deg + 1), factor)
-
-    return _sum_shells(shell, policy, "fa_decomposition_rhs")
+    return _front_series(  # y_i^m / m!, front (a)_M (b1)_M (y1 scale)^M / (c1)_M
+        r - 1, lambda m: np.vstack((ys / (m + 1), (a + m) * (b1 + m) / (c1 + m) * y1 * scale)),
+        policy, "fa_decomposition_rhs", finish)
 
 
 # --- closed 2F1 family -------------------------------------------------------

@@ -32,8 +32,8 @@ import numpy as np
 
 from .domains import DomainSpec, PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
-from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _LogSeq, _shell_block,
-                       _shell_gather, _sum_shells, _tables_on_demand)
+from .hypergeo import (_CACHED_VARS, DEFAULT_POLICY, SeriesValue, TruncationPolicy, _LogSeq,
+                       _shell_block, _shell_gather, _sum_shells, _tables_on_demand)
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
@@ -214,13 +214,13 @@ def _powers_logseq(xs, length: int) -> _LogSeq:
 
 def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str) -> SeriesValue:
     """Sum of exp(log_coef) * prod_i xs[i]^comps[:, i] over the rows of every
-    shell, where block_table(lo, top) returns (block, log_coef) for a block
-    of shells from degree lo and one log-coefficient per row."""
-    tables = _tables_on_demand(_powers_logseq, xs, policy.max_total_degree + 1)
+    shell, where block_table(lo) returns (block, log_coef) for a block of
+    shells from degree lo and one log-coefficient per row."""
+    tables = _tables_on_demand(_powers_logseq, xs)
 
-    def shells(lo, top):
-        block, log_coef = block_table(lo, top)
-        return _shell_gather(tables(block.hi), block, log_coef)
+    def shells(lo):
+        block, log_coef = block_table(lo)
+        return _shell_gather(tables(block.hi), block, log_coef).tolist()
 
     return _sum_shells(shells, policy, what)
 
@@ -233,17 +233,18 @@ def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str) -> Se
 # series that raises at the cap evicts blocks of its own set, and its
 # deepest pinned pair (1172 shells) stops within 190. So the bound keeps
 # whole parameter sets while capping the blocks held when many sets are
-# evaluated in one process.
+# evaluated in one process. A block is keyed by its first degree, not by the
+# degree cap, so one entry serves every cap.
 _SHELL_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_SHELL_CACHE_SIZE)
-def _d1_block(p: float, lam: float, with_operator_factor: bool, lo: int, top: int):
+def _d1_block(p: float, lam: float, with_operator_factor: bool, lo: int):
     """A block of d1 shells from degree lo, with rows (q, a3, a4), and the
     log-coefficients of (nu1+nu2)^q nu3^a3 nu4^a4. The nu1^a1 nu2^a2 terms
     with a1 + a2 = q share the factor (q+1)!/(a1! a2!), so by the binomial
     theorem they fold into (q+1) (nu1+nu2)^q."""
-    block = _shell_block(3, lo, top)
+    block = _shell_block(3, lo)
     q, a3, a4 = block.comps.T.astype(float)
     s = (q + 2.0) / p + a3 + (a4 + 1.0) / lam + 1.0
     log_fact = log_gamma_array(np.arange(1.0, block.hi + 1.0))  # log(a3!) for a3 < hi
@@ -256,12 +257,12 @@ def _d1_block(p: float, lam: float, with_operator_factor: bool, lo: int, top: in
 
 
 @lru_cache(maxsize=_SHELL_CACHE_SIZE)
-def _d2_block(lo: int, top: int):
+def _d2_block(lo: int):
     """A block of shells of the reindexed d2 Laurent series from degree lo,
     with rows (r, a3), and the log-coefficients of
     (nu1 + nu2/nu1)^r (nu3/nu1)^a3: the nu1^k (nu2/nu1)^a2 terms with
     k + a2 = r fold by the binomial theorem, as for d1."""
-    block = _shell_block(2, lo, top)
+    block = _shell_block(2, lo)
     r, a3 = block.comps.T.astype(float)
     lg = np.log(a3 + 1.0) + np.log(r + a3 + 3.0) + np.log(r + 1.0)
     lg.setflags(write=False)
@@ -315,14 +316,14 @@ def kernel_series_d2(pair: PointPair, policy: TruncationPolicy = KERNEL_POLICY) 
 
 
 @lru_cache(maxsize=_SHELL_CACHE_SIZE)
-def _ellipsoid_block(ps: tuple[float, ...], ones: int, lo: int, top: int):
+def _ellipsoid_block(ps: tuple[float, ...], ones: int, lo: int):
     """A block of ellipsoid shells from degree lo, with rows alpha, and the
     log-coefficients of nu^alpha, log Gamma(sum_j c_j + max(ones, 1)) -
     sum_j log Gamma(c_j) with c_j = (alpha_j + 1)/p_j. A first variable with
     p_1 = 1 stands for the sum of `ones` unit-exponent coordinates: their
     monomials of degree q fold into (sum nu_j)^q, whose c is q + 1 and whose
     coordinates add ones - 1 to the Gamma argument."""
-    block = _shell_block(len(ps), lo, top)
+    block = _shell_block(len(ps), lo)
     # c_j and log Gamma(c_j) are looked up in tables over alpha_j = 0..hi-1
     exps = np.arange(1.0, block.hi + 1.0)
     front = np.full(len(block.comps), float(max(ones, 1)))
@@ -359,9 +360,8 @@ def kernel_series_ellipsoid_nu(nu, exponents,
     unit = [sum(v for v, pj in zip(nu, ps) if pj == 1)] if ones else []
     xs = unit + [v for v, pj in zip(nu, ps) if pj != 1]
     folded = ((1.0,) if ones else ()) + tuple(pj for pj in ps if pj != 1)
-    # blocks of 4+ variables grow fast with degree; only cache up to 3, as
-    # hypergeo does for compositions
-    blocks = _ellipsoid_block if len(folded) <= 3 else _ellipsoid_block.__wrapped__
+    # cached as hypergeo caches the compositions
+    blocks = _ellipsoid_block if len(folded) <= _CACHED_VARS else _ellipsoid_block.__wrapped__
     cap = math.ceil(policy.max_total_degree * max(1.0, *ps))
     sv = _monomial_series(xs, partial(blocks, folded, ones),
                           replace(policy, max_total_degree=cap), "ellipsoid kernel series")

@@ -87,7 +87,7 @@ def closure_2f1(a, b, c, z, policy=hypergeo.DEFAULT_POLICY):
     z = complex(z)
     term = 1.0 + 0j
 
-    def shell(deg, top):
+    def shell(deg):
         nonlocal term
         if deg > 0:
             term = term * ((a + deg - 1) * (b + deg - 1)) / ((c + deg - 1) * deg) * z
@@ -405,6 +405,43 @@ def test_decomposition_evaluates_no_inner_series_past_its_stop():
         assert len(calls) == sv.shells_used
 
 
+def test_decomposition_asks_for_no_inner_series_past_its_cap():
+    # At a cap of 5 this series is still far from its stop: it sums and
+    # raises at degree 5, and inner is called for degrees 0-5 only, although
+    # the block it gathers runs further.
+    calls = []
+
+    def inner(deg):
+        calls.append(deg)
+        return 1.0
+
+    with pytest.raises(ConvergenceError,
+                       match="^fa_decomposition_rhs: policy exhausted at total degree 5 "):
+        hypergeo._decomposition_series(1.2, 0.7, 1.4, (0.9, 0.05),
+                                       TruncationPolicy(5, 1e-13), inner)
+    assert calls == [0, 1, 2, 3, 4, 5]
+
+
+def test_table_builders_take_the_length_last(monkeypatch):
+    # Builders are called as build(arg, length), the length the last
+    # positional argument, as the benchmark's tracer reads it.
+    calls = []
+    for module, name in ((hypergeo, "_ratio_logseq"), (kernels, "_powers_logseq")):
+        build = getattr(module, name)
+
+        def spy(*args, build=build, **kwargs):
+            calls.append((args, kwargs))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    appell_fa(1.5, (0.7, 1.3), (1.1, 0.6), (0.3, -0.2j))
+    fa_decomposition_rhs(1.2, 0.7, 1.4, (0.2, 0.3))
+    kernel_series_d2_nu((0.3, 0.05, 0.1j))
+    assert len(calls) >= 3
+    for args, kwargs in calls:
+        assert not kwargs and len(args) == 2 and isinstance(args[-1], int)
+
+
 def test_decomposition_from_the_suite_table_matches_the_public_series():
     # The identity suite reads each shell's inner 2F1 from one batch over
     # degrees 0-31. An entry past the stop may use up the policy unread; a
@@ -454,9 +491,14 @@ def _clear_block_caches():
         cache.cache_clear()
 
 
-def _full_length_tables(build, arg, cap):
-    # every table built to the degree cap up front, as before demand sizing
-    table = build(arg, cap)
+# Past the deepest block a case asks for: the (2,3) ellipsoid's scaled cap of
+# 3000 degrees plus one block.
+_FULL_TABLE_LENGTH = 4000
+
+
+def _full_length_tables(build, arg):
+    # every table built to one fixed length up front, as before demand sizing
+    table = build(arg, _FULL_TABLE_LENGTH)
     return lambda hi: table
 
 
@@ -540,11 +582,11 @@ def test_row_ceiling_bounds_each_series_by_its_variables():
         last = hypergeo._last_degree(nvars, ceiling)
         assert math.comb(last + nvars, nvars) <= ceiling < math.comb(last + 1 + nvars, nvars)
     # a 3-variable block ends at degree 400; one past it raises
-    assert hypergeo._shell_block(3, 400, 1001).hi == 401
+    assert hypergeo._shell_block(3, 400).hi == 401
     with pytest.raises(ConvergenceError, match="past degree 400"):
-        hypergeo._shell_block(3, 401, 1001)
+        hypergeo._shell_block(3, 401)
     # 2 variables reach far beyond the 1000-degree kernel cap
-    block = hypergeo._shell_block(2, 900, 1001)
+    block = hypergeo._shell_block(2, 900)
     assert block.hi > 900 and block.sizes[0] == 901
 
 
@@ -653,19 +695,36 @@ def test_stacked_ratio_logseq_rows_match_one_sequence_builds():
     assert repr(with_zero.value) == repr(without.value)
 
 
-def test_tables_on_demand_cover_each_request_and_stop_at_the_cap():
+def test_tables_on_demand_cover_each_request_and_stop_at_the_cap(monkeypatch):
     # First build to the first request; then at double length, or at the
-    # request if that is longer, never past the cap.
+    # request if that is longer: each build is at most max(hi, 2 * previous).
     built = []
 
     def build(ratio_fn, length):
         built.append(length)
         return hypergeo._ratio_logseq(ratio_fn, length)
 
-    tables = hypergeo._tables_on_demand(build, lambda m: np.vstack((m + 1.0, m - 2.0)), 100)
+    tables = hypergeo._tables_on_demand(build, lambda m: np.vstack((m + 1.0, m - 2.0)))
     for hi in (5, 3, 6, 10, 30, 61, 100):
+        n = len(built)
         assert tables(hi).logmag.shape == (2, built[-1]) and built[-1] >= hi
-    assert built == [5, 10, 30, 61, 100]
+        if len(built) > n > 0:
+            assert built[-1] <= max(hi, 2 * built[-2])
+    assert built == [5, 10, 30, 61, 122]
+    # With no cap of their own, the tables of a series that uses up its cap
+    # stay within twice its last block.
+    lengths = []
+    ratio_logseq = hypergeo._ratio_logseq
+
+    def spy(arg, length):
+        lengths.append(length)
+        return ratio_logseq(arg, length)
+
+    monkeypatch.setattr(hypergeo, "_ratio_logseq", spy)
+    cap = 100
+    with pytest.raises(ConvergenceError, match=f"exhausted at total degree {cap} "):
+        doubled_index_multisum(1.0, 1.0, (0.124, 0.124), TruncationPolicy(cap, 1e-13))
+    assert lengths and max(lengths) < 2 * (cap + 1 + hypergeo._BLOCK_DEGREES)
 
 
 def test_series_tables_are_sized_by_the_shells_summed(monkeypatch):

@@ -34,10 +34,9 @@ def rel(x, y):
 # --- coefficient identities ---------------------------------------------------
 
 def shell_log_coef(table, row):
-    """Log-coefficient of one exponent row in the one-shell block table of
+    """Log-coefficient of one exponent row in the block table that starts at
     its degree."""
-    deg = sum(row)
-    block, log_coef = table(deg, deg + 1)
+    block, log_coef = table(sum(row))
     return log_coef[np.flatnonzero((block.comps == row).all(axis=1))[0]]
 
 
@@ -50,7 +49,7 @@ def test_d1_coefficient_is_reciprocal_norm():
         p = rng.choice((0.5, 1.0, 2.0, 2.5))
         lam = rng.choice((1.0, 2.0, 3.0))
         q = a1 + a2
-        lc = shell_log_coef(lambda lo, top: kernels._d1_block(p, lam, True, lo, top), (q, a3, a4))
+        lc = shell_log_coef(partial(kernels._d1_block, p, lam, True), (q, a3, a4))
         coeff = math.exp(lc) * (p / math.pi**4) * math.comb(q, a1)
         assert rel(coeff, 1.0 / norm_d1(alpha, p, lam)) < 1e-12
 
@@ -58,7 +57,7 @@ def test_d1_coefficient_is_reciprocal_norm():
 def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
     # Degrees 100-400 lie past the first block: from degree 90 on, every shell
     # is a block of its own, so each degree below is a separate cold table, as
-    # the engine requests it (top = 401). The tolerance scales with the size of
+    # the engine requests it. The tolerance scales with the size of
     # the log-gamma terms, which reach 1e4 here, so dropping one of the leading
     # Stirling terms still fails.
     eps = np.finfo(float).eps
@@ -66,7 +65,7 @@ def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
     for p in (0.5, 2.5):
         for lam in (1.0, 3.0):
             for deg in rng.sample(range(100, 401), 4):
-                block, log_coef = kernels._d1_block(p, lam, True, deg, 401)
+                block, log_coef = kernels._d1_block(p, lam, True, deg)
                 assert block.hi == deg + 1
                 for _ in range(4):
                     i = rng.randrange(len(log_coef))
@@ -109,7 +108,7 @@ def test_ellipsoid_coefficient_is_reciprocal_norm(ps):
     # The unit-exponent coordinates fold into one variable t = sum nu_j, the
     # first one: the t^q coefficient times the multinomial q!/prod alpha_j!
     # is the coefficient of nu^alpha, which is prod p_j / pi^n over the norm.
-    # Each row is looked up in the one-shell block of its total degree. The
+    # Each row is looked up in the block that starts at its total degree. The
     # tolerance scales with the log-gamma terms, as for d1 deep in its table.
     eps = np.finfo(float).eps
     ones = ps.count(1)
@@ -119,8 +118,7 @@ def test_ellipsoid_coefficient_is_reciprocal_norm(ps):
         alpha = tuple(rng.randrange(0, math.ceil(40 * p)) for p in ps)
         unit = [a for a, p in zip(alpha, ps) if p == 1]
         row = ((sum(unit),) if ones else ()) + tuple(a for a, p in zip(alpha, ps) if p != 1)
-        deg = sum(row)
-        block, log_coef = kernels._ellipsoid_block(folded, ones, deg, deg + 1)
+        block, log_coef = kernels._ellipsoid_block(folded, ones, sum(row))
         [i] = np.flatnonzero((block.comps == row).all(axis=1))
         log_multinomial = math.lgamma(sum(unit) + 1) - sum(math.lgamma(a + 1) for a in unit)
         log_norm, terms = ellipsoid_log_norm(alpha, ps)
@@ -377,12 +375,12 @@ def test_shell_table_cache_is_bounded():
     for i in range(size + 1):
         kernel_series_d1_nu((0j,) * 4, 1.0 + i / size, 2.0)
     assert cache.cache_info().currsize <= size
-    # ellipsoid blocks are keyed by the degree cap too
+    # ellipsoid blocks are keyed by the exponents, not by the degree cap
     cache = kernels._ellipsoid_block
     size = cache.cache_info().maxsize
     for i in range(size + 1):
-        kernel_series_ellipsoid_nu((0j, 0j), (2, 3), TruncationPolicy(10 + i, 1e-10))
-    assert cache.cache_info().currsize <= size
+        kernel_series_ellipsoid_nu((0j, 0j), (2, 3 + i / size))
+    assert cache.cache_info().currsize == size
 
 
 # --- d2 kernel routes ----------------------------------------------------------
