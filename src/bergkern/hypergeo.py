@@ -487,11 +487,11 @@ def _decomposition_series(a: float, b1: float, c1: float, y, policy: TruncationP
 
 # --- closed 2F1 family -------------------------------------------------------
 #
-# All five variants share the substitution w = sqrt(1-z); the reductions below
-# use (w - 1) = -z / (1 + w) exactly, which cancels every z denominator and
-# makes each form finite and stable through z = 0.
+# The closed forms and rejected displays share the substitution w = sqrt(1-z);
+# the reductions use (w - 1) = -z / (1 + w) exactly, which cancels every z
+# denominator and makes each form finite and stable through z = 0.
 
-_VARIANTS = ("i", "ii", "iii", "iv", "v")
+_VARIANTS = ("i", "ii", "iii")
 
 
 def _branch_parts(z: complex):
@@ -508,19 +508,17 @@ def closed_2f1_family(variant: str, a: float, z: complex) -> complex:
       "i"   F((a+1)/2, (a+2)/2; a;   z)
       "ii"  F((a+3)/2, (a+4)/2; a+2; z)
       "iii" F((a+3)/2, (a+4)/2; a+3; z)
-      "iv"  F((a+3)/2, (a+4)/2; a;   z)   (two-term display)
-      "v"   F((a+2)/2, (a+3)/2; a;   z)   (two-term display)
 
-    Variants "iv" and "v" evaluate their long two-term displays verbatim;
-    the series cross-check rejects both displays (tracked as informational
-    rows in the identity report), so production callers should use
-    closed_2f1_recurrence for those two.
+    "iv" F((a+3)/2, (a+4)/2; a; z) and "v" F((a+2)/2, (a+3)/2; a; z) are
+    evaluated by closed_2f1_recurrence; their printed two-term displays fail
+    the series cross-check and live only in the private _closed_2f1_display.
     """
     if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {_VARIANTS}")
+        raise ValueError(f"unknown variant {variant!r}, expected one of {_VARIANTS} "
+                         "(closed_2f1_recurrence evaluates 'iv' and 'v')")
     # each variant needs its lower 2F1 parameter positive ("ii"/"iii" stay
     # valid at shifted a, which the "v" recurrence relies on)
-    lower_shift = {"i": 0.0, "ii": 2.0, "iii": 3.0, "iv": 0.0, "v": 0.0}[variant]
+    lower_shift = {"i": 0.0, "ii": 2.0, "iii": 3.0}[variant]
     if not a + lower_shift > 0.0:
         raise ValueError(f"closed_2f1_family({variant!r}) requires a > {-lower_shift}, got {a}")
     z = complex(z)
@@ -532,8 +530,13 @@ def closed_2f1_family(variant: str, a: float, z: complex) -> complex:
     if variant == "ii":
         return 2.0**(a + 1) * ((a + 1) - a / onepw) \
             / ((a + 2) * cuberoot * principal_pow(onepw, a))
-    if variant == "iii":
-        return 2.0**(a + 2) / (w * principal_pow(onepw, a + 2))
+    return 2.0**(a + 2) / (w * principal_pow(onepw, a + 2))
+
+
+def _closed_2f1_display(variant: str, a: float, z: complex) -> complex:
+    # Rejected two-term displays of "iv" and "v", for report adjudication only.
+    z = complex(z)
+    w, onepw, cuberoot = _branch_parts(z)
     if variant == "iv":
         num2 = (-a - 1 + (a - 0.5) * z) * ((a - 2.5) * z - a) \
             - ((1 - a) / 2) * ((2 - a) / 2) * z
@@ -556,8 +559,9 @@ def recurrence_coefficients(a: float, z: complex) -> tuple[complex, complex]:
         F((a+3)/2,(a+4)/2; a; z) = C2*F(...; a+2; z) + C3*F(...; a+3; z),
 
     obtained by eliminating the c = a+1 member from the Gauss three-term
-    relations in the lower parameter.
+    relations in the lower parameter; PoleError at a non-positive integer a.
     """
+    _check_lower_param(a, "recurrence_coefficients")
     zm1 = z - 1.0
     p = (a - (a - 2.5) * z) * ((a + 1) - (a - 0.5) * z)
     q = (a - 1) * (a - 2) / 4.0
@@ -577,7 +581,8 @@ def _alternate_recurrence_rhs(a: float, z: complex, f2: complex, f3: complex) ->
 def closed_2f1_recurrence(variant: str, a: float, z: complex) -> complex:
     """Validated closed evaluation of variants "iv" and "v", built from the
     "ii"/"iii" closed forms through contiguous relations in the lower
-    parameter."""
+    parameter; PoleError at a non-positive integer a."""
+    _check_lower_param(a, "closed_2f1_recurrence")
     z = complex(z)
     if variant == "iv":
         c2, c3 = recurrence_coefficients(a, z)

@@ -19,6 +19,10 @@ shells at once by numerics.log_gamma_array.
 The removable singularity of the closed d1 potential at nu3 = 0 is eliminated
 algebraically: with w = sqrt(1 - 4*nu3), (1 - w)/(4*nu3) = 1/(1 + w) exactly,
 so no factor is ever divided by nu3.
+
+The rejected d2 numerator and d1 operator weights live only in the private
+_kernel_closed_d2_alternate and _kernel_closed_d1_alternate, for the kernel
+report's informational rows; no public function evaluates them.
 """
 
 from __future__ import annotations
@@ -52,31 +56,6 @@ class KernelValue:
     value: complex
     method: str  # "closed" | "series"
     tail_estimate: float | None = None
-
-
-@dataclass(frozen=True)
-class OperatorWeights:
-    """Per-coordinate weights c_j and prefactor of the first-order operator
-    K = prefactor * sum_j c_j * d/dnu_j (nu_j * potential)."""
-
-    weights: tuple[float, float, float, float]
-    prefactor: float
-
-    def __post_init__(self):
-        if any(not w > 0 for w in self.weights) or not self.prefactor > 0:
-            raise ValueError("operator weights and prefactor must be positive")
-
-    @classmethod
-    def for_d1(cls, p: float, lam: float) -> "OperatorWeights":
-        """Validated weights (1/p, 1/p, 1, 2/lam): the unique choice whose
-        multiplier sum matches the series-coefficient ratio."""
-        return cls((1.0 / p, 1.0 / p, 1.0, 2.0 / lam), p / math.pi**4)
-
-    @classmethod
-    def alternate_d1(cls, p: float, lam: float) -> "OperatorWeights":
-        """Rejected weight set (2/p, 2/p, 1, 2/lam); fails the series
-        cross-check and is retained only for report adjudication."""
-        return cls((2.0 / p, 2.0 / p, 1.0, 2.0 / lam), p / math.pi**4)
 
 
 def _nu(nu, n: int, what: str) -> tuple[complex, ...]:
@@ -146,26 +125,30 @@ def potential_closed_d1(nu, p: float, lam: float):
                        + 4.0 * (mu4 * ratio) / (lam * (d4sq * d4) * d12sq))
 
 
-def kernel_closed_d1_nu(nu, p: float, lam: float,
-                        weights: OperatorWeights | None = None) -> KernelValue:
-    """Closed d1 kernel at a Hermitian-product vector. The operator
-    sum_j c_j d/dnu_j (nu_j g) equals (sum_j c_j) g + D_v g, where D_v g is
-    the derivative of the potential g along v_j = c_j nu_j, taken exactly in
-    one dual-number evaluation."""
+def _d1_operator(nu, p: float, lam: float, pair_weight: float) -> complex:
+    """p/pi^4 sum_j c_j d/dnu_j (nu_j g) for the closed d1 potential g, with
+    weights c = (pair_weight/p, pair_weight/p, 1, 2/lam). The operator equals
+    (sum_j c_j) g + D_v g, where D_v g is the derivative of g along
+    v_j = c_j nu_j, taken exactly in one dual-number evaluation."""
     nu = _nu(nu, 4, "d1 kernel")
     # before the weights, which divide by p and lam
     _d1_scale_exponent(p, lam, "closed d1 kernel")
-    if weights is None:
-        weights = OperatorWeights.for_d1(p, lam)
-    seeded = tuple(DualComplex(v, c * v) for v, c in zip(nu, weights.weights))
+    weights = (pair_weight / p, pair_weight / p, 1.0, 2.0 / lam)
+    seeded = tuple(DualComplex(v, c * v) for v, c in zip(nu, weights))
     g = potential_closed_d1(seeded, p, lam)
-    acc = sum(weights.weights) * g.val + g.der
-    return KernelValue(weights.prefactor * acc, "closed")
+    return p / math.pi**4 * (sum(weights) * g.val + g.der)
 
 
-def kernel_closed_d1(pair: PointPair, p: float, lam: float,
-                     weights: OperatorWeights | None = None) -> KernelValue:
-    return kernel_closed_d1_nu(pair.nu, p, lam, weights)
+def kernel_closed_d1_nu(nu, p: float, lam: float) -> KernelValue:
+    """Closed d1 kernel at a Hermitian-product vector: the operator
+    p/pi^4 sum_j c_j d/dnu_j (nu_j g) on the closed potential g, with weights
+    (1/p, 1/p, 1, 2/lam), the unique choice whose multiplier sum matches the
+    series-coefficient ratio."""
+    return KernelValue(_d1_operator(nu, p, lam, 1.0), "closed")
+
+
+def kernel_closed_d1(pair: PointPair, p: float, lam: float) -> KernelValue:
+    return kernel_closed_d1_nu(pair.nu, p, lam)
 
 
 def kernel_closed_d2_nu(nu) -> KernelValue:
@@ -196,6 +179,12 @@ def _kernel_closed_d2_alternate(nu) -> complex:
     n1, n2, n3 = (complex(v) for v in nu)
     num = 2.0 * n1**4 - (n1**2 * n3 + n1**3) * (n1**2 + n2)
     return num / (math.pi**3 * (n1 - n3)**3 * (n1 - n1 * n1 - n2)**3)
+
+
+def _kernel_closed_d1_alternate(nu, p: float, lam: float) -> complex:
+    # Rejected weight set (2/p, 2/p, 1, 2/lam), retained for report
+    # adjudication only.
+    return _d1_operator(nu, p, lam, 2.0)
 
 
 # --- series route ------------------------------------------------------------

@@ -119,14 +119,19 @@ def adaptive_gauss(f, lo: float, hi: float, tol: float = QUAD_TOL,
 def _theta_moment(sin_exp: float, cos_exp: float) -> float:
     """integral over (0, pi/2) of sin^sin_exp * cos^cos_exp by quadrature.
     Callers pass float exponents: an int and its equal float share one cache
-    entry, so the value must not depend on which of them came first."""
+    entry, so the value must not depend on which of them came first.
+    The integrand is positive, so a zero integral means it underflowed at
+    every node: QuadratureError."""
     if sin_exp < 0 or cos_exp < 0:
         raise ValueError("combined trigonometric exponents must be nonnegative")
 
     def f(theta):
         return np.sin(theta)**sin_exp * np.cos(theta)**cos_exp
 
-    return adaptive_gauss(f, 0.0, 0.5 * math.pi)
+    moment = adaptive_gauss(f, 0.0, 0.5 * math.pi)
+    if moment == 0.0:
+        raise QuadratureError(f"sin^{sin_exp:g} cos^{cos_exp:g} underflows at every node")
+    return moment
 
 
 def norm_quadrature(spec: DomainSpec, alpha) -> float:

@@ -30,12 +30,12 @@ import numpy as np
 
 from .domains import DomainSpec, PointPair, diagonal_pair, sample_interior, sample_pairs
 from .hypergeo import (SeriesBatch, TruncationPolicy, _alternate_recurrence_rhs,
-                       _decomposition_series, appell_fa, closed_2f1_family,
+                       _closed_2f1_display, _decomposition_series, appell_fa, closed_2f1_family,
                        closed_2f1_recurrence, doubled_index_multisum, fa_equal_params_closed,
                        gauss_2f1, gauss_2f1_batch, recurrence_coefficients)
-from .kernels import (OperatorWeights, _kernel_closed_d2_alternate, kernel_closed_d1_nu,
-                      kernel_closed_d2_nu, kernel_series_d1_nu, kernel_series_d2_nu,
-                      kernel_series_ellipsoid_nu, potential_closed_d1)
+from .kernels import (_kernel_closed_d1_alternate, _kernel_closed_d2_alternate,
+                      kernel_closed_d1_nu, kernel_closed_d2_nu, kernel_series_d1_nu,
+                      kernel_series_d2_nu, kernel_series_ellipsoid_nu, potential_closed_d1)
 from .norms import norm_closed, norm_quadrature
 from .numerics import DualComplex
 from .report import VerificationReport, make_row
@@ -45,6 +45,8 @@ D2_SPOT_NU = (0.25 + 0j, 0j, 0j)
 _HERMITIAN_TOL = 1e-12
 _POSITIVITY_TOL = 1e-10
 _GRADIENT_CHECKS = 25
+# Tolerance of the recurrence family's rows; the other identity rows take tol.
+_RECURRENCE_TOL = 1e-9
 
 
 def _finish(report: VerificationReport, t0: float) -> VerificationReport:
@@ -100,8 +102,7 @@ def _decomposition_inner(table: SeriesBatch, i: int, a: float, b1: float, c1: fl
 
 
 def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
-                       recurrence_tol: float = 1e-9, tail_tol: float = 1e-13,
-                       max_degree: int = 400) -> VerificationReport:
+                       tail_tol: float = 1e-13, max_degree: int = 400) -> VerificationReport:
     """Hypergeometric identity sweep: multisum collapse, closed 2F1 forms,
     equal-parameter collapse, decomposition formula, and the contiguous
     recurrence family.
@@ -117,7 +118,7 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
     policy = TruncationPolicy(max_total_degree=max_degree, tail_tol=tail_tol)
     rep = VerificationReport("identities", {
         "trials": trials, "seed": seed, "tol": tol,
-        "recurrence_tol": recurrence_tol, "tail_tol": tail_tol,
+        "recurrence_tol": _RECURRENCE_TOL, "tail_tol": tail_tol,
         "max_degree": max_degree,
     })
     rng = random.Random(seed)
@@ -197,24 +198,24 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
         c2, c3 = recurrence_coefficients(a, z)
         rep.rows.append(make_row(f"recurrence-closed-iv/{i:04d}", "identities",
                                  {"a": a, "z": z},
-                                 closed_2f1_recurrence("iv", a, z), s_iv, recurrence_tol))
+                                 closed_2f1_recurrence("iv", a, z), s_iv, _RECURRENCE_TOL))
         rep.rows.append(make_row(f"recurrence-closed-v/{i:04d}", "identities",
                                  {"a": a, "z": z},
-                                 closed_2f1_recurrence("v", a, z), s_v, recurrence_tol))
+                                 closed_2f1_recurrence("v", a, z), s_v, _RECURRENCE_TOL))
         rep.rows.append(make_row(f"recurrence-relation/{i:04d}", "identities",
-                                 {"a": a, "z": z}, s_iv, c2 * f2 + c3 * f3, recurrence_tol))
+                                 {"a": a, "z": z}, s_iv, c2 * f2 + c3 * f3, _RECURRENCE_TOL))
         rep.informational.append(make_row(f"direct-display-iv/{i:04d}", "identities",
                                           {"a": a, "z": z},
-                                          closed_2f1_family("iv", a, z), s_iv,
-                                          recurrence_tol))
+                                          _closed_2f1_display("iv", a, z), s_iv,
+                                          _RECURRENCE_TOL))
         rep.informational.append(make_row(f"direct-display-v/{i:04d}", "identities",
                                           {"a": a, "z": z},
-                                          closed_2f1_family("v", a, z), s_v,
-                                          recurrence_tol))
+                                          _closed_2f1_display("v", a, z), s_v,
+                                          _RECURRENCE_TOL))
         if i < 50:
             rep.informational.append(make_row(
                 f"alternate-relation-coefficients/{i:04d}", "identities", {"a": a, "z": z},
-                s_iv, _alternate_recurrence_rhs(a, z, f2, f3), recurrence_tol))
+                s_iv, _alternate_recurrence_rhs(a, z, f2, f3), _RECURRENCE_TOL))
 
     return _finish(rep, t0)
 
@@ -371,8 +372,7 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
                     worst = (err, partial, fd)
             rep.rows.append(make_row(f"d1/gradient-fd/{i:04d}", "kernels",
                                      {"nu": list(nu)}, worst[1], worst[2], tol))
-        weights = OperatorWeights.alternate_d1(p, lam)
-        alternate, variant = (lambda nu: kernel_closed_d1_nu(nu, p, lam, weights).value,
+        alternate, variant = (lambda nu: _kernel_closed_d1_alternate(nu, p, lam),
                               "alternate-operator-weights")
     for i, pr in enumerate(pairs[:3]):
         rep.informational.append(make_row(f"{domain}/{variant}/{i:04d}", "kernels",

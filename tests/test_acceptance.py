@@ -49,8 +49,7 @@ def test_criterion_1_identity_suite():
 
 def test_criterion_2_recurrence_adjudication():
     t0 = time.perf_counter()
-    rep = run_identity_suite(trials=200, seed=7, tol=1e-10, recurrence_tol=1e-9,
-                             tail_tol=1e-13)
+    rep = run_identity_suite(trials=200, seed=7, tol=1e-10, tail_tol=1e-13)
     derived = _group(rep, "recurrence-closed-iv") + _group(rep, "recurrence-closed-v") \
         + _group(rep, "recurrence-relation")
     ok = all(r.passed for r in derived)

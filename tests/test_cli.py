@@ -135,6 +135,16 @@ def test_norm_commands(capsys):
     assert float(re.search(r"rel_err = (\S+)", out).group(1)) < 1e-8
 
 
+def test_norm_oracle_underflow_is_error_exit_1():
+    # the oracle's theta integral underflows; the CLI reports it, no traceback
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-m", "bergkern.cli", "norm", "--domain", "d2",
+                           "--alpha", "400,400,400", "--oracle"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "error: QuadratureError:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_norm_inadmissible_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "norm", "--domain", "d2", "--alpha", "-9,0,0")
     assert code == 2 and "usage error" in err

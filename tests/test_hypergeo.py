@@ -328,12 +328,30 @@ def test_recurrence_forms_match_series_and_direct_forms_do_not():
         s_v = gauss_2f1((a + 2) / 2, (a + 3) / 2, a, z, TIGHT).value
         assert rel(closed_2f1_recurrence("iv", a, z), s_iv) < 1e-9
         assert rel(closed_2f1_recurrence("v", a, z), s_v) < 1e-9
-    # the two-term displays are retained but rejected: far outside tolerance
+    # the two-term displays are retained, privately, but rejected: far
+    # outside tolerance
     a, z = 2.5, 0.3
     s_iv = gauss_2f1((a + 3) / 2, (a + 4) / 2, a, z, TIGHT).value
     s_v = gauss_2f1((a + 2) / 2, (a + 3) / 2, a, z, TIGHT).value
-    assert rel(closed_2f1_family("iv", a, z), s_iv) > 1e-3
-    assert rel(closed_2f1_family("v", a, z), s_v) > 1e-3
+    assert rel(hypergeo._closed_2f1_display("iv", a, z), s_iv) > 1e-3
+    assert rel(hypergeo._closed_2f1_display("v", a, z), s_v) > 1e-3
+
+
+def test_closed_recurrence_raises_pole_error_at_a_pole():
+    # a is the lower parameter of both 2F1s; at a non-positive integer the
+    # recurrence and its coefficients raise PoleError, not ZeroDivisionError
+    for a in (0.0, -1.0, -2.0):
+        for variant in ("iv", "v"):
+            with pytest.raises(PoleError):
+                closed_2f1_recurrence(variant, a, 0.3)
+        with pytest.raises(PoleError):
+            recurrence_coefficients(a, 0.3 + 0j)
+    # a valid negative a still matches the series
+    a, z = -0.5, 0.3
+    assert rel(closed_2f1_recurrence("iv", a, z),
+               gauss_2f1((a + 3) / 2, (a + 4) / 2, a, z, TIGHT).value) < 1e-12
+    assert rel(closed_2f1_recurrence("v", a, z),
+               gauss_2f1((a + 2) / 2, (a + 3) / 2, a, z, TIGHT).value) < 1e-12
 
 
 def _recurrence_family(a, z):

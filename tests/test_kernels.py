@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import inspect
 import itertools
 import math
 import os
@@ -14,15 +15,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bergkern import (ConvergenceError, DomainSpec, DualComplex, OperatorWeights, PointPair,
-                      RegionError, SingularityError, TruncationPolicy, diagonal_pair,
+import bergkern
+from bergkern import (ConvergenceError, DomainSpec, DualComplex, PointPair, RegionError,
+                      SingularityError, TruncationPolicy, diagonal_pair,
                       kernel_closed_d1, kernel_closed_d1_nu, kernel_closed_d2,
                       kernel_closed_d2_nu, kernel_series_d1, kernel_series_d1_nu,
                       kernel_series_d2, kernel_series_d2_nu, kernel_series_ellipsoid_nu,
                       norm_d1, norm_d2, potential_closed_d1, potential_series_d1,
                       sample_interior, sample_pairs)
 from bergkern import hypergeo, kernels, suites
-from bergkern.kernels import _kernel_closed_d2_alternate
+from bergkern.kernels import _kernel_closed_d1_alternate, _kernel_closed_d2_alternate
 
 D2_SPOT = 2816.0 / (27.0 * math.pi**3)  # frozen from the Laurent-series oracle
 
@@ -182,19 +184,29 @@ def test_potential_gradient_vs_finite_differences():
             assert rel(slope, fd) < 1e-6
 
 
+def d1_operator_weights(p, lam):
+    # the validated weights (1/p, 1/p, 1, 2/lam) of the public closed route
+    # and the rejected (2/p, 2/p, 1, 2/lam) of _kernel_closed_d1_alternate
+    return {"validated": (1.0 / p, 1.0 / p, 1.0, 2.0 / lam),
+            "rejected": (2.0 / p, 2.0 / p, 1.0, 2.0 / lam)}
+
+
 def test_closed_d1_directional_operator_matches_partials():
-    # sum_j c_j (g + nu_j dg/dnu_j), assembled from four one-slot partials,
-    # equals the single derivative along v_j = c_j nu_j that the kernel takes.
+    # p/pi^4 sum_j c_j (g + nu_j dg/dnu_j), assembled from four one-slot
+    # partials, equals the single derivative along v_j = c_j nu_j that each
+    # closed d1 route takes.
+    assert d1_operator_weights(2.0, 1.0)["validated"] == (0.5, 0.5, 1.0, 2.0)
     for p, lam in ((2.0, 2.0), (0.5, 3.0)):
-        for weights in (OperatorWeights.for_d1(p, lam), OperatorWeights.alternate_d1(p, lam)):
+        routes = {"validated": lambda nu: kernel_closed_d1_nu(nu, p, lam).value,
+                  "rejected": lambda nu: _kernel_closed_d1_alternate(nu, p, lam)}
+        for name, weights in d1_operator_weights(p, lam).items():
             for pr in sample_pairs(DomainSpec.d1(p, lam), 5, 10, 0.2):
                 nu = pr.nu
                 acc = 0j
-                for j, cj in enumerate(weights.weights):
+                for j, cj in enumerate(weights):
                     g = potential_closed_d1(unit_tangent(nu, j), p, lam)
                     acc += cj * (g.val + nu[j] * g.der)
-                got = kernel_closed_d1_nu(nu, p, lam, weights).value
-                assert rel(got, weights.prefactor * acc) < 1e-13
+                assert rel(routes[name](nu), p / math.pi**4 * acc) < 1e-13
 
 
 def test_potential_region_errors():
@@ -265,9 +277,20 @@ def test_kernel_d1_alternate_weights_fail_route_agreement():
     nu = (0.04 + 0.01j, 0.03 + 0j, 0.02 - 0.02j, 0.05 + 0.02j)
     series = kernel_series_d1_nu(nu, 1.0, 2.0)
     good = kernel_closed_d1_nu(nu, 1.0, 2.0)
-    bad = kernel_closed_d1_nu(nu, 1.0, 2.0, weights=OperatorWeights.alternate_d1(1.0, 2.0))
+    bad = _kernel_closed_d1_alternate(nu, 1.0, 2.0)
     assert rel(good.value, series.value) < 1e-10
-    assert rel(bad.value, series.value) > 1e-2
+    assert rel(bad, series.value) > 1e-2
+
+
+def test_no_public_entry_point_evaluates_a_rejected_variant():
+    # the rejected formulas are reached only through the private functions
+    # that feed the informational rows
+    assert not hasattr(bergkern, "OperatorWeights")
+    assert list(inspect.signature(kernel_closed_d1_nu).parameters) == ["nu", "p", "lam"]
+    assert list(inspect.signature(kernel_closed_d1).parameters) == ["pair", "p", "lam"]
+    for variant in ("iv", "v"):
+        with pytest.raises(ValueError, match="closed_2f1_recurrence"):
+            bergkern.closed_2f1_family(variant, 2.5, 0.3)
 
 
 def test_kernel_d1_hermitian_symmetry():
@@ -732,7 +755,8 @@ def test_kernel_suites_evaluate_each_value_once(monkeypatch):
     # alternate weights are further calls.
     counts = collections.Counter()
     for name in ("kernel_closed_d1_nu", "kernel_closed_d2_nu", "kernel_series_d1_nu",
-                 "kernel_series_d2_nu", "kernel_series_ellipsoid_nu"):
+                 "kernel_series_d2_nu", "kernel_series_ellipsoid_nu",
+                 "_kernel_closed_d1_alternate"):
         def counted(*args, fn=getattr(suites, name), name=name, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
@@ -741,7 +765,8 @@ def test_kernel_suites_evaluate_each_value_once(monkeypatch):
         (dict(domain="d2", points=10),
          {"kernel_closed_d2_nu": 10 + 10 + 5 + 40 + 1, "kernel_series_d2_nu": 10 + 1}),
         (dict(domain="d1", p=2.0, lam=2.0, points=10),
-         {"kernel_closed_d1_nu": 10 + 10 + 5 + 40 + 3, "kernel_series_d1_nu": 10}),
+         {"kernel_closed_d1_nu": 10 + 10 + 5 + 40, "kernel_series_d1_nu": 10,
+          "_kernel_closed_d1_alternate": 3}),
         (dict(domain="ellipsoid", exponents=(1, 1), points=30, tol=1e-8),
          {"kernel_series_ellipsoid_nu": 30 + 20 + 15}),
         (dict(domain="ellipsoid", exponents=(2, 3), points=30),
@@ -761,11 +786,3 @@ def test_ellipsoid_rejects_non_finite_or_non_positive_exponents():
     assert math.isfinite(abs(kernel_series_ellipsoid_nu((0.1, 0.1), (1.5, 1.0)).value))
     with pytest.raises(RegionError):
         kernel_series_ellipsoid_nu((0.8, 0.3), (1, 1))
-
-
-def test_operator_weights_validation():
-    with pytest.raises(ValueError):
-        OperatorWeights((0.0, 1.0, 1.0, 1.0), 1.0)
-    w = OperatorWeights.for_d1(2.0, 1.0)
-    assert w.weights == (0.5, 0.5, 1.0, 2.0)
-    assert rel(w.prefactor, 2.0 / math.pi**4) < 1e-15

@@ -8,8 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from bergkern import (DomainSpec, adaptive_gauss, norm_closed, norm_d1, norm_d2,
-                      norm_quadrature, run_norm_suite)
+from bergkern import (DomainSpec, QuadratureError, adaptive_gauss, norm_closed, norm_d1,
+                      norm_d2, norm_quadrature, run_norm_suite)
 from bergkern import norms
 
 D2 = DomainSpec.d2()
@@ -222,3 +222,10 @@ def test_threads_sharing_the_cache_get_the_serial_values():
     for t in threads:
         t.join()
     assert all(list(map(repr, r)) == list(map(repr, serial)) for r in results)
+
+
+def test_quadrature_raises_where_the_theta_integrand_underflows():
+    # the integrand is positive, so a zero integral is an underflow at every
+    # node, never a value to compare with the closed norm
+    with pytest.raises(QuadratureError):
+        norm_quadrature(D2, (400, 400, 400))
