@@ -12,9 +12,12 @@ monomials of a few variables by total degree, shell by shell: d1 in
 (nu1+nu2, nu3, nu4) and d2 in (nu1 + nu2/nu1, nu3/nu1), the binomial theorem
 folding each pair of exponents that enters only through its sum; an
 ellipsoid, for any positive exponents, in its nu_j, with its unit-exponent
-coordinates folded into their sum by the multinomial theorem. The d1 and
-ellipsoid coefficients are gamma ratios, evaluated for a whole block of
-shells at once by numerics.log_gamma_array.
+coordinates folded into their sum by the multinomial theorem. The
+coefficients are evaluated for a whole block of shells at once: an
+ellipsoid's gamma ratios by numerics.log_gamma_array, and the d1 gamma
+ratios by a recurrence along a3, each row its predecessor in the shell
+before plus the log of a rational factor, so the d1 tables need no
+log-gamma.
 
 The removable singularity of the closed d1 potential at nu3 = 0 is eliminated
 algebraically: with w = sqrt(1 - 4*nu3), (1 - w)/(4*nu3) = 1/(1 + w) exactly,
@@ -78,9 +81,9 @@ def _d1_scale_exponent(p: float, lam: float, what: str) -> float:
     2**(4/p + 2/lam). ValueError unless p and lam are finite and > 0, the
     rule of DomainSpec.d1; RegionError from 1024 on, where the factor
     overflows a double. Both d1 routes call this, so they accept the same
-    (p, lam): far past the bound the series would lose its digits silently
-    (0.02 at p = 1e-300, where the kernel is near 1e299), each coefficient
-    being a difference of two log-gammas near 2s log(2s) with s > 2/p."""
+    (p, lam). Far past the bound the series would fail too: each step of its
+    coefficient recurrence (see _d1_block) is a product of three factors
+    near 2/p, which overflows a double once p is below about 1e-102."""
     spec = DomainSpec.d1(p, lam)
     expo = 4.0 / spec.p + 2.0 / spec.lam
     if expo >= 1024.0:
@@ -215,6 +218,9 @@ def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str) -> Se
 
 
 # Block tables are reused across every pair of one parameter set. A d1
+# block is built from the last shell of the block before it (see _d1_block),
+# so building one asks for every block below it; one evicted by then is
+# rebuilt with the same values, so eviction costs time, not digits. A d1
 # series stops at hypergeo's row ceiling (degree 400) and a d2 series at the
 # 1000-degree cap of KERNEL_POLICY, each within 350 blocks, as does (2,2,2),
 # which meets the ceiling. The (1,2) ellipsoid takes 573 blocks to its scaled
@@ -232,17 +238,71 @@ def _d1_block(p: float, lam: float, with_operator_factor: bool, lo: int):
     """A block of d1 shells from degree lo, with rows (q, a3, a4), and the
     log-coefficients of (nu1+nu2)^q nu3^a3 nu4^a4. The nu1^a1 nu2^a2 terms
     with a1 + a2 = q share the factor (q+1)!/(a1! a2!), so by the binomial
-    theorem they fold into (q+1) (nu1+nu2)^q."""
+    theorem they fold into (q+1) (nu1+nu2)^q.
+
+    The coefficient is (q+1)(a4+1) Gamma(2s) / (Gamma(2s-a3-1) a3!), times
+    s + w with the operator factor, where w = (a4+1)/lam and
+    s = (q+2)/p + a3 + w + 1. It is built along a3: a row with a3 = 0 is
+    log[(q+1)(a4+1)(2s-1)(s+w)], and a row with a3 >= 1 is its predecessor
+    (q, a3-1, a4), whose s is s - 1, plus
+    log[(2s-2)(2s-1)(s+w) / ((2s-a3-2) a3 (s-1+w))]. The predecessors of the
+    a3 >= 1 rows of shell d are the rows of shell d - 1, in order, so the
+    shells are built one after another, the first from the block that holds
+    shell lo - 1 (see _d1_shell_before). Each row is thus the same sum of the
+    same logs, whatever the block layout or the order of requests."""
     block = _shell_block(3, lo)
-    q, a3, a4 = block.comps.T.astype(float)
-    s = (q + 2.0) / p + a3 + (a4 + 1.0) / lam + 1.0
-    log_fact = log_gamma_array(np.arange(1.0, block.hi + 1.0))  # log(a3!) for a3 < hi
-    lg = np.log(q + 1.0) + np.log(a4 + 1.0) + log_gamma_array(2.0 * s) \
-        - log_gamma_array(2.0 * s - a3 - 1.0) - log_fact[block.comps[:, 1]]
+    # Full-size arrays are reused in place: s becomes 2s, then 2s - a3 - 2,
+    # and w becomes s + w, then s - 1 + w.
+    q, a4 = block.comps[:, 0], block.comps[:, 2]
+    plus1 = np.arange(1.0, block.hi + 1.0)  # e + 1 for each exponent e < hi
+    w = (plus1 / lam).take(a4)
+    a3 = block.comps[:, 1].astype(float)
+    s = ((plus1 + 1.0) / p).take(q)
+    s += a3
+    s += w
+    s += 1.0
+    heads = np.flatnonzero(a3 == 0.0)  # the rows that start a chain along a3
+    head = (2.0 * s[heads] - 1.0) * plus1.take(q[heads]) * plus1.take(a4[heads])
     if with_operator_factor:
-        lg += np.log(s + (a4 + 1.0) / lam)
+        sw = np.add(s, w, out=w)
+        head *= sw[heads]
+    t = np.multiply(s, 2.0, out=s)
+    num = t - 1.0
+    num *= t - 2.0
+    den = np.subtract(t, a3, out=t)
+    den -= 2.0
+    den *= a3
+    if with_operator_factor:
+        num *= sw
+        sw -= 1.0
+        den *= sw
+    num[heads] = head
+    den[heads] = 1.0
+    num /= den
+    lg = np.log(num, out=num)
+    stepped = a3 > 0.0
+    prev = _d1_shell_before(p, lam, with_operator_factor, lo) if lo else lg[:0]
+    for start, size in zip(block.starts.tolist(), block.sizes.tolist()):
+        shell = lg[start:start + size]
+        shell[stepped[start:start + size]] += prev
+        prev = shell
     lg.setflags(write=False)
     return block, lg
+
+
+def _d1_shell_before(p: float, lam: float, with_operator_factor: bool, lo: int):
+    """The log-coefficients of d1 shell lo - 1, lo >= 1, from the block that
+    holds it in the live block layout: the blocks of _shell_block from
+    degree 0, each starting at the hi of the one before. They are asked for
+    in that order, as the series engine asks for them, so a block missing
+    from the cache is built from the one before it, cached by then."""
+    start = 0
+    while True:
+        block, lg = _d1_block(p, lam, with_operator_factor, start)
+        if block.hi >= lo:
+            first = block.starts[lo - 1 - start]
+            return lg[first:first + block.sizes[lo - 1 - start]]
+        start = block.hi
 
 
 @lru_cache(maxsize=_SHELL_CACHE_SIZE)
@@ -286,8 +346,10 @@ def kernel_series_d1(pair: PointPair, p: float, lam: float,
 
 def kernel_series_d2_nu(nu, policy: TruncationPolicy = KERNEL_POLICY) -> KernelValue:
     """Reindexed Laurent series for the d2 kernel, truncated by total degree
-    in (k, a2, a3) and scaled by 1/(pi^3 nu1^2)."""
-    n1, n2, n3 = _nu(nu, 3, "d2 kernel")
+    in (k, a2, a3) and scaled by 1/(pi^3 nu1^2). SingularityError where the
+    scaled value overflows near the pole at nu1 = 0, as at
+    nu = (1e-160, 0, 0), where the closed route raises too."""
+    n1, n2, n3 = nu = _nu(nu, 3, "d2 kernel")
     if n1 == 0:
         raise ValueError("d2 kernel series requires nu1 != 0")
     x2 = n2 / n1
@@ -296,8 +358,12 @@ def kernel_series_d2_nu(nu, policy: TruncationPolicy = KERNEL_POLICY) -> KernelV
         raise ConvergenceError(
             "d2 series requires |nu3/nu1| < 1 and |nu1| + |nu2/nu1| < 1")
     sv = _monomial_series((n1 + x2, x3), _d2_block, policy, "d2 kernel series")
-    pref = 1.0 / (math.pi**3 * n1 * n1)
-    return KernelValue(pref * sv.value, "series", abs(pref) * sv.tail_estimate)
+    scale = math.pi**3 * n1 * n1  # 0 once nu1^2 underflows
+    pref = 1.0 / scale if scale else math.inf
+    value = pref * sv.value
+    if not cmath.isfinite(value):
+        raise SingularityError(f"d2 kernel series: 1/nu1^2 overflows at nu = {nu}")
+    return KernelValue(value, "series", abs(pref) * sv.tail_estimate)
 
 
 def kernel_series_d2(pair: PointPair, policy: TruncationPolicy = KERNEL_POLICY) -> KernelValue:

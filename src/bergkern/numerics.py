@@ -51,7 +51,9 @@ def log_gamma_array(x: np.ndarray) -> np.ndarray:
     lnGamma(x) = lnGamma(x + 10) - ln(x (x+1) ... (x+9)). Measured against
     mpmath on [1e-3, 1e5], the error is below 50 eps * max(1, |lnGamma(x)|).
     Meant for tables of thousands of entries, where it is several times
-    faster than math.lgamma row by row; for one float use log_gamma."""
+    faster than math.lgamma row by row; for one float use log_gamma. The
+    ellipsoid series builds its coefficient tables with it; the d1 series
+    needs none (see kernels._d1_block)."""
     x = np.asarray(x, dtype=float)
     if not (np.isfinite(x) & (x > 0.0)).all():
         raise ValueError("log_gamma_array requires finite x > 0 in every entry")

@@ -145,6 +145,14 @@ def test_norm_oracle_underflow_is_error_exit_1():
     assert "error: QuadratureError:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_d2_series_at_the_pole_is_error_exit_1(capsys):
+    # 1/nu1^2 overflows; the series route raises as the closed route does
+    code, _, err = run_cli(capsys, "eval", "--domain", "d2", "--nu", "1e-200,0,0",
+                           "--method", "series")
+    assert code == 1
+    assert "error: SingularityError:" in err and "Traceback" not in err
+
+
 def test_norm_inadmissible_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "norm", "--domain", "d2", "--alpha", "-9,0,0")
     assert code == 2 and "usage error" in err

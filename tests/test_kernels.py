@@ -23,7 +23,7 @@ from bergkern import (ConvergenceError, DomainSpec, DualComplex, PointPair, Regi
                       kernel_series_d2, kernel_series_d2_nu, kernel_series_ellipsoid_nu,
                       norm_d1, norm_d2, potential_closed_d1, potential_series_d1,
                       sample_interior, sample_pairs)
-from bergkern import hypergeo, kernels, suites
+from bergkern import hypergeo, kernels, log_gamma_array, suites
 from bergkern.kernels import _kernel_closed_d1_alternate, _kernel_closed_d2_alternate
 
 D2_SPOT = 2816.0 / (27.0 * math.pi**3)  # frozen from the Laurent-series oracle
@@ -58,10 +58,11 @@ def test_d1_coefficient_is_reciprocal_norm():
 
 def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
     # Degrees 100-400 lie past the first block: from degree 90 on, every shell
-    # is a block of its own, so each degree below is a separate cold table, as
-    # the engine requests it. The tolerance scales with the size of
-    # the log-gamma terms, which reach 1e4 here, so dropping one of the leading
-    # Stirling terms still fails.
+    # is a block of its own. Each row is built along a3 from the shells below
+    # it, so the first request of a set builds its table from degree 0, and
+    # the caches are cleared to hold one set's tables at a time. The
+    # tolerance scales with the size of the log-gamma terms, which reach 1e4
+    # here, so a wrong factor in one step still fails.
     eps = np.finfo(float).eps
     rng = random.Random(19)
     for p in (0.5, 2.5):
@@ -80,6 +81,117 @@ def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
                     err = log_coef[i] + math.log(p / math.pi**4 * math.comb(q, a1)) \
                         + math.log(norm_d1(alpha, p, lam))
                     assert abs(err) < tol, (p, lam, alpha, err, tol)
+            kernels._d1_block.cache_clear()
+    hypergeo._block_cached.cache_clear()
+
+
+def d1_engine_rows(p, lam, flag, top):
+    """The log-coefficients of every d1 row through degree top, shell after
+    shell, from the blocks the series engine asks for, in its order."""
+    lo, tables = 0, []
+    while lo <= top:
+        block, log_coef = kernels._d1_block(p, lam, flag, lo)
+        tables.append(log_coef)
+        lo = block.hi
+    return np.concatenate(tables)[:math.comb(top + 3, 3)]
+
+
+def d1_row_start(deg):
+    """The index of the first row of shell deg in d1_engine_rows: the number
+    of rows (q, a3, a4) of lower degree."""
+    return math.comb(deg + 2, 3)
+
+
+# (p, lam, deepest degree checked): the 12 sets of the norm grid, and two
+# small p, at which a difference of two log-gammas cancels
+_D1_ACCURACY_SETS = [(p, lam, 150) for p in (0.5, 1.0, 2.0, 2.5) for lam in (1.0, 2.0, 3.0)] \
+    + [(0.01, 1.0, 300), (0.005, 2.0, 300)]
+
+
+@pytest.mark.parametrize("flag", (True, False), ids=("kernel", "potential"))
+def test_d1_log_coefficients_against_mpmath(flag):
+    # Each row is its predecessor along a3 plus one log, so a deep row sums
+    # hundreds of logs. Against mpmath's loggamma at 40 digits, no set may do
+    # worse than the direct difference log Gamma(2s) - log Gamma(2s-a3-1) by
+    # log_gamma_array at the same rows, which cancels at small p.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(23)
+    for p, lam, top in _D1_ACCURACY_SETS:
+        rows = d1_engine_rows(p, lam, flag, top)
+        kernels._d1_block.cache_clear()
+        picked = []
+        for deg in [top] + rng.sample(range(top), 9):
+            block = hypergeo._shell_block(3, deg)
+            for j in rng.sample(range(block.sizes[0]), min(3, block.sizes[0])):
+                picked.append((block.comps[j], rows[d1_row_start(deg) + j]))
+        q, a3, a4 = np.array([comp for comp, _ in picked], dtype=float).T
+        w = (a4 + 1.0) / lam
+        s = (q + 2.0) / p + a3 + w + 1.0
+        stirling = np.log(q + 1.0) + np.log(a4 + 1.0) + log_gamma_array(2.0 * s) \
+            - log_gamma_array(2.0 * s - a3 - 1.0) - log_gamma_array(a3 + 1.0)
+        if flag:
+            stirling += np.log(s + w)
+        new_err = old_err = 0.0
+        with mpmath.workdps(40):
+            for (comp, got), old in zip(picked, stirling):
+                cq, ca3, ca4 = (int(v) for v in comp)
+                cw = (ca4 + 1) / mpmath.mpf(lam)
+                cs = (cq + 2) / mpmath.mpf(p) + ca3 + cw + 1
+                exact = mpmath.log((cq + 1) * (ca4 + 1)) + mpmath.loggamma(2 * cs) \
+                    - mpmath.loggamma(2 * cs - ca3 - 1) - mpmath.loggamma(ca3 + 1)
+                if flag:
+                    exact += mpmath.log(cs + cw)
+                new_err = max(new_err, float(abs(got - exact)))
+                old_err = max(old_err, float(abs(old - exact)))
+        assert new_err <= old_err, (p, lam, new_err, old_err)
+    hypergeo._block_cached.cache_clear()
+
+
+def test_d1_blocks_do_not_depend_on_layout_or_request_order(monkeypatch):
+    # A block asked for out of order, from a degree where no engine block
+    # starts, after the cache is cleared or under another block layout holds
+    # the rows of the engine's blocks bit for bit: each row is the same sum of
+    # logs, read from the block of the live layout that holds its predecessor.
+    top = 120
+    layouts = ((), (("_BLOCK_ROWS", 1),), (("_BLOCK_DEGREES", 1),),
+               (("_BLOCK_ROWS", 100000), ("_BLOCK_DEGREES", 400)))
+    try:
+        for p, lam, flag in ((0.5, 3.0, True), (2.0, 1.0, False)):
+            kernels._d1_block.cache_clear()
+            ref = d1_engine_rows(p, lam, flag, top)
+            for patches in layouts:
+                with monkeypatch.context() as mp:
+                    for attr, value in patches:
+                        mp.setattr(hypergeo, attr, value)
+                    hypergeo._block_cached.cache_clear()
+                    kernels._d1_block.cache_clear()
+                    for lo in (97, 7, 64, 0, 33, top, 8):
+                        block, log_coef = kernels._d1_block(p, lam, flag, lo)
+                        want = ref[d1_row_start(lo):d1_row_start(min(block.hi, top + 1))]
+                        assert log_coef[:len(want)].tobytes() == want.tobytes(), (patches, lo)
+                    kernels._d1_block.cache_clear()
+                    assert d1_engine_rows(p, lam, flag, top).tobytes() == ref.tobytes(), patches
+    finally:
+        hypergeo._block_cached.cache_clear()
+        kernels._d1_block.cache_clear()
+
+
+def test_d1_series_builds_its_tables_without_log_gamma(monkeypatch):
+    calls = []
+
+    def spy(x):
+        calls.append(len(x))
+        return log_gamma_array(x)
+
+    monkeypatch.setattr(kernels, "log_gamma_array", spy)
+    kernels._d1_block.cache_clear()
+    nu = (0.2 + 0.1j, -0.15, 0.04j, 0.3)
+    kernel_series_d1_nu(nu, 1.3, 2.2)
+    potential_series_d1(nu, 1.3, 2.2)
+    assert kernels._d1_block.cache_info().currsize > 2 and not calls
+    # the spy sees the ellipsoid tables, which are still built from log-gammas
+    kernel_series_ellipsoid_nu((0.1, 0.2j), (2, 3.25))
+    assert calls
     kernels._d1_block.cache_clear()
 
 
@@ -449,6 +561,9 @@ def test_kernel_d2_guards():
         kernel_series_d2_nu((0.0, 0.1, 0.0))
     with pytest.raises(ConvergenceError):
         kernel_series_d2_nu((0.1, 0.2, 0.05))      # |nu1| + |nu2/nu1| >= 1
+    for n1 in (1e-160, 1e-170):  # 1/nu1^2 overflows; nu1^2 underflows to 0
+        with pytest.raises(SingularityError):
+            kernel_series_d2_nu((n1, 0.0, 0.0))
 
 
 _ENTRY_POINTS = {
@@ -473,6 +588,25 @@ def test_kernel_entry_points_reject_non_finite_and_misshapen_nu(name):
     for wrong in (nu[:-1], nu + (0.0,)):
         with pytest.raises(ValueError, match="component"):
             evaluate(wrong)
+
+
+def test_kernel_routes_give_a_finite_value_or_a_typed_error_at_tiny_moduli():
+    # Moduli log-uniform down to the subnormals, a fifth of them exactly 0,
+    # in uniform phases: every route returns a finite value or raises a
+    # BergkernError or ValueError, never a non-finite value or another error.
+    rng = random.Random(1)
+    routes = {**_ENTRY_POINTS,
+              "series-ball": (lambda nu: kernel_series_ellipsoid_nu(nu, (1, 1, 1)), (0j,) * 3)}
+    for name, (evaluate, shape) in routes.items():
+        for _ in range(300):
+            nu = tuple(0j if rng.random() < 0.2
+                       else cmath.rect(10 ** rng.uniform(-320, 0), rng.uniform(-math.pi, math.pi))
+                       for _ in shape)
+            try:
+                value = evaluate(nu).value
+            except (bergkern.BergkernError, ValueError):
+                continue
+            assert cmath.isfinite(value), (name, nu, value)
 
 
 def test_kernel_d2_series_truncation_self_consistency():
