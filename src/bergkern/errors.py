@@ -35,4 +35,5 @@ class SamplingError(BergkernError):
 
 
 class QuadratureError(BergkernError):
-    """Adaptive quadrature failed to reach tolerance within the panel budget."""
+    """The quadrature oracle has no norm to give: the norm underflows a double,
+    or its theta integral needs a finer step than the finest tanh-sinh rule."""

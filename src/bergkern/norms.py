@@ -4,11 +4,13 @@ independent quadrature oracle.
 The closed forms are gamma-ratio expressions evaluated through log-gamma.
 The oracle reduces each norm to a single theta integral (the two inner
 integrals are power functions with polynomial limits and are integrated
-exactly), so it never uses the gamma identities it is checking. Many
-indices share that integral (a d1 integrand depends on alpha only through
-a1+a2, a3 and a4, a d2 one only through a1+a2+a3 and a2), so each distinct
-(sine, cosine) exponent pair is integrated once per process and kept in a
-bounded cache; the default norm grids need 570 entries.
+exactly), so it never uses the gamma identities it is checking. That
+integral is taken by one fixed tanh-sinh rule, summed as logs, so a tiny
+moment keeps its relative accuracy. Many indices share it (a d1 integrand
+depends on alpha only through a1+a2, a3 and a4, a d2 one only through
+a1+a2+a3 and a2), so each distinct (sine, cosine) exponent pair is
+integrated once per process and kept in a bounded cache; the default norm
+grids need 570 entries.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ import numpy as np
 
 from .domains import DomainSpec
 from .errors import QuadratureError
-from .numerics import log_gamma
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-
-QUAD_TOL = 1e-12
-_MAX_PANELS = 10**4
+# The finest tanh-sinh step is 2^-14. It serves exponent sums up to 2^24 - 1,
+# and its node tables hold 212993 entries, so every table together is ~10 MB.
+_MAX_LEVEL = 14
 
 
 def check_index_d2(alpha) -> tuple[int, int, int]:
@@ -59,8 +59,8 @@ def d1_exponents(alpha, p: float, lam: float) -> tuple[float, float]:
 def norm_d2(alpha) -> float:
     """Squared L2(d2) norm of z^alpha over the Laurent-admissible index set."""
     a1, a2, a3 = check_index_d2(alpha)
-    lg = log_gamma(a2 + 1.0) + log_gamma(a1 + a2 + a3 + 3.0) \
-        - log_gamma(a1 + 2 * a2 + a3 + 4.0)
+    lg = math.lgamma(a2 + 1.0) + math.lgamma(a1 + a2 + a3 + 3.0) \
+        - math.lgamma(a1 + 2 * a2 + a3 + 4.0)
     return math.pi**3 * math.exp(lg) / ((a3 + 1) * (a1 + 2 * a2 + 2 * a3 + 5))
 
 
@@ -69,8 +69,8 @@ def norm_d1(alpha, p: float, lam: float) -> float:
     a1, a2, a3, a4 = check_index_d1(alpha)
     DomainSpec.d1(p, lam)
     s, _ = d1_exponents(alpha, p, lam)
-    lg = log_gamma(a1 + 1.0) + log_gamma(a2 + 1.0) + log_gamma(a3 + 1.0) \
-        + log_gamma(2 * s - a3 - 1.0) - log_gamma(a1 + a2 + 2.0) - log_gamma(2 * s)
+    lg = math.lgamma(a1 + 1.0) + math.lgamma(a2 + 1.0) + math.lgamma(a3 + 1.0) \
+        + math.lgamma(2 * s - a3 - 1.0) - math.lgamma(a1 + a2 + 2.0) - math.lgamma(2 * s)
     return math.pi**4 * math.exp(lg) / (p * (a4 + 1) * (s + (a4 + 1) / lam))
 
 
@@ -82,78 +82,78 @@ def norm_closed(spec: DomainSpec, alpha) -> float:
     raise ValueError(f"no closed norm for domain kind {spec.kind!r}")
 
 
-def adaptive_gauss(f, lo: float, hi: float, tol: float = QUAD_TOL,
-                   max_panels: int = _MAX_PANELS) -> float:
-    """Adaptive bisection with a fixed 15-point Gauss rule per panel.
-
-    A panel is accepted when splitting it changes its estimate by less than
-    its length-proportional share of the tolerance budget.
-    """
-    def panel(a, b):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
-
-    whole = panel(lo, hi)
-    budget = tol * (1.0 + abs(whole))
-    stack = [(lo, hi, whole)]
-    total = 0.0
-    panels = 0
-    while stack:
-        a, b, est = stack.pop()
-        panels += 1
-        if panels > max_panels:
-            raise QuadratureError(f"adaptive_gauss exceeded {max_panels} panels")
-        mid = 0.5 * (a + b)
-        left = panel(a, mid)
-        right = panel(mid, b)
-        if abs(left + right - est) <= budget * (b - a) / (hi - lo):
-            total += left + right
-        else:
-            stack.append((a, mid, left))
-            stack.append((mid, b, right))
-    return total
+@lru_cache(maxsize=None)  # one table per step; _MAX_LEVEL bounds the steps
+def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log sin, log cos and log weight at the tanh-sinh nodes of step
+    h = 2^-level on (0, pi/2): theta = (pi/2) / (1 + e^(-2u)) with
+    u = (pi/2) sinh t, t in [-6.5, 6.5], where the integrand of either end is
+    below e^-1000 of its peak. log theta and log(pi/2 - theta) come from
+    logaddexp, so neither end cancels or underflows, and the weight
+    dtheta/dt h is pi^2 h cosh t / (8 cosh^2 u). The arrays are shared
+    between callers, so they are read-only."""
+    h = 2.0 ** -level
+    t = h * np.arange(-6.5 * 2**level, 6.5 * 2**level + 1)
+    u = 0.5 * math.pi * np.sinh(t)
+    log_half_pi = math.log(0.5 * math.pi)
+    log_theta = log_half_pi - np.logaddexp(0.0, -2.0 * u)
+    log_rest = log_half_pi - np.logaddexp(0.0, 2.0 * u)  # log(pi/2 - theta)
+    log_sin = log_theta + np.log(np.sinc(np.exp(log_theta) / math.pi))
+    log_cos = log_rest + np.log(np.sinc(np.exp(log_rest) / math.pi))
+    log_weight = (math.log(math.pi**2 * h / 8.0) + np.logaddexp(t, -t)
+                  - 2.0 * np.logaddexp(u, -u) + math.log(2.0))  # cosh x = (e^x + e^-x)/2
+    for table in (log_sin, log_cos, log_weight):
+        table.flags.writeable = False
+    return log_sin, log_cos, log_weight
 
 
 @lru_cache(maxsize=4096)  # the default norm grids need 570 entries
 def _theta_moment(sin_exp: float, cos_exp: float) -> float:
-    """integral over (0, pi/2) of sin^sin_exp * cos^cos_exp by quadrature.
+    """log of the integral over (0, pi/2) of sin^sin_exp * cos^cos_exp, by
+    one tanh-sinh rule summed in log form. The integrand's peak is about
+    1/sqrt(2 (s + c)) wide in theta, so the step 2^-k is set by the
+    exponents, k = max(5, ceil(log2(4 sqrt(s + c + 1)))), not adaptively.
     Callers pass float exponents: an int and its equal float share one cache
     entry, so the value must not depend on which of them came first.
-    The integrand is positive, so a zero integral means it underflowed at
-    every node: QuadratureError."""
+    Exponents that need a step finer than 2^-_MAX_LEVEL raise
+    QuadratureError before any table is built."""
     if sin_exp < 0 or cos_exp < 0:
         raise ValueError("combined trigonometric exponents must be nonnegative")
-
-    def f(theta):
-        return np.sin(theta)**sin_exp * np.cos(theta)**cos_exp
-
-    moment = adaptive_gauss(f, 0.0, 0.5 * math.pi)
-    if moment == 0.0:
-        raise QuadratureError(f"sin^{sin_exp:g} cos^{cos_exp:g} underflows at every node")
-    return moment
+    level = max(5, math.ceil(math.log2(4.0 * math.sqrt(sin_exp + cos_exp + 1.0))))
+    if level > _MAX_LEVEL:
+        raise QuadratureError(f"sin^{sin_exp:g} cos^{cos_exp:g} needs a tanh-sinh step "
+                              f"of 2^-{level}, finer than 2^-{_MAX_LEVEL}")
+    log_sin, log_cos, log_weight = _tanh_sinh_nodes(level)
+    terms = sin_exp * log_sin + cos_exp * log_cos + log_weight
+    peak = terms.max()
+    return float(peak + np.log(np.exp(terms - peak).sum()))
 
 
 def norm_quadrature(spec: DomainSpec, alpha) -> float:
-    """Oracle norm: exact inner integrations, one numeric theta integral."""
+    """Oracle norm: exact inner integrations, one numeric theta integral,
+    combined as logs. A norm that underflows a double is QuadratureError."""
     if spec.kind == "d2":
         a1, a2, a3 = check_index_d2(alpha)
         # r3 then rho integrated exactly; combined sine exponent stays >= 1
         # exactly on the admissible set.
         sin_exp = 2 * (a1 + a2 + a3) + 5
         cos_exp = 2 * a2 + 1
-        theta = _theta_moment(float(sin_exp), float(cos_exp))
-        return 4.0 * math.pi**3 * theta / ((2 * a3 + 2) * (a1 + 2 * a2 + 2 * a3 + 5))
-    if spec.kind == "d1":
+        log_norm = math.log(4.0 * math.pi**3) + _theta_moment(float(sin_exp), float(cos_exp)) \
+            - math.log((2 * a3 + 2) * (a1 + 2 * a2 + 2 * a3 + 5))
+    elif spec.kind == "d1":
         a1, a2, a3, a4 = check_index_d1(alpha)
         p, lam = spec.p, spec.lam
         big_a = (2 * a1 + 2 * a2 + 4) / p
         big_b = (2 * a4 + 2) / lam
         sin_exp = 2 * a3 + 1
         cos_exp = 2 * big_a + 2 * a3 + 2 * big_b + 1
-        theta = _theta_moment(float(sin_exp), float(cos_exp))
-        front = 8.0 * math.pi**4 * math.exp(
-            log_gamma(a1 + 1.0) + log_gamma(a2 + 1.0) - log_gamma(a1 + a2 + 2.0)) / p
         r_denominator = big_a + 2 * a3 + 2 * big_b + 2  # exponent + 1 of the R integral
-        return front * theta / ((2 * a4 + 2) * r_denominator)
-    raise ValueError(f"no quadrature oracle for domain kind {spec.kind!r}")
+        log_norm = math.log(8.0 * math.pi**4 / p) + math.lgamma(a1 + 1.0) \
+            + math.lgamma(a2 + 1.0) - math.lgamma(a1 + a2 + 2.0) \
+            + _theta_moment(float(sin_exp), float(cos_exp)) \
+            - math.log((2 * a4 + 2) * r_denominator)
+    else:
+        raise ValueError(f"no quadrature oracle for domain kind {spec.kind!r}")
+    norm = math.exp(log_norm)
+    if norm == 0.0:
+        raise QuadratureError(f"the oracle norm of {alpha} underflows a double")
+    return norm

@@ -1,11 +1,10 @@
 """Numeric substrate: log-gamma, principal-branch powers, and holomorphic dual
 numbers carrying one directional derivative.
 
-Log-gamma comes in two forms, split by traffic. log_gamma takes one float
-through math.lgamma: the closed norms make tens of thousands of such calls,
-where array overhead would dominate. log_gamma_array takes a whole array in a
-fixed number of numpy operations: the d1 shell tables need thousands of rows
-per block.
+log_gamma_array evaluates log-gamma over a whole array in a fixed number of
+numpy operations: the ellipsoid shell tables need thousands of rows per block.
+Scalar callers, such as the closed norms, call math.lgamma, where array
+overhead would dominate.
 
 Complex values are plain Python ``complex``; DualComplex carries a value plus
 its derivative along one direction, fixed by the tangents the inputs are
@@ -31,16 +30,6 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for one float x > 0, through math.lgamma.
-
-    Scalar callers such as the closed norms stay here: a one-element call of
-    log_gamma_array costs a few hundred times as much."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def log_gamma_array(x: np.ndarray) -> np.ndarray:
     """Natural log of Gamma(x), elementwise, for a 1-D array of finite x > 0.
 
@@ -51,7 +40,7 @@ def log_gamma_array(x: np.ndarray) -> np.ndarray:
     lnGamma(x) = lnGamma(x + 10) - ln(x (x+1) ... (x+9)). Measured against
     mpmath on [1e-3, 1e5], the error is below 50 eps * max(1, |lnGamma(x)|).
     Meant for tables of thousands of entries, where it is several times
-    faster than math.lgamma row by row; for one float use log_gamma. The
+    faster than math.lgamma row by row; for one float use math.lgamma. The
     ellipsoid series builds its coefficient tables with it; the d1 series
     needs none (see kernels._d1_block)."""
     x = np.asarray(x, dtype=float)

@@ -135,8 +135,15 @@ def test_norm_commands(capsys):
     assert float(re.search(r"rel_err = (\S+)", out).group(1)) < 1e-8
 
 
+def test_norm_oracle_keeps_relative_accuracy_near_underflow(capsys):
+    # the closed norm and the oracle are both about 2.85e-305
+    code, out, _ = run_cli(capsys, "norm", "--domain", "d2", "--alpha", "0,500,0", "--oracle")
+    assert code == 0
+    assert float(re.search(r"rel_err = (\S+)", out).group(1)) < 1e-10
+
+
 def test_norm_oracle_underflow_is_error_exit_1():
-    # the oracle's theta integral underflows; the CLI reports it, no traceback
+    # the oracle norm underflows a double; the CLI reports it, no traceback
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-m", "bergkern.cli", "norm", "--domain", "d2",
                            "--alpha", "400,400,400", "--oracle"],

@@ -5,11 +5,10 @@ import math
 import random
 import threading
 
-import numpy as np
 import pytest
 
-from bergkern import (DomainSpec, QuadratureError, adaptive_gauss, norm_closed, norm_d1,
-                      norm_d2, norm_quadrature, run_norm_suite)
+from bergkern import (DomainSpec, QuadratureError, d1_exponents, norm_closed, norm_d1, norm_d2,
+                      norm_quadrature, run_norm_suite)
 from bergkern import norms
 
 D2 = DomainSpec.d2()
@@ -19,18 +18,39 @@ def rel(x, y):
     return abs(x - y) / abs(y)
 
 
-def test_adaptive_gauss_on_elementary_integrals():
-    assert abs(adaptive_gauss(lambda x: x * x, 0.0, 1.0) - 1.0 / 3.0) < 1e-13
-    assert abs(adaptive_gauss(np.sin, 0.0, math.pi) - 2.0) < 1e-12
-    # mildly kinked integrand still resolved by bisection
-    assert abs(adaptive_gauss(lambda x: np.sqrt(np.abs(x)), 0.0, 1.0) - 2.0 / 3.0) < 1e-10
+def test_theta_moment_closed_values():
+    moment = norms._theta_moment.__wrapped__
+    for (sin_exp, cos_exp), want in (((0, 0), math.pi / 2), ((1, 1), 0.5),
+                                     ((2, 0), math.pi / 4)):
+        assert rel(math.exp(moment(sin_exp, cos_exp)), want) < 1e-14
 
 
-def test_adaptive_gauss_panel_budget():
-    from bergkern import QuadratureError
-    step = lambda x: np.where(x > 1.0 / 3.0, 1.0, 0.0)  # unresolvable jump
+def log_beta_moment(sin_exp, cos_exp):
+    # log of B((s+1)/2, (c+1)/2) / 2, the theta moment, by mpmath; as a log,
+    # because some moments are below the smallest double
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.beta(mpmath.mpf(sin_exp + 1) / 2,
+                                            mpmath.mpf(cos_exp + 1) / 2) / 2))
+
+
+def test_theta_moment_against_mpmath_beta():
+    for sin_exp, cos_exp in ((5, 1001), (41, 61), (7, 1e4), (1005, 1001), (2405, 801)):
+        want = log_beta_moment(sin_exp, cos_exp)
+        assert abs(norms._theta_moment.__wrapped__(sin_exp, cos_exp) - want) < 1e-12
+
+
+def test_theta_moment_refuses_a_step_past_the_finest(monkeypatch):
+    # exponent sums up to 2^24 - 1 take the finest step, 2^-14, and one more
+    # would need 2^-15: that raises before any node table is built
+    sin_exp, cos_exp = 2.0**24 - 2, 1.0
+    want = log_beta_moment(sin_exp, cos_exp)
+    assert abs(norms._theta_moment.__wrapped__(sin_exp, cos_exp) - want) < 1e-8
+    monkeypatch.setattr(norms, "_tanh_sinh_nodes", None)
     with pytest.raises(QuadratureError):
-        adaptive_gauss(step, 0.0, 1.0, tol=1e-14, max_panels=64)
+        norms._theta_moment.__wrapped__(sin_exp + 1, cos_exp)
+    with pytest.raises(QuadratureError):
+        norm_quadrature(D2, (10**12, 0, 0))
 
 
 def test_norm_d2_direct_substitutions():
@@ -68,6 +88,45 @@ def test_norm_d2_oracle_grid():
 
 def test_norm_d1_direct_substitution():
     assert rel(norm_d1((0, 0, 0, 0), 1.0, 2.0), math.pi**4 / 24.0) < 1e-14
+
+
+def test_norms_at_exact_gamma_values():
+    # lgamma(1) = lgamma(2) = 0 exactly, so every gamma of d2 (-2, 0, 0) cancels
+    assert norm_d2((-2, 0, 0)) == math.pi**3 / 3
+    # Gamma(1) Gamma(5) / Gamma(6) = 1/5
+    assert rel(norm_d2((2, 0, 0)), math.pi**3 / 35) < 1e-14
+    # s = 5/4: Gamma(3/2) / Gamma(5/2) = 2/3, at half-integer arguments
+    assert rel(norm_d1((0, 0, 0, 0), 16.0, 8.0), math.pi**4 / 33) < 1e-14
+
+
+def test_norm_d1_gamma_ratio_is_a_rising_product():
+    # Gamma(x) / Gamma(x + n) = 1 / (x)_n with x = 2s - a3 - 1 and n = a3 + 1,
+    # so at alpha = (0, 0, n-1, 0) the norm is pi^4 (n-1)! / ((x)_n p (s + 1/lam));
+    # x = n + 4/p + 2/lam = n + 1, n + 0.5, n + 1e-3 and n + 2.25
+    for p, lam, n in ((8.0, 4.0, 10), (16.0, 8.0, 20), (8000.0, 4000.0, 5), (4.0, 1.6, 40)):
+        alpha = (0, 0, n - 1, 0)
+        s, _ = d1_exponents(alpha, p, lam)
+        rising = math.prod(2 * s - n + k for k in range(n))
+        want = math.pi**4 * math.factorial(n - 1) / (rising * p * (s + 1 / lam))
+        assert rel(norm_d1(alpha, p, lam), want) < 1e-13
+
+
+def test_norm_gamma_arguments_stay_in_domain():
+    # math.lgamma raises only at its poles (it returns a value at -1.5), so
+    # the index and parameter checks keep every argument >= 1
+    for bad in (0.0, -1.5):
+        with pytest.raises(ValueError):
+            norm_d1((0, 0, 0, 0), bad, 2.0)
+        with pytest.raises(ValueError):
+            norm_d1((0, 0, 0, 0), 1.0, bad)
+    # on the d2 Laurent edge the smallest argument is exactly 1
+    for a2, a3 in itertools.product(range(5), repeat=2):
+        want = math.pi**3 / ((a2 + 1) * (a3 + 1) * (a2 + a3 + 3))
+        assert rel(norm_d2((-2 - a2 - a3, a2, a3)), want) < 1e-14
+    # as p and lam grow, s falls to 1 and 2s - 1 to 1
+    s = 1.0 + 3e-6
+    assert rel(norm_d1((0, 0, 0, 0), 1e6, 1e6),
+               math.pi**4 / ((2 * s - 1) * 1e6 * (s + 1e-6))) < 1e-14
 
 
 def test_norm_d1_admissibility():
@@ -122,10 +181,11 @@ def test_norm_closed_dispatch():
 # --- the theta-moment cache ------------------------------------------------------
 
 def test_each_distinct_theta_moment_is_integrated_once(monkeypatch):
+    # each integration reads its node table once
     calls = []
-    real = norms.adaptive_gauss
-    monkeypatch.setattr(norms, "adaptive_gauss",
-                        lambda *args: calls.append(args) or real(*args))
+    real = norms._tanh_sinh_nodes
+    monkeypatch.setattr(norms, "_tanh_sinh_nodes",
+                        lambda level: calls.append(level) or real(level))
     # d1 depends on alpha through (a1+a2, a3, a4) and on (p, lam) through the
     # cosine exponent only; d2 through (a1+a2+a3, a2); 3 pairs are shared
     for domains, expected in ((("d1",), 498), (("d2",), 75), (("d2", "d1"), 570)):
@@ -170,9 +230,7 @@ def test_cached_oracle_equals_a_fresh_quadrature(monkeypatch):
     for (spec, alpha), (s, c, value) in zip(cases, seen):
         sin_exp, cos_exp = _theta_exponents(spec, alpha)
         assert (s, c) == (sin_exp, cos_exp)
-        fresh = adaptive_gauss(lambda t: np.sin(t)**sin_exp * np.cos(t)**cos_exp,
-                               0.0, 0.5 * math.pi)
-        assert repr(value) == repr(fresh)
+        assert repr(value) == repr(cached.__wrapped__(sin_exp, cos_exp))
 
 
 def test_int_and_float_exponents_share_one_entry():
@@ -225,7 +283,22 @@ def test_threads_sharing_the_cache_get_the_serial_values():
 
 
 def test_quadrature_raises_where_the_theta_integrand_underflows():
-    # the integrand is positive, so a zero integral is an underflow at every
-    # node, never a value to compare with the closed norm
+    # the oracle norm is below the smallest double, never a value to compare
+    # with the closed norm
     with pytest.raises(QuadratureError):
         norm_quadrature(D2, (400, 400, 400))
+
+
+def test_deep_norm_grids_pass():
+    # tiny theta moments keep their relative accuracy
+    for domain, max_index in (("d2", 12), ("d1", 5)):
+        report = run_norm_suite(domain, max_index=max_index)
+        assert report.rows and all(row.passed for row in report.rows), domain
+
+
+def test_every_norm_row_can_fail(monkeypatch):
+    # an oracle that integrates cos^(c+1) in place of cos^c fails every row
+    real = norms._theta_moment
+    monkeypatch.setattr(norms, "_theta_moment", lambda s, c: real(s, c + 1.0))
+    report = run_norm_suite("d2")
+    assert report.rows and not any(row.passed for row in report.rows)

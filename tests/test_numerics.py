@@ -8,33 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from bergkern import (BranchError, DualComplex, log_gamma, log_gamma_array, principal_pow,
-                      principal_sqrt)
+from bergkern import BranchError, DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 
 def rel(x, y):
     return abs(x - y) / max(abs(y), 1e-300)
-
-
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == 0.0
-    assert rel(log_gamma(5.0), math.log(24.0)) < 1e-14
-    assert rel(log_gamma(0.5), math.log(math.sqrt(math.pi))) < 1e-14
-
-
-def test_log_gamma_wide_range_against_product():
-    # Gamma(x+n) = (x)_n Gamma(x) lets the product extend a trusted small value.
-    for x, n in [(1.0, 10), (0.5, 20), (1e-3, 5), (2.25, 40)]:
-        lhs = log_gamma(x + n)
-        rhs = log_gamma(x) + math.log(math.prod(x + k for k in range(n)))
-        assert rel(lhs, rhs) < 1e-13
-
-
-def test_log_gamma_domain_error():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.5)
 
 
 def log_gamma_points():
