@@ -19,7 +19,8 @@ from .errors import BergkernError
 from .hypergeo import TruncationPolicy
 from .kernels import KERNEL_POLICY
 from .norms import norm_closed, norm_quadrature
-from .suites import _kernel_routes, run_identity_suite, run_kernel_suite, run_norm_suite
+from .suites import (_check_tol, _kernel_routes, run_identity_suite, run_kernel_suite,
+                     run_norm_suite)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -130,6 +131,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    _check_tol(args.tol)
     spec = DomainSpec.of(args.domain, _scalar_p(args), args.lam)
     closed = norm_closed(spec, args.alpha)
     print(f"norm = {closed!r}")

@@ -6,13 +6,12 @@ total degree). Shell terms are combined in log-magnitude/phase form so that
 rising factorials like (a)_{2M} and factorial denominators never overflow or
 underflow individually near the edge of the convergence region. Shells are
 gathered in vectorised blocks of consecutive degrees, at most 32 degrees and
-about 4096 terms each; the stop rule still applies shell by shell, in order,
-and is the only code that knows the degree cap: a block is keyed by its first
-degree alone, and the rule drops it unfinished at the stop or at the cap. A
-series builds its log/phase tables in one vectorised pass, on demand: the
-first block sizes them, and a later block that needs more rebuilds them at
-double length, with no cap, so a series that stops early never builds the
-tables of a deep series.
+about 4096 terms each, held as one in-order sequence per variable count
+(_blocks), shared by every series and never evicted. The stop rule applies
+shell by shell and is the only code that knows the degree cap. A series
+builds its log/phase tables on demand: the first block sizes them, and a
+later block that needs more rebuilds them at double length, so a series that
+stops early never builds the tables of a deep series.
 
 gauss_2f1 sums its terms one by one in Python complex arithmetic, which is
 cheapest for one series. gauss_2f1_batch sums many at once, one numpy pass
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -56,8 +56,8 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.max_total_degree < 1:
             raise ValueError("max_total_degree must be >= 1")
-        if not self.tail_tol > 0.0:
-            raise ValueError("tail_tol must be > 0")
+        if not 0.0 < self.tail_tol < math.inf:
+            raise ValueError(f"tail_tol must be finite and > 0, got {self.tail_tol}")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -70,30 +70,25 @@ class SeriesValue:
     shells_used: int
 
 
-def _sum_shells(block_fn, policy: TruncationPolicy, what: str) -> SeriesValue:
-    """Apply the stop rule shell by shell to the shells that block_fn(lo)
-    returns in blocks, each an iterable of the values of degrees lo, lo+1,
-    ... (at least one; it may run on without end). Only this rule knows the
-    degree cap: it drops an iterable unfinished at the stop or once it has
-    summed the shell of degree max_total_degree, so it asks for none past."""
+def _sum_shells(shells, policy: TruncationPolicy, what: str) -> SeriesValue:
+    """Apply the stop rule shell by shell to the values of degrees 0, 1, ...
+    that the iterable shells yields. Only this rule knows the degree cap: it
+    stops reading at the stop or after the shell of degree max_total_degree."""
     total = 0j
     run = 0
-    deg = 0
-    while True:
-        for shell in block_fn(deg):
-            total += shell
-            mag = abs(shell)
-            deg += 1
-            if mag <= policy.tail_tol * max(abs(total), _TINY):
-                run += 1
-                if run >= _SMALL_SHELLS_TO_STOP:
-                    return SeriesValue(complex(total), float(mag), deg)
-            else:
-                run = 0
-            if deg > policy.max_total_degree:
-                raise ConvergenceError(
-                    f"{what}: policy exhausted at total degree {policy.max_total_degree} "
-                    "before shells shrank below tail_tol")
+    for deg, shell in enumerate(shells, 1):
+        total += shell
+        mag = abs(shell)
+        if mag <= policy.tail_tol * max(abs(total), _TINY):
+            run += 1
+            if run >= _SMALL_SHELLS_TO_STOP:
+                return SeriesValue(complex(total), float(mag), deg)
+        else:
+            run = 0
+        if deg > policy.max_total_degree:
+            raise ConvergenceError(
+                f"{what}: policy exhausted at total degree {policy.max_total_degree} "
+                "before shells shrank below tail_tol")
 
 
 def _check_lower_param(c: float, what: str) -> None:
@@ -157,6 +152,7 @@ class _Block(NamedTuple):
     comps: np.ndarray   # exponent rows of every shell, shell after shell
     starts: np.ndarray  # first row of each shell
     sizes: np.ndarray   # rows in each shell
+    lo: int             # the block's first degree
     hi: int             # one past the block's last degree
 
 
@@ -184,8 +180,14 @@ def _compositions(nvars: int, degrees: np.ndarray) -> np.ndarray:
 
 def _build_block(nvars: int, lo: int) -> _Block:
     """Shells lo, lo+1, ... up to the row ceiling: at most _BLOCK_DEGREES
-    of them, as many as fit in _BLOCK_ROWS rows, and at least one."""
-    end = min(lo + _BLOCK_DEGREES, _last_degree(nvars, _MAX_SERIES_ROWS) + 1)
+    of them, as many as fit in _BLOCK_ROWS rows, and at least one;
+    ConvergenceError once lo lies past the ceiling."""
+    last = _last_degree(nvars, _MAX_SERIES_ROWS)
+    if lo > last:
+        raise ConvergenceError(
+            f"a series of {nvars} variables would reach past degree {last}, "
+            f"the ceiling of {_MAX_SERIES_ROWS} rows")
+    end = min(lo + _BLOCK_DEGREES, last + 1)
     sizes = _shell_sizes(nvars, np.arange(lo, end, dtype=np.int64))
     keep = max(1, int(np.searchsorted(np.cumsum(sizes), _BLOCK_ROWS, side="right")))
     sizes = sizes[:keep]
@@ -193,7 +195,7 @@ def _build_block(nvars: int, lo: int) -> _Block:
     starts = np.cumsum(sizes) - sizes
     for arr in (comps, starts, sizes):
         arr.setflags(write=False)
-    return _Block(comps, starts, sizes, lo + keep)
+    return _Block(comps, starts, sizes, lo, lo + keep)
 
 
 # A series gathers at most this many rows, counted from degree 0: C(403, 3),
@@ -217,27 +219,44 @@ def _last_degree(nvars: int, max_rows: int) -> int:
     return lo
 
 
-# Bounded, yet above the blocks of one evaluation: 350 for a 3-variable
-# series up to the row ceiling, 135 for a d2 series up to the 1000-degree
-# kernel cap, 573 for a 2-variable series up to degree 2000 (the (1,2)
-# ellipsoid's scaled cap). A 2-variable series to degree 3000, the (2,3)
-# ellipsoid's, takes 1549 and so evicts its own first blocks. A block is
-# keyed by its first degree, not by the cap, so one entry serves every cap.
-_block_cached = lru_cache(maxsize=1024)(_build_block)
+class _Sequence:
+    """The items step(0, None), step(1, item 0), step(2, item 1), ..., each
+    built once, in order, when first asked for, and held. Builds run under a
+    lock, so threads share every item; a build that raises leaves the
+    sequence as it was, and the next request builds that item again."""
 
-# Blocks of more variables than this grow fast with degree and are not cached.
-_CACHED_VARS = 3
+    def __init__(self, step):
+        self._step, self._items, self._lock = step, [], threading.Lock()
+
+    def get(self, i: int):
+        with self._lock:
+            items = self._items
+            while len(items) <= i:
+                items.append(self._step(len(items), items[-1] if items else None))
+            return items[i]
+
+    def __iter__(self):
+        return map(self.get, itertools.count())
 
 
-def _shell_block(nvars: int, lo: int) -> _Block:
-    """_build_block, cached up to _CACHED_VARS variables; ConvergenceError
-    once lo lies past the row ceiling."""
-    last = _last_degree(nvars, _MAX_SERIES_ROWS)
-    if lo > last:
-        raise ConvergenceError(
-            f"a series of {nvars} variables would reach past degree {last}, "
-            f"the ceiling of {_MAX_SERIES_ROWS} rows")
-    return (_block_cached if nvars <= _CACHED_VARS else _build_block)(nvars, lo)
+def _shared(maxsize):
+    """lru_cache(maxsize), called one at a time: threads share one value per key."""
+    def decorate(fn):
+        cached, lock = lru_cache(maxsize)(fn), threading.Lock()
+
+        def call(*args):
+            with lock:
+                return cached(*args)
+        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+        return call
+    return decorate
+
+
+@_shared(maxsize=None)
+def _blocks(nvars: int) -> _Sequence:
+    """The blocks of every series of nvars variables, from degree 0, each
+    starting where the one before ends; past the last, ConvergenceError."""
+    return _Sequence(lambda i, prev: _build_block(nvars, prev.hi if prev else 0))
 
 
 def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag) -> np.ndarray:
@@ -255,12 +274,8 @@ def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag) -> np.ndarray:
     return np.add.reduceat(phases, block.starts)
 
 
-def _front_product(lo: int, sums: np.ndarray, phase: np.ndarray) -> list[complex]:
-    return (sums * phase).tolist()
-
-
 def _front_series(nvars: int, ratios, policy: TruncationPolicy, what: str,
-                  finish=_front_product) -> SeriesValue:
+                  finish=lambda lo, sums, phase: (sums * phase).tolist()) -> SeriesValue:
     """Sum of the shells front[M] * prod_i seq_i[m_i] over m_1+...+m_n = M,
     the sequences being built from ratios by _ratio_logseq: one row per
     variable, then the front. A block's shells are finish(lo, sums, phase),
@@ -268,14 +283,13 @@ def _front_series(nvars: int, ratios, policy: TruncationPolicy, what: str,
     of front[M]."""
     tables = _tables_on_demand(_ratio_logseq, ratios)
 
-    def shells(lo):
-        block = _shell_block(nvars, lo)
+    def shells(block):
         seqs = tables(block.hi)
-        front = slice(lo, block.hi)
+        front = slice(block.lo, block.hi)
         sums = _shell_gather(seqs, block, np.repeat(seqs.logmag[-1, front], block.sizes))
-        return finish(lo, sums, seqs.phase[-1, front])
+        return finish(block.lo, sums, seqs.phase[-1, front])
 
-    return _sum_shells(shells, policy, what)
+    return _sum_shells(itertools.chain.from_iterable(map(shells, _blocks(nvars))), policy, what)
 
 
 def _check_gauss_args(c: float, z: complex) -> None:
@@ -297,8 +311,7 @@ def gauss_2f1(a: float, b: float, c: float, z: complex,
     z = complex(z)
     _check_gauss_args(c, z)
 
-    def terms(lo):
-        # one block from degree lo = 0: every term, each from the one before
+    def terms():  # every term, each from the one before
         term = 1.0 + 0j
         yield term
         for deg in itertools.count(1):
@@ -308,7 +321,7 @@ def gauss_2f1(a: float, b: float, c: float, z: complex,
                 raise _rounded_pole(c, deg) from None
             yield term
 
-    return _sum_shells(terms, policy, "gauss_2f1")
+    return _sum_shells(terms(), policy, "gauss_2f1")
 
 
 class SeriesBatch(NamedTuple):

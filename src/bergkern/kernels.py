@@ -13,11 +13,11 @@ monomials of a few variables by total degree, shell by shell: d1 in
 folding each pair of exponents that enters only through its sum; an
 ellipsoid, for any positive exponents, in its nu_j, with its unit-exponent
 coordinates folded into their sum by the multinomial theorem. The
-coefficients are evaluated for a whole block of shells at once: an
-ellipsoid's gamma ratios by numerics.log_gamma_array, and the d1 gamma
-ratios by a recurrence along a3, each row its predecessor in the shell
-before plus the log of a rational factor, so the d1 tables need no
-log-gamma.
+coefficients are built block by block, in order, and held as one sequence
+per parameter set: an ellipsoid's gamma ratios by numerics.log_gamma_array,
+and the d1 gamma ratios by a recurrence along a3, each row its predecessor
+in the shell before plus the log of a rational factor, so the d1 tables
+need no log-gamma.
 
 The removable singularity of the closed d1 potential at nu3 = 0 is eliminated
 algebraically: with w = sqrt(1 - 4*nu3), (1 - w)/(4*nu3) = 1/(1 + w) exactly,
@@ -31,16 +31,16 @@ report's informational rows; no public function evaluates them.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
 
 import numpy as np
 
 from .domains import DomainSpec, PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
-from .hypergeo import (_CACHED_VARS, DEFAULT_POLICY, SeriesValue, TruncationPolicy, _LogSeq,
-                       _shell_block, _shell_gather, _sum_shells, _tables_on_demand)
+from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _blocks, _LogSeq,
+                       _Sequence, _shared, _shell_gather, _sum_shells, _tables_on_demand)
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
@@ -99,6 +99,7 @@ def potential_closed_d1(nu, p: float, lam: float):
     Requires |nu3| < 1/4 and the derived contractions |mu1|+|mu2| < 1,
     |mu4| < 1.
     """
+    _nu(map(_plain, nu), 4, "potential_closed_d1")  # the values of DualComplex entries
     nu1, nu2, nu3, nu4 = nu
     if abs(_plain(nu3)) >= 0.25:
         raise RegionError(f"potential_closed_d1 requires |nu3| < 1/4, got {_plain(nu3)}")
@@ -204,41 +205,38 @@ def _powers_logseq(xs, length: int) -> _LogSeq:
     return _LogSeq(logmag, np.exp(angles * m))
 
 
-def _monomial_series(xs, block_table, policy: TruncationPolicy, what: str) -> SeriesValue:
+def _monomial_series(xs, blocks, policy: TruncationPolicy, what: str) -> SeriesValue:
     """Sum of exp(log_coef) * prod_i xs[i]^comps[:, i] over the rows of every
-    shell, where block_table(lo) returns (block, log_coef) for a block of
-    shells from degree lo and one log-coefficient per row."""
+    shell, for the (block, log_coef) pairs of the sequence blocks."""
     tables = _tables_on_demand(_powers_logseq, xs)
 
-    def shells(lo):
-        block, log_coef = block_table(lo)
+    def shells(item):
+        block, log_coef = item
         return _shell_gather(tables(block.hi), block, log_coef).tolist()
 
-    return _sum_shells(shells, policy, what)
+    return _sum_shells(itertools.chain.from_iterable(map(shells, blocks)), policy, what)
 
 
-# Block tables are reused across every pair of one parameter set. A d1
-# block is built from the last shell of the block before it (see _d1_block),
-# so building one asks for every block below it; one evicted by then is
-# rebuilt with the same values, so eviction costs time, not digits. A d1
-# series stops at hypergeo's row ceiling (degree 400) and a d2 series at the
-# 1000-degree cap of KERNEL_POLICY, each within 350 blocks, as does (2,2,2),
-# which meets the ceiling. The (1,2) ellipsoid takes 573 blocks to its scaled
-# cap of 2000 degrees; (2,3) takes 1549 to its cap of 3000, so only a (2,3)
-# series that raises at the cap evicts blocks of its own set, and its
-# deepest pinned pair (1172 shells) stops within 190. So the bound keeps
-# whole parameter sets while capping the blocks held when many sets are
-# evaluated in one process. A block is keyed by its first degree, not by the
-# degree cap, so one entry serves every cap.
-_SHELL_CACHE_SIZE = 1024
+# Coefficient blocks are held for this many parameter sets. A set holds 8 bytes
+# per row its series reach, at most the C(403, 3) rows of hypergeo's row ceiling
+# (87 MB): 1.4 GB at worst. A set whose series stop by degree 100 holds <= 1.4 MB.
+_PARAMETER_SETS = 16
 
 
-@lru_cache(maxsize=_SHELL_CACHE_SIZE)
-def _d1_block(p: float, lam: float, with_operator_factor: bool, lo: int):
-    """A block of d1 shells from degree lo, with rows (q, a3, a4), and the
-    log-coefficients of (nu1+nu2)^q nu3^a3 nu4^a4. The nu1^a1 nu2^a2 terms
-    with a1 + a2 = q share the factor (q+1)!/(a1! a2!), so by the binomial
-    theorem they fold into (q+1) (nu1+nu2)^q.
+@_shared(maxsize=_PARAMETER_SETS)
+def _coefficients(build, nvars: int, *params) -> _Sequence:
+    """The (block, log_coef) pairs build(*params, block, before) of one
+    parameter set, shared by its pairs, one per block of _blocks(nvars), in
+    order, before being the pair of the block before (None for the first)."""
+    blocks = _blocks(nvars)
+    return _Sequence(lambda i, before: build(*params, blocks.get(i), before))
+
+
+def _d1_block(p: float, lam: float, with_operator_factor: bool, block, before):
+    """The block of d1 shells, with rows (q, a3, a4), and the log-coefficients
+    of (nu1+nu2)^q nu3^a3 nu4^a4. The nu1^a1 nu2^a2 terms with a1 + a2 = q
+    share the factor (q+1)!/(a1! a2!), so by the binomial theorem they fold
+    into (q+1) (nu1+nu2)^q.
 
     The coefficient is (q+1)(a4+1) Gamma(2s) / (Gamma(2s-a3-1) a3!), times
     s + w with the operator factor, where w = (a4+1)/lam and
@@ -247,10 +245,9 @@ def _d1_block(p: float, lam: float, with_operator_factor: bool, lo: int):
     (q, a3-1, a4), whose s is s - 1, plus
     log[(2s-2)(2s-1)(s+w) / ((2s-a3-2) a3 (s-1+w))]. The predecessors of the
     a3 >= 1 rows of shell d are the rows of shell d - 1, in order, so the
-    shells are built one after another, the first from the block that holds
-    shell lo - 1 (see _d1_shell_before). Each row is thus the same sum of the
-    same logs, whatever the block layout or the order of requests."""
-    block = _shell_block(3, lo)
+    shells are built one after another, the first from the last shell of
+    the pair before. Each row is thus the same sum of the same logs,
+    whatever the block layout."""
     # Full-size arrays are reused in place: s becomes 2s, then 2s - a3 - 2,
     # and w becomes s + w, then s - 1 + w.
     q, a4 = block.comps[:, 0], block.comps[:, 2]
@@ -281,7 +278,7 @@ def _d1_block(p: float, lam: float, with_operator_factor: bool, lo: int):
     num /= den
     lg = np.log(num, out=num)
     stepped = a3 > 0.0
-    prev = _d1_shell_before(p, lam, with_operator_factor, lo) if lo else lg[:0]
+    prev = lg[:0] if before is None else before[1][before[0].starts[-1]:]
     for start, size in zip(block.starts.tolist(), block.sizes.tolist()):
         shell = lg[start:start + size]
         shell[stepped[start:start + size]] += prev
@@ -290,28 +287,10 @@ def _d1_block(p: float, lam: float, with_operator_factor: bool, lo: int):
     return block, lg
 
 
-def _d1_shell_before(p: float, lam: float, with_operator_factor: bool, lo: int):
-    """The log-coefficients of d1 shell lo - 1, lo >= 1, from the block that
-    holds it in the live block layout: the blocks of _shell_block from
-    degree 0, each starting at the hi of the one before. They are asked for
-    in that order, as the series engine asks for them, so a block missing
-    from the cache is built from the one before it, cached by then."""
-    start = 0
-    while True:
-        block, lg = _d1_block(p, lam, with_operator_factor, start)
-        if block.hi >= lo:
-            first = block.starts[lo - 1 - start]
-            return lg[first:first + block.sizes[lo - 1 - start]]
-        start = block.hi
-
-
-@lru_cache(maxsize=_SHELL_CACHE_SIZE)
-def _d2_block(lo: int):
-    """A block of shells of the reindexed d2 Laurent series from degree lo,
-    with rows (r, a3), and the log-coefficients of
-    (nu1 + nu2/nu1)^r (nu3/nu1)^a3: the nu1^k (nu2/nu1)^a2 terms with
-    k + a2 = r fold by the binomial theorem, as for d1."""
-    block = _shell_block(2, lo)
+def _d2_block(block, before):
+    """The block of reindexed d2 Laurent shells, with rows (r, a3), and the
+    log-coefficients of (nu1 + nu2/nu1)^r (nu3/nu1)^a3: the nu1^k
+    (nu2/nu1)^a2 terms with k + a2 = r fold by the binomial theorem."""
     r, a3 = block.comps.T.astype(float)
     lg = np.log(a3 + 1.0) + np.log(r + a3 + 3.0) + np.log(r + 1.0)
     lg.setflags(write=False)
@@ -322,9 +301,9 @@ def potential_series_d1(nu, p: float, lam: float,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Series oracle for the closed d1 potential (same coefficients as the
     kernel series, without the operator multiplier or prefactor)."""
-    n1, n2, n3, n4 = (complex(v) for v in nu)
+    n1, n2, n3, n4 = _nu(nu, 4, "potential_series_d1")
     _d1_scale_exponent(p, lam, "potential_series_d1")
-    return _monomial_series((n1 + n2, n3, n4), partial(_d1_block, p, lam, False),
+    return _monomial_series((n1 + n2, n3, n4), _coefficients(_d1_block, 3, p, lam, False),
                             policy, "d1 kernel series")
 
 
@@ -333,7 +312,7 @@ def kernel_series_d1_nu(nu, p: float, lam: float,
     """Orthonormal-series d1 kernel at a Hermitian-product vector."""
     n1, n2, n3, n4 = _nu(nu, 4, "d1 kernel")
     _d1_scale_exponent(p, lam, "d1 kernel series")
-    sv = _monomial_series((n1 + n2, n3, n4), partial(_d1_block, p, lam, True),
+    sv = _monomial_series((n1 + n2, n3, n4), _coefficients(_d1_block, 3, p, lam, True),
                           policy, "d1 kernel series")
     pref = p / math.pi**4
     return KernelValue(pref * sv.value, "series", pref * sv.tail_estimate)
@@ -357,7 +336,7 @@ def kernel_series_d2_nu(nu, policy: TruncationPolicy = KERNEL_POLICY) -> KernelV
     if abs(x3) >= 1.0 or abs(n1) + abs(x2) >= 1.0:
         raise ConvergenceError(
             "d2 series requires |nu3/nu1| < 1 and |nu1| + |nu2/nu1| < 1")
-    sv = _monomial_series((n1 + x2, x3), _d2_block, policy, "d2 kernel series")
+    sv = _monomial_series((n1 + x2, x3), _coefficients(_d2_block, 2), policy, "d2 kernel series")
     scale = math.pi**3 * n1 * n1  # 0 once nu1^2 underflows
     pref = 1.0 / scale if scale else math.inf
     value = pref * sv.value
@@ -370,15 +349,13 @@ def kernel_series_d2(pair: PointPair, policy: TruncationPolicy = KERNEL_POLICY) 
     return kernel_series_d2_nu(pair.nu, policy)
 
 
-@lru_cache(maxsize=_SHELL_CACHE_SIZE)
-def _ellipsoid_block(ps: tuple[float, ...], ones: int, lo: int):
-    """A block of ellipsoid shells from degree lo, with rows alpha, and the
+def _ellipsoid_block(ps: tuple[float, ...], ones: int, block, before):
+    """The block of ellipsoid shells, with rows alpha, and the
     log-coefficients of nu^alpha, log Gamma(sum_j c_j + max(ones, 1)) -
     sum_j log Gamma(c_j) with c_j = (alpha_j + 1)/p_j. A first variable with
     p_1 = 1 stands for the sum of `ones` unit-exponent coordinates: their
     monomials of degree q fold into (sum nu_j)^q, whose c is q + 1 and whose
     coordinates add ones - 1 to the Gamma argument."""
-    block = _shell_block(len(ps), lo)
     # c_j and log Gamma(c_j) are looked up in tables over alpha_j = 0..hi-1
     exps = np.arange(1.0, block.hi + 1.0)
     front = np.full(len(block.comps), float(max(ones, 1)))
@@ -415,10 +392,8 @@ def kernel_series_ellipsoid_nu(nu, exponents,
     unit = [sum(v for v, pj in zip(nu, ps) if pj == 1)] if ones else []
     xs = unit + [v for v, pj in zip(nu, ps) if pj != 1]
     folded = ((1.0,) if ones else ()) + tuple(pj for pj in ps if pj != 1)
-    # cached as hypergeo caches the compositions
-    blocks = _ellipsoid_block if len(folded) <= _CACHED_VARS else _ellipsoid_block.__wrapped__
     cap = math.ceil(policy.max_total_degree * max(1.0, *ps))
-    sv = _monomial_series(xs, partial(blocks, folded, ones),
+    sv = _monomial_series(xs, _coefficients(_ellipsoid_block, len(folded), folded, ones),
                           replace(policy, max_total_degree=cap), "ellipsoid kernel series")
     pref = math.prod(ps) / math.pi**n
     return KernelValue(pref * sv.value, "series", pref * sv.tail_estimate)

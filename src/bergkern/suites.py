@@ -49,6 +49,12 @@ _GRADIENT_CHECKS = 25
 _RECURRENCE_TOL = 1e-9
 
 
+def _check_tol(tol: float) -> None:
+    # at inf every row would pass, and JSON has no word for inf or nan
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def _finish(report: VerificationReport, t0: float) -> VerificationReport:
     report.wall_time_ms = int((time.perf_counter() - t0) * 1000)
     report.sort()
@@ -114,6 +120,7 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
     row by row."""
     if trials < 1:
         raise ValueError(f"identity suite needs trials >= 1, got {trials}")
+    _check_tol(tol)
     t0 = time.perf_counter()
     policy = TruncationPolicy(max_total_degree=max_degree, tail_tol=tail_tol)
     rep = VerificationReport("identities", {
@@ -227,6 +234,7 @@ def run_norm_suite(domain: str = "d2", max_index: int | None = None,
     admissible index grid."""
     if max_index is not None and max_index < 0:
         raise ValueError(f"norm suite needs max_index >= 0, got {max_index}")
+    _check_tol(tol)
     t0 = time.perf_counter()
     rep = VerificationReport("norms", {
         "domain": domain, "max_index": max_index, "tol": tol, "p": p, "lam": lam,
@@ -292,6 +300,7 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
     continuity, spot, dual-derivative and rejected-variant checks."""
     if points < 1:
         raise ValueError(f"kernel suite needs points >= 1, got {points}")
+    _check_tol(tol)
     t0 = time.perf_counter()
     policy = TruncationPolicy(max_total_degree=max_degree, tail_tol=tail_tol)
     spec, closed, series = _kernel_routes(domain, p, lam, exponents, policy)

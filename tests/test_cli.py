@@ -270,12 +270,25 @@ def test_verify_empty_count_is_usage_error(capsys, argv):
     ("verify", "kernels", "--domain", "d1", "--p", "inf", "--lambda", "2", "--points", "1"),
     ("verify", "kernels", "--domain", "ellipsoid", "--p", "nan,1", "--points", "2"),
     ("verify", "kernels", "--domain", "ellipsoid", "--p", "-2,1", "--points", "2"),
+    ("verify", "kernels", "--domain", "d2", "--points", "2", "--tol", "inf"),
+    ("verify", "kernels", "--domain", "d2", "--points", "2", "--tol", "0"),
+    ("verify", "kernels", "--domain", "d2", "--points", "2", "--tail-tol", "inf"),
+    ("verify", "norms", "--domain", "d2", "--max-index", "0", "--tol", "nan"),
+    ("verify", "norms", "--domain", "d2", "--max-index", "0", "--tol=-1e-8"),
+    ("verify", "identities", "--trials", "1", "--tol", "inf"),
+    ("verify", "identities", "--trials", "1", "--tail-tol", "nan"),
+    ("norm", "--domain", "d2", "--alpha", "0,0,0", "--oracle", "--tol", "inf"),
+    ("norm", "--domain", "d2", "--alpha", "0,0,0", "--oracle", "--tol", "nan"),
+    ("eval", "--domain", "d2", "--nu", "0.25,0,0", "--method", "series", "--tail-tol", "inf"),
 ], ids=["kernels-ellipsoid-zero", "kernels-ellipsoid-inf", "eval-ellipsoid-inf",
         "norms-d1-p-only", "norms-d1-lambda-only", "norms-d2-p", "norms-d2-lambda",
         "kernels-d2-p-lambda", "kernels-ellipsoid-lambda", "eval-d2-p-lambda",
         "eval-ellipsoid-lambda", "norm-d2-p", "norm-d1-p-inf", "eval-d1-lambda-inf",
         "norms-d1-lambda-inf", "kernels-d1-p-inf", "kernels-ellipsoid-nan",
-        "kernels-ellipsoid-negative"])
+        "kernels-ellipsoid-negative", "kernels-tol-inf", "kernels-tol-zero",
+        "kernels-tail-tol-inf", "norms-tol-nan", "norms-tol-negative", "identities-tol-inf",
+        "identities-tail-tol-nan", "norm-oracle-tol-inf", "norm-oracle-tol-nan",
+        "eval-tail-tol-inf"])
 def test_parameters_not_used_as_given_are_usage_errors(capsys, argv):
     # A parameter that would be truncated, overflow or be ignored must stop
     # the run instead of producing a report for other parameters.

@@ -1,6 +1,7 @@
 """Tests for the series evaluators, closed 2F1 forms, and identity checks."""
 
 import cmath
+import itertools
 import math
 import random
 import re
@@ -82,8 +83,8 @@ def test_gauss_2f1_errors():
 
 
 def closure_2f1(a, b, c, z, policy=hypergeo.DEFAULT_POLICY):
-    # reference: the earlier gauss_2f1, called back once per term, each call
-    # returning a 1-tuple
+    # reference: the earlier gauss_2f1, called back once per term, the terms
+    # read as one iterable
     z = complex(z)
     term = 1.0 + 0j
 
@@ -91,9 +92,9 @@ def closure_2f1(a, b, c, z, policy=hypergeo.DEFAULT_POLICY):
         nonlocal term
         if deg > 0:
             term = term * ((a + deg - 1) * (b + deg - 1)) / ((c + deg - 1) * deg) * z
-        return (term,)
+        return term
 
-    return hypergeo._sum_shells(shell, policy, "gauss_2f1")
+    return hypergeo._sum_shells(map(shell, itertools.count()), policy, "gauss_2f1")
 
 
 def _outcome(fn, *args):
@@ -504,8 +505,7 @@ _BLOCK_CASES = (
 
 
 def _clear_block_caches():
-    for cache in (hypergeo._block_cached, kernels._d1_block, kernels._d2_block,
-                  kernels._ellipsoid_block):
+    for cache in (hypergeo._blocks, kernels._coefficients):
         cache.cache_clear()
 
 
@@ -592,6 +592,35 @@ def test_block_size_does_not_change_series(monkeypatch):
     assert len(spans) == default[-2][1][0] and set(spans) == {1}
 
 
+def test_a_failed_block_build_leaves_the_sequences_whole(monkeypatch):
+    # A block build that raises, here MemoryError at the third block of a d1
+    # series, propagates and leaves the shared sequences as they were: the
+    # next evaluation builds that block again, from the same degree, and
+    # reads on past it to the value of a series that never failed.
+    _clear_block_caches()
+    ref = kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0)
+    _clear_block_caches()
+    built = []
+    build = hypergeo._build_block
+
+    def failing(nvars, lo):
+        built.append(lo)
+        if len(built) == 3:
+            raise MemoryError("no room for one more block")
+        return build(nvars, lo)
+
+    monkeypatch.setattr(hypergeo, "_build_block", failing)
+    try:
+        with pytest.raises(MemoryError):
+            kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0)
+        again = kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0)
+    finally:
+        monkeypatch.undo()
+        _clear_block_caches()
+    assert built[2] == built[3] and len(built) > 4
+    assert repr(again) == repr(ref)
+
+
 def test_row_ceiling_bounds_each_series_by_its_variables():
     ceiling = hypergeo._MAX_SERIES_ROWS
     assert ceiling == math.comb(403, 3)
@@ -599,12 +628,22 @@ def test_row_ceiling_bounds_each_series_by_its_variables():
     for nvars in (1, 2, 3, 4):
         last = hypergeo._last_degree(nvars, ceiling)
         assert math.comb(last + nvars, nvars) <= ceiling < math.comb(last + 1 + nvars, nvars)
-    # a 3-variable block ends at degree 400; one past it raises
-    assert hypergeo._shell_block(3, 400).hi == 401
+    # a 3-variable block ends at degree 400; one past it raises, and so does
+    # the shared 3-variable sequence once it has held that block
+    assert hypergeo._build_block(3, 400).hi == 401
     with pytest.raises(ConvergenceError, match="past degree 400"):
-        hypergeo._shell_block(3, 401)
+        hypergeo._build_block(3, 401)
+    _clear_block_caches()
+    held = hypergeo._blocks(3)._items
+    try:
+        with pytest.raises(ConvergenceError, match="past degree 400"):
+            for _ in hypergeo._blocks(3):
+                pass
+        assert held[-1].hi == 401 and sum(len(b.comps) for b in held) == ceiling
+    finally:
+        _clear_block_caches()
     # 2 variables reach far beyond the 1000-degree kernel cap
-    block = hypergeo._shell_block(2, 900)
+    block = hypergeo._build_block(2, 900)
     assert block.hi > 900 and block.sizes[0] == 901
 
 
@@ -623,7 +662,7 @@ def test_d1_series_stops_at_the_row_ceiling(monkeypatch):
     wide = TruncationPolicy(1000, 1e-10)
     _clear_block_caches()
     monkeypatch.setattr(hypergeo, "_MAX_SERIES_ROWS", math.comb(23, 3))
-    monkeypatch.setattr(hypergeo, "_block_cached", recorded)
+    monkeypatch.setattr(hypergeo, "_build_block", recorded)
     try:
         with pytest.raises(ConvergenceError, match="past degree 20"):
             kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0, wide)
@@ -631,7 +670,7 @@ def test_d1_series_stops_at_the_row_ceiling(monkeypatch):
         with pytest.raises(ConvergenceError):
             kernel_series_d1_nu(_NEAR_D1, 1.0, 2.0, TruncationPolicy(20, 1e-10))
         near_zero = (0.01, 0.02j, 0.005, -0.01)
-        kernels._d1_block.cache_clear()
+        kernels._coefficients.cache_clear()
         assert repr(kernel_series_d1_nu(near_zero, 1.0, 2.0, wide).value) \
             == repr(kernel_series_d1_nu(near_zero, 1.0, 2.0, TruncationPolicy(20, 1e-10)).value)
     finally:
@@ -641,9 +680,9 @@ def test_d1_series_stops_at_the_row_ceiling(monkeypatch):
 
 def test_ellipsoid_rows_count_against_the_row_ceiling(monkeypatch):
     # Under a ceiling of C(23, 3) = 1771 rows a (2,2,2) ellipsoid, a series
-    # of 3 variables, stops at degree 20, and its cached blocks hold exactly
+    # of 3 variables, stops at degree 20, and its held blocks hold exactly
     # the rows through degree 20. A 4-variable ellipsoid, which stops at
-    # degree 11, caches no block.
+    # degree 11, holds the rows through degree 11 in blocks of its own.
     gathered = []
     gather = kernels._shell_gather
 
@@ -659,15 +698,17 @@ def test_ellipsoid_rows_count_against_the_row_ceiling(monkeypatch):
         with pytest.raises(ConvergenceError, match="3 variables would reach past degree 20"):
             kernel_series_ellipsoid_nu((0.55, 0.55j, -0.55), (2, 2, 2))
         assert sum(gathered) == math.comb(23, 3)
-        held = kernels._ellipsoid_block.cache_info().currsize
-        assert held == len(gathered) > 1
-        assert hypergeo._block_cached.cache_info().currsize == held
+        held = kernels._coefficients(kernels._ellipsoid_block, 3, (2.0, 2.0, 2.0), 0)._items
+        count3 = len(held)
+        assert count3 == len(gathered) > 1
+        assert all(mine is shared for (mine, _), shared in zip(held, hypergeo._blocks(3)._items))
         gathered.clear()
         with pytest.raises(ConvergenceError, match="4 variables would reach past degree 11"):
             kernel_series_ellipsoid_nu((0.45, 0.45j, -0.45, 0.45), (2, 2, 2, 2))
         assert sum(gathered) == math.comb(15, 4)
-        assert kernels._ellipsoid_block.cache_info().currsize == held
-        assert hypergeo._block_cached.cache_info().currsize == held
+        assert sum(len(block.comps) for block in hypergeo._blocks(4)._items) == sum(gathered)
+        assert kernels._coefficients.cache_info().currsize == 2
+        assert len(held) == len(hypergeo._blocks(3)._items) == count3
     finally:
         monkeypatch.undo()
         _clear_block_caches()

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,11 +36,21 @@ def rel(x, y):
 
 # --- coefficient identities ---------------------------------------------------
 
-def shell_log_coef(table, row):
-    """Log-coefficient of one exponent row in the block table that starts at
-    its degree."""
-    block, log_coef = table(sum(row))
+def block_holding(blocks, deg):
+    """The (block, log_coef) pair of the coefficient sequence blocks whose
+    block holds shell deg."""
+    return next(item for item in blocks if item[0].lo <= deg < item[0].hi)
+
+
+def shell_log_coef(blocks, row):
+    """Log-coefficient of one exponent row, from the pair of the coefficient
+    sequence blocks that holds its degree."""
+    block, log_coef = block_holding(blocks, sum(row))
     return log_coef[np.flatnonzero((block.comps == row).all(axis=1))[0]]
+
+
+def d1_coefficients(p, lam, flag):
+    return kernels._coefficients(kernels._d1_block, 3, p, lam, flag)
 
 
 def test_d1_coefficient_is_reciprocal_norm():
@@ -51,7 +62,7 @@ def test_d1_coefficient_is_reciprocal_norm():
         p = rng.choice((0.5, 1.0, 2.0, 2.5))
         lam = rng.choice((1.0, 2.0, 3.0))
         q = a1 + a2
-        lc = shell_log_coef(partial(kernels._d1_block, p, lam, True), (q, a3, a4))
+        lc = shell_log_coef(d1_coefficients(p, lam, True), (q, a3, a4))
         coeff = math.exp(lc) * (p / math.pi**4) * math.comb(q, a1)
         assert rel(coeff, 1.0 / norm_d1(alpha, p, lam)) < 1e-12
 
@@ -60,7 +71,7 @@ def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
     # Degrees 100-400 lie past the first block: from degree 90 on, every shell
     # is a block of its own. Each row is built along a3 from the shells below
     # it, so the first request of a set builds its table from degree 0, and
-    # the caches are cleared to hold one set's tables at a time. The
+    # the sequences are cleared to hold one set's tables at a time. The
     # tolerance scales with the size of the log-gamma terms, which reach 1e4
     # here, so a wrong factor in one step still fails.
     eps = np.finfo(float).eps
@@ -68,8 +79,8 @@ def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
     for p in (0.5, 2.5):
         for lam in (1.0, 3.0):
             for deg in rng.sample(range(100, 401), 4):
-                block, log_coef = kernels._d1_block(p, lam, True, deg)
-                assert block.hi == deg + 1
+                block, log_coef = block_holding(d1_coefficients(p, lam, True), deg)
+                assert (block.lo, block.hi) == (deg, deg + 1)
                 for _ in range(4):
                     i = rng.randrange(len(log_coef))
                     q, a3, a4 = (int(v) for v in block.comps[i])
@@ -81,18 +92,15 @@ def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
                     err = log_coef[i] + math.log(p / math.pi**4 * math.comb(q, a1)) \
                         + math.log(norm_d1(alpha, p, lam))
                     assert abs(err) < tol, (p, lam, alpha, err, tol)
-            kernels._d1_block.cache_clear()
-    hypergeo._block_cached.cache_clear()
+            kernels._coefficients.cache_clear()
+    hypergeo._blocks.cache_clear()
 
 
 def d1_engine_rows(p, lam, flag, top):
     """The log-coefficients of every d1 row through degree top, shell after
-    shell, from the blocks the series engine asks for, in its order."""
-    lo, tables = 0, []
-    while lo <= top:
-        block, log_coef = kernels._d1_block(p, lam, flag, lo)
-        tables.append(log_coef)
-        lo = block.hi
+    shell, from the blocks the series engine reads, in its order."""
+    tables = [log_coef for block, log_coef in
+              itertools.takewhile(lambda item: item[0].lo <= top, d1_coefficients(p, lam, flag))]
     return np.concatenate(tables)[:math.comb(top + 3, 3)]
 
 
@@ -118,12 +126,13 @@ def test_d1_log_coefficients_against_mpmath(flag):
     rng = random.Random(23)
     for p, lam, top in _D1_ACCURACY_SETS:
         rows = d1_engine_rows(p, lam, flag, top)
-        kernels._d1_block.cache_clear()
+        kernels._coefficients.cache_clear()
         picked = []
         for deg in [top] + rng.sample(range(top), 9):
-            block = hypergeo._shell_block(3, deg)
-            for j in rng.sample(range(block.sizes[0]), min(3, block.sizes[0])):
-                picked.append((block.comps[j], rows[d1_row_start(deg) + j]))
+            block = next(b for b in hypergeo._blocks(3) if b.lo <= deg < b.hi)
+            first, size = block.starts[deg - block.lo], block.sizes[deg - block.lo]
+            for j in rng.sample(range(size), min(3, size)):
+                picked.append((block.comps[first + j], rows[d1_row_start(deg) + j]))
         q, a3, a4 = np.array([comp for comp, _ in picked], dtype=float).T
         w = (a4 + 1.0) / lam
         s = (q + 2.0) / p + a3 + w + 1.0
@@ -144,36 +153,41 @@ def test_d1_log_coefficients_against_mpmath(flag):
                 new_err = max(new_err, float(abs(got - exact)))
                 old_err = max(old_err, float(abs(old - exact)))
         assert new_err <= old_err, (p, lam, new_err, old_err)
-    hypergeo._block_cached.cache_clear()
+    hypergeo._blocks.cache_clear()
 
 
 def test_d1_blocks_do_not_depend_on_layout_or_request_order(monkeypatch):
-    # A block asked for out of order, from a degree where no engine block
-    # starts, after the cache is cleared or under another block layout holds
-    # the rows of the engine's blocks bit for bit: each row is the same sum of
-    # logs, read from the block of the live layout that holds its predecessor.
+    # Under another block layout, after the sequences are cleared, and with
+    # the blocks asked for by index out of order (each request builds the
+    # blocks below it first), every block holds the rows of the engine's
+    # blocks bit for bit: each row is the same sum of logs, built from the
+    # shell below it.
     top = 120
     layouts = ((), (("_BLOCK_ROWS", 1),), (("_BLOCK_DEGREES", 1),),
                (("_BLOCK_ROWS", 100000), ("_BLOCK_DEGREES", 400)))
     try:
         for p, lam, flag in ((0.5, 3.0, True), (2.0, 1.0, False)):
-            kernels._d1_block.cache_clear()
+            kernels._coefficients.cache_clear()
             ref = d1_engine_rows(p, lam, flag, top)
             for patches in layouts:
                 with monkeypatch.context() as mp:
                     for attr, value in patches:
                         mp.setattr(hypergeo, attr, value)
-                    hypergeo._block_cached.cache_clear()
-                    kernels._d1_block.cache_clear()
-                    for lo in (97, 7, 64, 0, 33, top, 8):
-                        block, log_coef = kernels._d1_block(p, lam, flag, lo)
-                        want = ref[d1_row_start(lo):d1_row_start(min(block.hi, top + 1))]
-                        assert log_coef[:len(want)].tobytes() == want.tobytes(), (patches, lo)
-                    kernels._d1_block.cache_clear()
+                    hypergeo._blocks.cache_clear()
+                    kernels._coefficients.cache_clear()
+                    count = sum(1 for _ in itertools.takewhile(lambda b: b.lo <= top,
+                                                               hypergeo._blocks(3)))
+                    assert count > 1, patches
+                    blocks = d1_coefficients(p, lam, flag)
+                    for i in (count // 2, count - 1, 0, count // 4, 1):
+                        block, log_coef = blocks.get(i)
+                        want = ref[d1_row_start(block.lo):d1_row_start(min(block.hi, top + 1))]
+                        assert log_coef[:len(want)].tobytes() == want.tobytes(), (patches, i)
+                    kernels._coefficients.cache_clear()
                     assert d1_engine_rows(p, lam, flag, top).tobytes() == ref.tobytes(), patches
     finally:
-        hypergeo._block_cached.cache_clear()
-        kernels._d1_block.cache_clear()
+        hypergeo._blocks.cache_clear()
+        kernels._coefficients.cache_clear()
 
 
 def test_d1_series_builds_its_tables_without_log_gamma(monkeypatch):
@@ -184,15 +198,16 @@ def test_d1_series_builds_its_tables_without_log_gamma(monkeypatch):
         return log_gamma_array(x)
 
     monkeypatch.setattr(kernels, "log_gamma_array", spy)
-    kernels._d1_block.cache_clear()
+    kernels._coefficients.cache_clear()
     nu = (0.2 + 0.1j, -0.15, 0.04j, 0.3)
     kernel_series_d1_nu(nu, 1.3, 2.2)
     potential_series_d1(nu, 1.3, 2.2)
-    assert kernels._d1_block.cache_info().currsize > 2 and not calls
+    built = sum(len(d1_coefficients(1.3, 2.2, flag)._items) for flag in (True, False))
+    assert built > 2 and not calls
     # the spy sees the ellipsoid tables, which are still built from log-gammas
     kernel_series_ellipsoid_nu((0.1, 0.2j), (2, 3.25))
     assert calls
-    kernels._d1_block.cache_clear()
+    kernels._coefficients.cache_clear()
 
 
 def test_d2_coefficient_is_reciprocal_norm():
@@ -202,7 +217,7 @@ def test_d2_coefficient_is_reciprocal_norm():
         a2 = rng.randrange(0, 6)
         a3 = rng.randrange(0, 6)
         r = k + a2
-        coeff = math.exp(shell_log_coef(kernels._d2_block, (r, a3))) \
+        coeff = math.exp(shell_log_coef(kernels._coefficients(kernels._d2_block, 2), (r, a3))) \
             * math.comb(r, k) / math.pi**3
         assert rel(coeff, 1.0 / norm_d2((k - 2 - a2 - a3, a2, a3))) < 1e-12
 
@@ -222,17 +237,18 @@ def test_ellipsoid_coefficient_is_reciprocal_norm(ps):
     # The unit-exponent coordinates fold into one variable t = sum nu_j, the
     # first one: the t^q coefficient times the multinomial q!/prod alpha_j!
     # is the coefficient of nu^alpha, which is prod p_j / pi^n over the norm.
-    # Each row is looked up in the block that starts at its total degree. The
+    # Each row is looked up in the block that holds its total degree. The
     # tolerance scales with the log-gamma terms, as for d1 deep in its table.
     eps = np.finfo(float).eps
     ones = ps.count(1)
     folded = ((1,) if ones else ()) + tuple(p for p in ps if p != 1)
+    blocks = kernels._coefficients(kernels._ellipsoid_block, len(folded), folded, ones)
     rng = random.Random(20)
     for _ in range(100):
         alpha = tuple(rng.randrange(0, math.ceil(40 * p)) for p in ps)
         unit = [a for a, p in zip(alpha, ps) if p == 1]
         row = ((sum(unit),) if ones else ()) + tuple(a for a, p in zip(alpha, ps) if p != 1)
-        block, log_coef = kernels._ellipsoid_block(folded, ones, sum(row))
+        block, log_coef = block_holding(blocks, sum(row))
         [i] = np.flatnonzero((block.comps == row).all(axis=1))
         log_multinomial = math.lgamma(sum(unit) + 1) - sum(math.lgamma(a + 1) for a in unit)
         log_norm, terms = ellipsoid_log_norm(alpha, ps)
@@ -431,11 +447,26 @@ def test_kernel_d1_nu3_continuity():
         assert rel(near0, at0) < 1e-6
 
 
-def test_kernel_d1_series_thread_safe_on_fresh_parameters():
+def count_builds(monkeypatch, module, name, key):
+    """A Counter of key(*args) over the calls of module.name, which is
+    replaced by a recording wrapper."""
+    counts = collections.Counter()
+    build = getattr(module, name)
+
+    def recorded(*args):
+        counts[key(*args)] += 1
+        return build(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return counts
+
+
+def test_kernel_d1_series_thread_safe_on_fresh_parameters(monkeypatch):
     # Four threads build the shell tables of each fresh (p, lam) at once; a
     # shared table grown by check-then-append would hand some of them shells
-    # of the wrong degree. The serial values come from a separate process, so
-    # they cannot read tables the threads built.
+    # of the wrong degree, and each block of a set is built once. The serial
+    # values come from a separate process, so they cannot read tables the
+    # threads built.
     params = [(1.05 + i / 61, 1.15 + i / 53) for i in range(30)]
     nus = [(0.03 * s + 0.01j, 0.02 * s, 0.01 * s - 0.01j, 0.05 * s) for s in (1, 2, 3, 4)]
     code = ("from bergkern import kernel_series_d1_nu\n"
@@ -446,6 +477,8 @@ def test_kernel_d1_series_thread_safe_on_fresh_parameters():
     serial = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=300).stdout.split()
     threaded = [None] * len(serial)
+    coefs = count_builds(monkeypatch, kernels, "_d1_block", lambda p, lam, flag, block, before:
+                         (p, lam, flag, block.lo))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -464,7 +497,9 @@ def test_kernel_d1_series_thread_safe_on_fresh_parameters():
                 assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
+        monkeypatch.undo()
     assert [repr(v) for v in threaded] == serial
+    assert len(coefs) >= len(params) and set(coefs.values()) == {1}
 
 
 def threaded_reprs(calls):
@@ -491,28 +526,38 @@ def threaded_reprs(calls):
     return out
 
 
-def test_kernel_d2_series_thread_safe_on_empty_block_cache():
-    # Four threads build the d2 shell blocks at once, from an empty cache, on
+def test_kernel_d2_series_thread_safe_on_empty_block_cache(monkeypatch):
+    # Four threads build the d2 shell blocks at once, from empty sequences, on
     # near-boundary inputs that need 200-380 shells and so several blocks;
-    # every value must equal the serial one exactly.
+    # every value must equal the serial one exactly, and each block, of
+    # compositions and of coefficients, is built once.
     nus = [(n1, x2 * n1, x3 * n1) for n1, x2, x3 in
            ((0.45, 0.44, 0.3), (0.4j, 0.5j, 0.5 - 0.2j),
             (cmath.rect(0.5, 0.7), cmath.rect(0.42, 0.7), 0.6),
             (cmath.rect(0.3, -1.1), cmath.rect(0.55, -1.1), -0.4j))]
     serial = [repr(kernel_series_d2_nu(nu).value) for nu in nus]
-    kernels._d2_block.cache_clear()
-    assert threaded_reprs([partial(kernel_series_d2_nu, nu) for nu in nus]) == serial
+    hypergeo._blocks.cache_clear()
+    kernels._coefficients.cache_clear()
+    blocks = count_builds(monkeypatch, hypergeo, "_build_block", lambda n, lo: (n, lo))
+    coefs = count_builds(monkeypatch, kernels, "_d2_block", lambda block, before: block.lo)
+    try:
+        assert threaded_reprs([partial(kernel_series_d2_nu, nu) for nu in nus]) == serial
+    finally:
+        monkeypatch.undo()
+        hypergeo._blocks.cache_clear()
+        kernels._coefficients.cache_clear()
+    assert len(coefs) > 1 and set(coefs.values()) == {1}
+    assert len(blocks) == len(coefs) and set(blocks.values()) == {1}
 
 
 def test_shell_table_cache_is_bounded():
-    cache = kernels._d1_block
+    cache = kernels._coefficients
     size = cache.cache_info().maxsize
+    assert size == kernels._PARAMETER_SETS
     for i in range(size + 1):
         kernel_series_d1_nu((0j,) * 4, 1.0 + i / size, 2.0)
     assert cache.cache_info().currsize <= size
     # ellipsoid blocks are keyed by the exponents, not by the degree cap
-    cache = kernels._ellipsoid_block
-    size = cache.cache_info().maxsize
     for i in range(size + 1):
         kernel_series_ellipsoid_nu((0j, 0j), (2, 3 + i / size))
     assert cache.cache_info().currsize == size
@@ -569,6 +614,10 @@ def test_kernel_d2_guards():
 _ENTRY_POINTS = {
     "closed-d1": (lambda nu: kernel_closed_d1_nu(nu, 1.0, 2.0), (0.01, 0.02, 0.03, 0.04)),
     "series-d1": (lambda nu: kernel_series_d1_nu(nu, 1.0, 2.0), (0.01, 0.02, 0.03, 0.04)),
+    "closed-d1-potential": (lambda nu: SimpleNamespace(value=potential_closed_d1(nu, 1.0, 2.0)),
+                            (0.01, 0.02, 0.03, 0.04)),
+    "series-d1-potential": (lambda nu: potential_series_d1(nu, 1.0, 2.0),
+                            (0.01, 0.02, 0.03, 0.04)),
     "closed-d2": (kernel_closed_d2_nu, (0.25, 0.0, 0.0)),
     "series-d2": (kernel_series_d2_nu, (0.25, 0.0, 0.0)),
     "series-ellipsoid": (lambda nu: kernel_series_ellipsoid_nu(nu, (2, 3)), (0.1, 0.2j)),
@@ -588,6 +637,14 @@ def test_kernel_entry_points_reject_non_finite_and_misshapen_nu(name):
     for wrong in (nu[:-1], nu + (0.0,)):
         with pytest.raises(ValueError, match="component"):
             evaluate(wrong)
+
+
+def test_closed_potential_rejects_a_non_finite_dual_entry():
+    # the closed potential also takes DualComplex entries, as the closed d1
+    # kernel seeds them; a non-finite value part is refused like a complex one
+    nu = (DualComplex(0.01, 1.0), 0.02, DualComplex(math.nan, 1.0), 0.04)
+    with pytest.raises(ValueError, match="finite"):
+        potential_closed_d1(nu, 1.0, 2.0)
 
 
 def test_kernel_routes_give_a_finite_value_or_a_typed_error_at_tiny_moduli():
@@ -645,19 +702,30 @@ def test_ellipsoid_pairs_hermitian():
         assert abs(fwd - rev.conjugate()) <= 1e-10 * abs(fwd)
 
 
-def test_ellipsoid_series_thread_safe_on_shared_block_cache():
-    # Four threads build the shared composition blocks at once, from an empty
-    # cache, on near-boundary inputs that need several blocks; every value
-    # must equal the serial one exactly.
+def test_ellipsoid_series_thread_safe_on_shared_block_cache(monkeypatch):
+    # Four threads build the shared composition blocks at once, from empty
+    # sequences, on near-boundary inputs that need several blocks; every
+    # value must equal the serial one exactly, and each block, of
+    # compositions and of each set's coefficients, is built once.
     cases = [((0.3 + 0.1j, 0.2 - 0.3j), (2, 3)),
              ((0.35 - 0.1j, 0.25 + 0.15j, -0.2 + 0.1j), (1, 1, 1)),
              ((0.6 + 0.1j, 0.3 - 0.2j), (1, 2)),
              ((0.45 - 0.2j, -0.4 + 0.1j, 0.2j), (1, 2, 1))]
     serial = [repr(kernel_series_ellipsoid_nu(nu, exps).value) for nu, exps in cases]
-    hypergeo._block_cached.cache_clear()
-    kernels._ellipsoid_block.cache_clear()
+    hypergeo._blocks.cache_clear()
+    kernels._coefficients.cache_clear()
+    blocks = count_builds(monkeypatch, hypergeo, "_build_block", lambda n, lo: (n, lo))
+    coefs = count_builds(monkeypatch, kernels, "_ellipsoid_block",
+                         lambda ps, ones, block, before: (ps, ones, block.lo))
     calls = [partial(kernel_series_ellipsoid_nu, nu, exps) for nu, exps in cases]
-    assert threaded_reprs(calls) == serial
+    try:
+        assert threaded_reprs(calls) == serial
+    finally:
+        monkeypatch.undo()
+        hypergeo._blocks.cache_clear()
+        kernels._coefficients.cache_clear()
+    assert len(coefs) > len(cases) and set(coefs.values()) == {1}
+    assert set(blocks.values()) == {1}
 
 
 def per_term_ellipsoid(nu, ps, policy):
@@ -827,6 +895,29 @@ def test_kernel_cap_reaches_deep_near_boundary_pairs(monkeypatch, kind, ps, nu, 
     with pytest.raises(ConvergenceError):
         series(nu, policy=TruncationPolicy(enough - 1, tail_tol))
     assert rel(got, ref) <= tol
+
+
+def test_deep_series_keeps_its_blocks_for_the_next_pair(monkeypatch):
+    # With one shell per block, the deepest pinned (2,3) pair reads 1172
+    # blocks. Its set holds them all as one sequence, none evicted one by
+    # one, so a second evaluation builds no block of compositions and no
+    # coefficients (each coefficient block calls log_gamma_array).
+    kind, ps, nu, shells, _ = _DEEP_PAIRS[1]
+    assert (kind, ps, shells) == ("ellipsoid", (2, 3), 1172)
+    monkeypatch.setattr(hypergeo, "_BLOCK_DEGREES", 1)
+    hypergeo._blocks.cache_clear()
+    kernels._coefficients.cache_clear()
+    try:
+        first = kernel_series_ellipsoid_nu(nu, ps)
+        blocks = count_builds(monkeypatch, hypergeo, "_build_block", lambda n, lo: (n, lo))
+        tables = count_builds(monkeypatch, kernels, "log_gamma_array", len)
+        again = kernel_series_ellipsoid_nu(nu, ps)
+    finally:
+        monkeypatch.undo()
+        hypergeo._blocks.cache_clear()
+        kernels._coefficients.cache_clear()
+    assert repr(again) == repr(first)
+    assert not blocks and not tables
 
 
 @pytest.mark.parametrize("ps", ((1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)), ids=str)
