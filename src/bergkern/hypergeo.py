@@ -7,7 +7,8 @@ rising factorials like (a)_{2M} and factorial denominators never overflow or
 underflow individually near the edge of the convergence region. Shells are
 gathered in vectorised blocks of consecutive degrees, at most 32 degrees and
 about 4096 terms each, held as one in-order sequence per variable count
-(_blocks), shared by every series and never evicted. The stop rule applies
+(_blocks), shared by every series and dropped whole, least recently used
+first, once the blocks held pass a bound in bytes. The stop rule applies
 shell by shell and is the only code that knows the degree cap. A series
 builds its log/phase tables on demand: the first block sizes them, and a
 later block that needs more rebuilds them at double length, so a series that
@@ -221,42 +222,80 @@ def _last_degree(nvars: int, max_rows: int) -> int:
 
 class _Sequence:
     """The items step(0, None), step(1, item 0), step(2, item 1), ..., each
-    built once, in order, when first asked for, and held. Builds run under a
-    lock, so threads share every item; a build that raises leaves the
-    sequence as it was, and the next request builds that item again."""
+    built once, in order, when first asked for, and held; grew(item) is told
+    of each. Builds run under a lock, so threads share every item, and a
+    built item is read without it. A build that raises leaves the sequence
+    as it was, and the next request builds that item again."""
 
-    def __init__(self, step):
-        self._step, self._items, self._lock = step, [], threading.Lock()
+    def __init__(self, step, grew):
+        self._step, self._grew = step, grew
+        self._items, self._lock = [], threading.Lock()
 
     def get(self, i: int):
+        items = self._items
+        if i < len(items):  # items are only ever appended
+            return items[i]
         with self._lock:
-            items = self._items
             while len(items) <= i:
                 items.append(self._step(len(items), items[-1] if items else None))
+                self._grew(items[-1])
             return items[i]
 
     def __iter__(self):
         return map(self.get, itertools.count())
 
 
-def _shared(maxsize):
-    """lru_cache(maxsize), called one at a time: threads share one value per key."""
-    def decorate(fn):
-        cached, lock = lru_cache(maxsize)(fn), threading.Lock()
+class _Held:
+    """The sequences _Sequence(step(*key)), one per key, made when first
+    asked for and shared by threads. They are held while their items take
+    at most max_bytes, size(item) each: a sequence that grows past it drops
+    the others, least recently asked for first, but never itself."""
 
-        def call(*args):
-            with lock:
-                return cached(*args)
-        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
-        return call
-    return decorate
+    def __init__(self, step, size, max_bytes: int):
+        self._step, self._size, self.max_bytes = step, size, max_bytes
+        self._held = {}  # key -> [sequence, its bytes], least recently asked for first
+        self._nbytes = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, *key) -> _Sequence:
+        with self._lock:
+            entry = self._held.pop(key, None)
+            if entry is None:
+                entry = [None, 0]
+                entry[0] = _Sequence(self._step(*key), lambda item: self._grew(key, entry, item))
+            self._held[key] = entry
+            return entry[0]
+
+    def _grew(self, key, entry, item) -> None:
+        with self._lock:
+            if self._held.get(key) is not entry:  # dropped: no longer counted
+                return
+            size = self._size(item)
+            entry[1] += size
+            self._nbytes += size
+            while self._nbytes > self.max_bytes:
+                old = next((k for k in self._held if k != key), None)
+                if old is None:
+                    break
+                self._nbytes -= self._held.pop(old)[1]
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._held.clear()
+            self._nbytes = 0
 
 
-@_shared(maxsize=None)
-def _blocks(nvars: int) -> _Sequence:
-    """The blocks of every series of nvars variables, from degree 0, each
-    starting where the one before ends; past the last, ConvergenceError."""
-    return _Sequence(lambda i, prev: _build_block(nvars, prev.hi if prev else 0))
+# Composition blocks are held while their rows, 4 bytes per variable, take
+# at most this many bytes: the blocks of a 3-variable series to the row
+# ceiling (130 MB) and of a 2-variable series to degree 3000, the (2,3)
+# ellipsoid's cap (36 MB). A 4-variable series to the ceiling (171 MB) drops
+# the others as it grows; the next series of fewer variables drops it.
+_BLOCK_BYTES = 168_000_000
+
+# _blocks(nvars): the blocks of every series of nvars variables, from degree 0,
+# each starting where the one before ends; past the last, ConvergenceError.
+_blocks = _Held(lambda nvars: lambda i, prev: _build_block(nvars, prev.hi if prev else 0),
+                lambda block: block.comps.nbytes, _BLOCK_BYTES)
 
 
 def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag) -> np.ndarray:
@@ -274,8 +313,12 @@ def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag) -> np.ndarray:
     return np.add.reduceat(phases, block.starts)
 
 
+def _front_product(lo: int, sums: np.ndarray, phase: np.ndarray) -> list[complex]:
+    return (sums * phase).tolist()
+
+
 def _front_series(nvars: int, ratios, policy: TruncationPolicy, what: str,
-                  finish=lambda lo, sums, phase: (sums * phase).tolist()) -> SeriesValue:
+                  finish=_front_product) -> SeriesValue:
     """Sum of the shells front[M] * prod_i seq_i[m_i] over m_1+...+m_n = M,
     the sequences being built from ratios by _ratio_logseq: one row per
     variable, then the front. A block's shells are finish(lo, sums, phase),

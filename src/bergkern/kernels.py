@@ -40,7 +40,7 @@ import numpy as np
 from .domains import DomainSpec, PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
 from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _blocks, _LogSeq,
-                       _Sequence, _shared, _shell_gather, _sum_shells, _tables_on_demand)
+                       _Held, _shell_gather, _sum_shells, _tables_on_demand)
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 # Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
@@ -217,19 +217,21 @@ def _monomial_series(xs, blocks, policy: TruncationPolicy, what: str) -> SeriesV
     return _sum_shells(itertools.chain.from_iterable(map(shells, blocks)), policy, what)
 
 
-# Coefficient blocks are held for this many parameter sets. A set holds 8 bytes
-# per row its series reach, at most the C(403, 3) rows of hypergeo's row ceiling
-# (87 MB): 1.4 GB at worst. A set whose series stop by degree 100 holds <= 1.4 MB.
-_PARAMETER_SETS = 16
+# Coefficient sets are held while their pairs take at most this many bytes,
+# each pair counting its log-coefficients (8 a row) and the compositions of
+# its block (4 per variable a row), which it keeps alive: two 3-variable sets
+# to hypergeo's row ceiling, 217 MB each. The 17 sets of one pass of the
+# benchmark's eval-sweep (perfbench/workloads.py, seed 1) take 14 MB.
+_COEFFICIENT_BYTES = 440_000_000
 
-
-@_shared(maxsize=_PARAMETER_SETS)
-def _coefficients(build, nvars: int, *params) -> _Sequence:
-    """The (block, log_coef) pairs build(*params, block, before) of one
-    parameter set, shared by its pairs, one per block of _blocks(nvars), in
-    order, before being the pair of the block before (None for the first)."""
-    blocks = _blocks(nvars)
-    return _Sequence(lambda i, before: build(*params, blocks.get(i), before))
+# _coefficients(build, nvars, *params): the (block, log_coef) pairs
+# build(*params, block, before) of one parameter set, one per block of
+# _blocks(nvars), in order, before being the pair of the block before (None
+# for the first).
+_coefficients = _Held(
+    lambda build, nvars, *params:
+        lambda i, before: build(*params, _blocks(nvars).get(i), before),
+    lambda pair: pair[0].comps.nbytes + pair[1].nbytes, _COEFFICIENT_BYTES)
 
 
 def _d1_block(p: float, lam: float, with_operator_factor: bool, block, before):

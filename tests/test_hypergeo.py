@@ -682,7 +682,8 @@ def test_ellipsoid_rows_count_against_the_row_ceiling(monkeypatch):
     # Under a ceiling of C(23, 3) = 1771 rows a (2,2,2) ellipsoid, a series
     # of 3 variables, stops at degree 20, and its held blocks hold exactly
     # the rows through degree 20. A 4-variable ellipsoid, which stops at
-    # degree 11, holds the rows through degree 11 in blocks of its own.
+    # degree 11, holds the rows through degree 11 in blocks of its own, as
+    # both fit the bound on held blocks.
     gathered = []
     gather = kernels._shell_gather
 
@@ -707,8 +708,37 @@ def test_ellipsoid_rows_count_against_the_row_ceiling(monkeypatch):
             kernel_series_ellipsoid_nu((0.45, 0.45j, -0.45, 0.45), (2, 2, 2, 2))
         assert sum(gathered) == math.comb(15, 4)
         assert sum(len(block.comps) for block in hypergeo._blocks(4)._items) == sum(gathered)
-        assert kernels._coefficients.cache_info().currsize == 2
+        assert len(kernels._coefficients._held) == 2
         assert len(held) == len(hypergeo._blocks(3)._items) == count3
+    finally:
+        monkeypatch.undo()
+        _clear_block_caches()
+
+
+def test_held_blocks_stay_within_their_bound(monkeypatch):
+    # The composition blocks held take at most max_bytes. A 4-variable series
+    # that grows past it drops the 3-variable blocks, never its own; the next
+    # 3-variable series drops the 4-variable blocks as it grows. Values are
+    # those under the default bound.
+    series = [lambda: kernel_series_ellipsoid_nu((0.4, 0.4j, -0.4), (2, 2, 2)),
+              lambda: kernel_series_ellipsoid_nu((0.35, 0.35j, -0.35, 0.35), (2, 2, 2, 2))]
+    cache = hypergeo._blocks
+    assert cache.max_bytes == hypergeo._BLOCK_BYTES
+    monkeypatch.setattr(hypergeo, "_BLOCK_ROWS", 64)  # several blocks
+    _clear_block_caches()
+    try:
+        ref = [repr(evaluate()) for evaluate in series]
+        four = sum(block.comps.nbytes for block in cache(4)._items)
+        _clear_block_caches()
+        monkeypatch.setattr(cache, "max_bytes", four // 2)
+        held = []
+        for i, evaluate in enumerate(series + series):
+            kernels._coefficients.cache_clear()  # so each series asks for blocks
+            assert repr(evaluate()) == ref[i % 2]
+            held.append(list(cache._held))
+            assert cache._nbytes == sum(block.comps.nbytes for block in cache(*held[-1][-1])._items)
+        assert held == [[(3,)], [(4,)], [(3,)], [(4,)]]
+        assert cache._nbytes == four > cache.max_bytes
     finally:
         monkeypatch.undo()
         _clear_block_caches()

@@ -550,17 +550,69 @@ def test_kernel_d2_series_thread_safe_on_empty_block_cache(monkeypatch):
     assert len(blocks) == len(coefs) and set(blocks.values()) == {1}
 
 
-def test_shell_table_cache_is_bounded():
+def test_shell_table_cache_is_bounded(monkeypatch):
+    # The held coefficient sets take at most max_bytes, each pair counting
+    # its log-coefficients and the compositions of its block; past it the
+    # least recently asked for sets are dropped whole, and a set that alone
+    # takes more is held by itself. At nu = 0 every series stops in its
+    # first block, so each d1 set takes the same bytes.
     cache = kernels._coefficients
-    size = cache.cache_info().maxsize
-    assert size == kernels._PARAMETER_SETS
-    for i in range(size + 1):
-        kernel_series_d1_nu((0j,) * 4, 1.0 + i / size, 2.0)
-    assert cache.cache_info().currsize <= size
-    # ellipsoid blocks are keyed by the exponents, not by the degree cap
-    for i in range(size + 1):
-        kernel_series_ellipsoid_nu((0j, 0j), (2, 3 + i / size))
-    assert cache.cache_info().currsize == size
+    assert cache.max_bytes == kernels._COEFFICIENT_BYTES
+    cache.cache_clear()
+    try:
+        kernel_series_d1_nu((0j,) * 4, 1.0, 2.0)
+        block, log_coef = d1_coefficients(1.0, 2.0, True).get(0)
+        one = cache._nbytes
+        assert one == block.comps.nbytes + log_coef.nbytes
+        monkeypatch.setattr(cache, "max_bytes", 3 * one)
+        lams = [2.0 + i / 8 for i in range(6)]
+        for lam in lams:
+            kernel_series_d1_nu((0j,) * 4, 1.0, lam)
+        assert [key[3] for key in cache._held] == lams[-3:]
+        assert cache._nbytes == sum(entry[1] for entry in cache._held.values()) == 3 * one
+        # ellipsoid sets are keyed by the exponents, not by the degree cap
+        for i in range(4):
+            kernel_series_ellipsoid_nu((0j, 0j), (2, 3 + i / 4))
+            kernel_series_ellipsoid_nu((0j, 0j), (2, 3 + i / 4), TruncationPolicy(50, 1e-10))
+        held = list(cache._held)
+        assert [key[0] for key in held[-4:]] == [kernels._ellipsoid_block] * 4
+        assert held[-5][0] is kernels._d1_block and cache._nbytes <= cache.max_bytes
+        monkeypatch.setattr(cache, "max_bytes", one // 2)
+        kernel_series_d1_nu((0j,) * 4, 1.0, 2.0)
+        assert list(cache._held) == [(kernels._d1_block, 3, 1.0, 2.0, True)]
+        assert cache._nbytes == one
+    finally:
+        monkeypatch.undo()
+        cache.cache_clear()
+
+
+def test_sweep_sets_stay_held_when_cycled():
+    # The 17 parameter sets of the benchmark's eval-sweep (12 d1 sets, d2 and
+    # four ellipsoids), evaluated twice in turn: the sets fit the bound, so
+    # the second round reads the same sequences and builds no block in them.
+    d1 = [(p, lam) for p in (0.5, 1.0, 2.0, 2.5) for lam in (1.0, 2.0, 3.0)]
+    ellipsoids = [((0.5, 0.4j), (1, 1)), ((0.6, -0.3j), (1, 2)),
+                  ((0.6, 0.4j), (2, 3)), ((0.3, 0.3j, -0.3), (1, 1, 1))]
+
+    def sweep():
+        out = [kernel_series_d1_nu((0.2, 0.15j, 0.1, -0.3), p, lam) for p, lam in d1]
+        out.append(kernel_series_d2_nu((0.4, 0.1j, 0.2)))
+        out += [kernel_series_ellipsoid_nu(nu, ps) for nu, ps in ellipsoids]
+        return [repr(v) for v in out]
+
+    def held():
+        return {key: (seq, len(seq._items)) for key, (seq, _) in kernels._coefficients._held.items()}
+
+    hypergeo._blocks.cache_clear()
+    kernels._coefficients.cache_clear()
+    try:
+        first = sweep()
+        before = held()
+        assert len(before) == 17
+        assert sweep() == first and held() == before
+    finally:
+        hypergeo._blocks.cache_clear()
+        kernels._coefficients.cache_clear()
 
 
 # --- d2 kernel routes ----------------------------------------------------------
