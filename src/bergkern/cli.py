@@ -133,10 +133,11 @@ def _cmd_eval(args) -> int:
 def _cmd_norm(args) -> int:
     _check_tol(args.tol)
     spec = DomainSpec.of(args.domain, _scalar_p(args), args.lam)
+    # the oracle first: where both norms underflow, the oracle's error is reported
+    oracle = norm_quadrature(spec, args.alpha) if args.oracle else None
     closed = norm_closed(spec, args.alpha)
     print(f"norm = {closed!r}")
     if args.oracle:
-        oracle = norm_quadrature(spec, args.alpha)
         rel = abs(closed - oracle) / abs(oracle)
         print(f"oracle = {oracle!r}")
         print(f"rel_err = {rel:.6e}")
@@ -180,18 +181,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if summary["failed"] == 0 else EXIT_FAIL
 
 
-_VECTOR_FLAGS = {"--alpha", "--nu", "--z", "--zeta", "--p"}
-
-
 def _normalize_argv(argv) -> list[str]:
-    """Join vector flags with leading-dash values (e.g. --alpha -2,0,0) so
-    argparse does not mistake the value for an option."""
+    """Join each --option with a next token that starts with a dash and a
+    digit or a dot (e.g. --alpha -2,0,0 or --tol -1e-8), so argparse does
+    not mistake the value for an option."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VECTOR_FLAGS and nxt is not None and nxt.startswith("-") \
+        if tok.startswith("--") and nxt is not None and nxt.startswith("-") \
                 and len(nxt) > 1 and (nxt[1].isdigit() or nxt[1] == "."):
             out.append(f"{tok}={nxt}")
             i += 2

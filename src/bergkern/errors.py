@@ -23,7 +23,8 @@ class PoleError(BergkernError):
 
 
 class RegionError(BergkernError):
-    """Closed-form evaluation requested outside its validity region."""
+    """Closed-form evaluation requested outside its validity region, or
+    whose value does not fit a double."""
 
 
 class SingularityError(BergkernError):

@@ -8,11 +8,12 @@ underflow individually near the edge of the convergence region. Shells are
 gathered in vectorised blocks of consecutive degrees, at most 32 degrees and
 about 4096 terms each, held as one in-order sequence per variable count
 (_blocks), shared by every series and dropped whole, least recently used
-first, once the blocks held pass a bound in bytes. The stop rule applies
-shell by shell and is the only code that knows the degree cap. A series
-builds its log/phase tables on demand: the first block sizes them, and a
-later block that needs more rebuilds them at double length, so a series that
-stops early never builds the tables of a deep series.
+first, once the blocks held pass a bound in bytes set by the row ceiling.
+The stop rule applies shell by shell and is the only code that knows the
+degree cap. A series builds its log/phase tables on demand: the first block
+sizes them, and a later block that needs more rebuilds them at double
+length, so a series that stops early never builds the tables of a deep
+series.
 
 gauss_2f1 sums its terms one by one in Python complex arithmetic, which is
 cheapest for one series. gauss_2f1_batch sums many at once, one numpy pass
@@ -30,7 +31,6 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -180,17 +180,19 @@ def _compositions(nvars: int, degrees: np.ndarray) -> np.ndarray:
 
 
 def _build_block(nvars: int, lo: int) -> _Block:
-    """Shells lo, lo+1, ... up to the row ceiling: at most _BLOCK_DEGREES
-    of them, as many as fit in _BLOCK_ROWS rows, and at least one;
-    ConvergenceError once lo lies past the ceiling."""
-    last = _last_degree(nvars, _MAX_SERIES_ROWS)
-    if lo > last:
+    """Shells lo, lo+1, ..., lo being where the block before ends: at most
+    _BLOCK_DEGREES of them, as many as fit in _BLOCK_ROWS rows, and at least
+    one, all within the row ceiling. ConvergenceError once shell lo does not
+    fit within it."""
+    left = _MAX_SERIES_ROWS - math.comb(lo - 1 + nvars, nvars)  # less the rows below lo
+    sizes = _shell_sizes(nvars, np.arange(lo, lo + _BLOCK_DEGREES, dtype=np.int64))
+    rows = np.cumsum(sizes)
+    fit = int(np.searchsorted(rows, left, side="right"))
+    if not fit:
         raise ConvergenceError(
-            f"a series of {nvars} variables would reach past degree {last}, "
+            f"a series of {nvars} variables would reach past degree {lo - 1}, "
             f"the ceiling of {_MAX_SERIES_ROWS} rows")
-    end = min(lo + _BLOCK_DEGREES, last + 1)
-    sizes = _shell_sizes(nvars, np.arange(lo, end, dtype=np.int64))
-    keep = max(1, int(np.searchsorted(np.cumsum(sizes), _BLOCK_ROWS, side="right")))
+    keep = min(fit, max(1, int(np.searchsorted(rows, _BLOCK_ROWS, side="right"))))
     sizes = sizes[:keep]
     comps = _compositions(nvars, np.arange(lo, lo + keep, dtype=np.int32))
     starts = np.cumsum(sizes) - sizes
@@ -206,30 +208,27 @@ def _build_block(nvars: int, lo: int) -> _Block:
 _MAX_SERIES_ROWS = math.comb(403, 3)
 
 
-@lru_cache(maxsize=None)
-def _last_degree(nvars: int, max_rows: int) -> int:
-    """The highest degree D such that degrees 0..D of a series of nvars
-    variables, C(D + nvars, nvars) rows, hold at most max_rows rows."""
-    lo, hi = 0, max_rows  # an upper bound, as C(D + nvars, nvars) > D
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if math.comb(mid + nvars, nvars) <= max_rows:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+# Each store of held sequences, _blocks here and kernels._coefficients, holds
+# at most this many bytes, 16 for each row of the ceiling. That fits the
+# compositions (4 bytes per variable a row) of a 4-variable series to the
+# ceiling, 171 MB, or of a 3-variable one (130 MB) with a 2-variable one to
+# degree 3000, the (2,3) ellipsoid's cap (36 MB); and the log-coefficients
+# (8 bytes a row) of two 3-variable sets to the ceiling.
+_HELD_BYTES = 16 * _MAX_SERIES_ROWS
 
 
 class _Sequence:
     """The items step(0, None), step(1, item 0), step(2, item 1), ..., each
-    built once, in order, when first asked for, and held; grew(item) is told
-    of each. Builds run under a lock, so threads share every item, and a
-    built item is read without it. A build that raises leaves the sequence
-    as it was, and the next request builds that item again."""
+    built once, in order, when first asked for, and held. nbytes counts
+    their bytes, size(item) each, and grew(self) is called after each build.
+    Builds run under a lock, so threads share every item, and a built item
+    is read without it. A build that raises leaves the sequence as it was,
+    and the next request builds that item again."""
 
-    def __init__(self, step, grew):
-        self._step, self._grew = step, grew
+    def __init__(self, step, size, grew):
+        self._step, self._size, self._grew = step, size, grew
         self._items, self._lock = [], threading.Lock()
+        self.nbytes = 0
 
     def get(self, i: int):
         items = self._items
@@ -238,7 +237,8 @@ class _Sequence:
         with self._lock:
             while len(items) <= i:
                 items.append(self._step(len(items), items[-1] if items else None))
-                self._grew(items[-1])
+                self.nbytes += self._size(items[-1])
+                self._grew(self)
             return items[i]
 
     def __iter__(self):
@@ -246,56 +246,40 @@ class _Sequence:
 
 
 class _Held:
-    """The sequences _Sequence(step(*key)), one per key, made when first
-    asked for and shared by threads. They are held while their items take
-    at most max_bytes, size(item) each: a sequence that grows past it drops
-    the others, least recently asked for first, but never itself."""
+    """The sequences _Sequence(step(*key), size), one per key, made when
+    first asked for and shared by threads. They are held while their bytes
+    add up to at most max_bytes: when one grows past it, the others are
+    dropped, least recently asked for first, but never the one growing."""
 
-    def __init__(self, step, size, max_bytes: int):
-        self._step, self._size, self.max_bytes = step, size, max_bytes
-        self._held = {}  # key -> [sequence, its bytes], least recently asked for first
-        self._nbytes = 0
+    def __init__(self, step, size):
+        self._step, self._size, self.max_bytes = step, size, _HELD_BYTES
+        self._held = {}  # key -> sequence, least recently asked for first
         self._lock = threading.Lock()
 
     def __call__(self, *key) -> _Sequence:
         with self._lock:
-            entry = self._held.pop(key, None)
-            if entry is None:
-                entry = [None, 0]
-                entry[0] = _Sequence(self._step(*key), lambda item: self._grew(key, entry, item))
-            self._held[key] = entry
-            return entry[0]
+            seq = self._held.pop(key, None) or _Sequence(self._step(*key), self._size, self._grew)
+            self._held[key] = seq
+            return seq
 
-    def _grew(self, key, entry, item) -> None:
+    def _grew(self, seq: _Sequence) -> None:
         with self._lock:
-            if self._held.get(key) is not entry:  # dropped: no longer counted
-                return
-            size = self._size(item)
-            entry[1] += size
-            self._nbytes += size
-            while self._nbytes > self.max_bytes:
-                old = next((k for k in self._held if k != key), None)
-                if old is None:
+            held = self._held
+            total = sum(s.nbytes for s in held.values())
+            for key in [k for k, s in held.items() if s is not seq]:
+                if total <= self.max_bytes:
                     break
-                self._nbytes -= self._held.pop(old)[1]
+                total -= held.pop(key).nbytes
 
     def cache_clear(self) -> None:
         with self._lock:
             self._held.clear()
-            self._nbytes = 0
 
-
-# Composition blocks are held while their rows, 4 bytes per variable, take
-# at most this many bytes: the blocks of a 3-variable series to the row
-# ceiling (130 MB) and of a 2-variable series to degree 3000, the (2,3)
-# ellipsoid's cap (36 MB). A 4-variable series to the ceiling (171 MB) drops
-# the others as it grows; the next series of fewer variables drops it.
-_BLOCK_BYTES = 168_000_000
 
 # _blocks(nvars): the blocks of every series of nvars variables, from degree 0,
 # each starting where the one before ends; past the last, ConvergenceError.
 _blocks = _Held(lambda nvars: lambda i, prev: _build_block(nvars, prev.hi if prev else 0),
-                lambda block: block.comps.nbytes, _BLOCK_BYTES)
+                lambda block: block.comps.nbytes)
 
 
 def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag) -> np.ndarray:

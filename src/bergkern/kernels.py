@@ -13,11 +13,12 @@ monomials of a few variables by total degree, shell by shell: d1 in
 folding each pair of exponents that enters only through its sum; an
 ellipsoid, for any positive exponents, in its nu_j, with its unit-exponent
 coordinates folded into their sum by the multinomial theorem. The
-coefficients are built block by block, in order, and held as one sequence
-per parameter set: an ellipsoid's gamma ratios by numerics.log_gamma_array,
-and the d1 gamma ratios by a recurrence along a3, each row its predecessor
-in the shell before plus the log of a rational factor, so the d1 tables
-need no log-gamma.
+coefficients are built block by block, in order: an ellipsoid's gamma ratios
+by numerics.log_gamma_array, and the d1 gamma ratios by a recurrence along
+a3, each row its predecessor in the shell before plus the log of a rational
+factor, so the d1 tables need no log-gamma. They are held as one sequence of
+arrays per parameter set, read side by side with hypergeo's blocks, which
+alone hold the exponent rows.
 
 The removable singularity of the closed d1 potential at nu3 = 0 is eliminated
 algebraically: with w = sqrt(1 - 4*nu3), (1 - w)/(4*nu3) = 1/(1 + w) exactly,
@@ -205,40 +206,35 @@ def _powers_logseq(xs, length: int) -> _LogSeq:
     return _LogSeq(logmag, np.exp(angles * m))
 
 
-def _monomial_series(xs, blocks, policy: TruncationPolicy, what: str) -> SeriesValue:
+def _monomial_series(xs, coefficients, policy: TruncationPolicy, what: str) -> SeriesValue:
     """Sum of exp(log_coef) * prod_i xs[i]^comps[:, i] over the rows of every
-    shell, for the (block, log_coef) pairs of the sequence blocks."""
+    shell, for each block of _blocks(len(xs)) and the log-coefficients
+    log_coef at the same place of the sequence coefficients."""
     tables = _tables_on_demand(_powers_logseq, xs)
 
-    def shells(item):
-        block, log_coef = item
+    def shells(block, log_coef):
         return _shell_gather(tables(block.hi), block, log_coef).tolist()
 
-    return _sum_shells(itertools.chain.from_iterable(map(shells, blocks)), policy, what)
+    return _sum_shells(itertools.chain.from_iterable(map(shells, _blocks(len(xs)), coefficients)),
+                       policy, what)
 
 
-# Coefficient sets are held while their pairs take at most this many bytes,
-# each pair counting its log-coefficients (8 a row) and the compositions of
-# its block (4 per variable a row), which it keeps alive: two 3-variable sets
-# to hypergeo's row ceiling, 217 MB each. The 17 sets of one pass of the
-# benchmark's eval-sweep (perfbench/workloads.py, seed 1) take 14 MB.
-_COEFFICIENT_BYTES = 440_000_000
-
-# _coefficients(build, nvars, *params): the (block, log_coef) pairs
-# build(*params, block, before) of one parameter set, one per block of
-# _blocks(nvars), in order, before being the pair of the block before (None
-# for the first).
+# _coefficients(build, nvars, *params): the log-coefficients
+# build(*params, block, before) of one parameter set, one array per block of
+# _blocks(nvars), in order, before being the array of the block before (None
+# for the first). A held array counts its own bytes only: the blocks are
+# held, and counted, by _blocks.
 _coefficients = _Held(
     lambda build, nvars, *params:
         lambda i, before: build(*params, _blocks(nvars).get(i), before),
-    lambda pair: pair[0].comps.nbytes + pair[1].nbytes, _COEFFICIENT_BYTES)
+    lambda log_coef: log_coef.nbytes)
 
 
 def _d1_block(p: float, lam: float, with_operator_factor: bool, block, before):
-    """The block of d1 shells, with rows (q, a3, a4), and the log-coefficients
-    of (nu1+nu2)^q nu3^a3 nu4^a4. The nu1^a1 nu2^a2 terms with a1 + a2 = q
-    share the factor (q+1)!/(a1! a2!), so by the binomial theorem they fold
-    into (q+1) (nu1+nu2)^q.
+    """The log-coefficients of (nu1+nu2)^q nu3^a3 nu4^a4 at the rows
+    (q, a3, a4) of a block of d1 shells. The nu1^a1 nu2^a2 terms with
+    a1 + a2 = q share the factor (q+1)!/(a1! a2!), so by the binomial
+    theorem they fold into (q+1) (nu1+nu2)^q.
 
     The coefficient is (q+1)(a4+1) Gamma(2s) / (Gamma(2s-a3-1) a3!), times
     s + w with the operator factor, where w = (a4+1)/lam and
@@ -248,7 +244,7 @@ def _d1_block(p: float, lam: float, with_operator_factor: bool, block, before):
     log[(2s-2)(2s-1)(s+w) / ((2s-a3-2) a3 (s-1+w))]. The predecessors of the
     a3 >= 1 rows of shell d are the rows of shell d - 1, in order, so the
     shells are built one after another, the first from the last shell of
-    the pair before. Each row is thus the same sum of the same logs,
+    the array before. Each row is thus the same sum of the same logs,
     whatever the block layout."""
     # Full-size arrays are reused in place: s becomes 2s, then 2s - a3 - 2,
     # and w becomes s + w, then s - 1 + w.
@@ -280,23 +276,24 @@ def _d1_block(p: float, lam: float, with_operator_factor: bool, block, before):
     num /= den
     lg = np.log(num, out=num)
     stepped = a3 > 0.0
-    prev = lg[:0] if before is None else before[1][before[0].starts[-1]:]
+    # shell lo - 1, the end of the array before, has lo (lo + 1) / 2 rows
+    prev = lg[:0] if before is None else before[-(block.lo * (block.lo + 1) // 2):]
     for start, size in zip(block.starts.tolist(), block.sizes.tolist()):
         shell = lg[start:start + size]
         shell[stepped[start:start + size]] += prev
         prev = shell
     lg.setflags(write=False)
-    return block, lg
+    return lg
 
 
 def _d2_block(block, before):
-    """The block of reindexed d2 Laurent shells, with rows (r, a3), and the
-    log-coefficients of (nu1 + nu2/nu1)^r (nu3/nu1)^a3: the nu1^k
+    """The log-coefficients of (nu1 + nu2/nu1)^r (nu3/nu1)^a3 at the rows
+    (r, a3) of a block of reindexed d2 Laurent shells: the nu1^k
     (nu2/nu1)^a2 terms with k + a2 = r fold by the binomial theorem."""
     r, a3 = block.comps.T.astype(float)
     lg = np.log(a3 + 1.0) + np.log(r + a3 + 3.0) + np.log(r + 1.0)
     lg.setflags(write=False)
-    return block, lg
+    return lg
 
 
 def potential_series_d1(nu, p: float, lam: float,
@@ -352,8 +349,8 @@ def kernel_series_d2(pair: PointPair, policy: TruncationPolicy = KERNEL_POLICY) 
 
 
 def _ellipsoid_block(ps: tuple[float, ...], ones: int, block, before):
-    """The block of ellipsoid shells, with rows alpha, and the
-    log-coefficients of nu^alpha, log Gamma(sum_j c_j + max(ones, 1)) -
+    """The log-coefficients of nu^alpha at the rows alpha of a block of
+    ellipsoid shells, log Gamma(sum_j c_j + max(ones, 1)) -
     sum_j log Gamma(c_j) with c_j = (alpha_j + 1)/p_j. A first variable with
     p_1 = 1 stands for the sum of `ones` unit-exponent coordinates: their
     monomials of degree q fold into (sum nu_j)^q, whose c is q + 1 and whose
@@ -368,7 +365,7 @@ def _ellipsoid_block(ps: tuple[float, ...], ones: int, block, before):
         lg_c += log_gamma_array(c).take(col)
     lg = log_gamma_array(front) - lg_c
     lg.setflags(write=False)
-    return block, lg
+    return lg
 
 
 def kernel_series_ellipsoid_nu(nu, exponents,

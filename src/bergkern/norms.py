@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .domains import DomainSpec
-from .errors import QuadratureError
+from .errors import QuadratureError, RegionError
 
 # The finest tanh-sinh step is 2^-14. It serves exponent sums up to 2^24 - 1,
 # and its node tables hold 212993 entries, so every table together is ~10 MB.
@@ -57,21 +57,29 @@ def d1_exponents(alpha, p: float, lam: float) -> tuple[float, float]:
 
 
 def norm_d2(alpha) -> float:
-    """Squared L2(d2) norm of z^alpha over the Laurent-admissible index set."""
+    """Squared L2(d2) norm of z^alpha over the Laurent-admissible index set;
+    RegionError where it underflows a double."""
     a1, a2, a3 = check_index_d2(alpha)
     lg = math.lgamma(a2 + 1.0) + math.lgamma(a1 + a2 + a3 + 3.0) \
         - math.lgamma(a1 + 2 * a2 + a3 + 4.0)
-    return math.pi**3 * math.exp(lg) / ((a3 + 1) * (a1 + 2 * a2 + 2 * a3 + 5))
+    norm = math.pi**3 * math.exp(lg) / ((a3 + 1) * (a1 + 2 * a2 + 2 * a3 + 5))
+    if norm == 0.0:
+        raise RegionError(f"the closed norm of {alpha} underflows a double")
+    return norm
 
 
 def norm_d1(alpha, p: float, lam: float) -> float:
-    """Squared L2(d1(p, lam)) norm of z^alpha, alpha >= 0 componentwise."""
+    """Squared L2(d1(p, lam)) norm of z^alpha, alpha >= 0 componentwise;
+    RegionError where it underflows a double."""
     a1, a2, a3, a4 = check_index_d1(alpha)
     DomainSpec.d1(p, lam)
     s, _ = d1_exponents(alpha, p, lam)
     lg = math.lgamma(a1 + 1.0) + math.lgamma(a2 + 1.0) + math.lgamma(a3 + 1.0) \
         + math.lgamma(2 * s - a3 - 1.0) - math.lgamma(a1 + a2 + 2.0) - math.lgamma(2 * s)
-    return math.pi**4 * math.exp(lg) / (p * (a4 + 1) * (s + (a4 + 1) / lam))
+    norm = math.pi**4 * math.exp(lg) / (p * (a4 + 1) * (s + (a4 + 1) / lam))
+    if norm == 0.0:
+        raise RegionError(f"the closed norm of {alpha} underflows a double")
+    return norm
 
 
 def norm_closed(spec: DomainSpec, alpha) -> float:

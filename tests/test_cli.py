@@ -152,6 +152,17 @@ def test_norm_oracle_underflow_is_error_exit_1():
     assert "error: QuadratureError:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("--domain", "d2", "--alpha", "400,400,400"),
+    ("--domain", "d1", "--p", "1", "--lambda", "2", "--alpha", "300,300,300,300"),
+], ids=["d2", "d1"])
+def test_closed_norm_underflow_is_error_exit_1(capsys, argv):
+    # the closed norm is below the smallest double: an error, not norm = 0.0
+    code, out, err = run_cli(capsys, "norm", *argv)
+    assert code == 1 and not out
+    assert "error: RegionError:" in err and "underflows a double" in err
+
+
 def test_d2_series_at_the_pole_is_error_exit_1(capsys):
     # 1/nu1^2 overflows; the series route raises as the closed route does
     code, _, err = run_cli(capsys, "eval", "--domain", "d2", "--nu", "1e-200,0,0",
@@ -294,6 +305,18 @@ def test_parameters_not_used_as_given_are_usage_errors(capsys, argv):
     # the run instead of producing a report for other parameters.
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "norms", "--domain", "d2", "--max-index", "0", "--tol", "-1e-8"),
+    ("verify", "kernels", "--domain", "d2", "--points", "2", "--tail-tol", "-1e-10"),
+    ("eval", "--domain", "d2", "--nu", "0.25,0,0", "--method", "series", "--tail-tol", "-1e-10"),
+], ids=["norms-tol", "kernels-tail-tol", "eval-tail-tol"])
+def test_negative_value_in_exponent_notation_is_read_as_the_value(capsys, argv):
+    # argparse takes -1e-8 for an option, not for a negative number, so the
+    # CLI joins it to its flag and the value gets its own usage error
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "must be finite and > 0" in err
 
 
 _ID = ("verify", "identities", "--trials", "1")

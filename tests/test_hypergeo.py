@@ -509,6 +509,11 @@ def _clear_block_caches():
         cache.cache_clear()
 
 
+def held_bytes(store):
+    """The bytes a store of held sequences counts."""
+    return sum(seq.nbytes for seq in store._held.values())
+
+
 # Past the deepest block a case asks for: the (2,3) ellipsoid's scaled cap of
 # 3000 degrees plus one block.
 _FULL_TABLE_LENGTH = 4000
@@ -624,15 +629,15 @@ def test_a_failed_block_build_leaves_the_sequences_whole(monkeypatch):
 def test_row_ceiling_bounds_each_series_by_its_variables():
     ceiling = hypergeo._MAX_SERIES_ROWS
     assert ceiling == math.comb(403, 3)
-    assert hypergeo._last_degree(3, ceiling) == 400
-    for nvars in (1, 2, 3, 4):
-        last = hypergeo._last_degree(nvars, ceiling)
+    # the last degree D of each variable count, C(D + n, n) rows through it:
+    # a block ends there, and one past it raises; 3 variables end at 400
+    for nvars, last in ((1, ceiling - 1), (2, 4651), (3, 400), (4, 124)):
         assert math.comb(last + nvars, nvars) <= ceiling < math.comb(last + 1 + nvars, nvars)
-    # a 3-variable block ends at degree 400; one past it raises, and so does
-    # the shared 3-variable sequence once it has held that block
-    assert hypergeo._build_block(3, 400).hi == 401
-    with pytest.raises(ConvergenceError, match="past degree 400"):
-        hypergeo._build_block(3, 401)
+        assert hypergeo._build_block(nvars, last).hi == last + 1
+        with pytest.raises(ConvergenceError,
+                           match=f"{nvars} variables would reach past degree {last},"):
+            hypergeo._build_block(nvars, last + 1)
+    # so does the shared 3-variable sequence once it has held that block
     _clear_block_caches()
     held = hypergeo._blocks(3)._items
     try:
@@ -702,7 +707,8 @@ def test_ellipsoid_rows_count_against_the_row_ceiling(monkeypatch):
         held = kernels._coefficients(kernels._ellipsoid_block, 3, (2.0, 2.0, 2.0), 0)._items
         count3 = len(held)
         assert count3 == len(gathered) > 1
-        assert all(mine is shared for (mine, _), shared in zip(held, hypergeo._blocks(3)._items))
+        assert all(len(log_coef) == len(block.comps)
+                   for log_coef, block in zip(held, hypergeo._blocks(3)._items))
         gathered.clear()
         with pytest.raises(ConvergenceError, match="4 variables would reach past degree 11"):
             kernel_series_ellipsoid_nu((0.45, 0.45j, -0.45, 0.45), (2, 2, 2, 2))
@@ -723,7 +729,7 @@ def test_held_blocks_stay_within_their_bound(monkeypatch):
     series = [lambda: kernel_series_ellipsoid_nu((0.4, 0.4j, -0.4), (2, 2, 2)),
               lambda: kernel_series_ellipsoid_nu((0.35, 0.35j, -0.35, 0.35), (2, 2, 2, 2))]
     cache = hypergeo._blocks
-    assert cache.max_bytes == hypergeo._BLOCK_BYTES
+    assert cache.max_bytes == hypergeo._HELD_BYTES
     monkeypatch.setattr(hypergeo, "_BLOCK_ROWS", 64)  # several blocks
     _clear_block_caches()
     try:
@@ -736,9 +742,10 @@ def test_held_blocks_stay_within_their_bound(monkeypatch):
             kernels._coefficients.cache_clear()  # so each series asks for blocks
             assert repr(evaluate()) == ref[i % 2]
             held.append(list(cache._held))
-            assert cache._nbytes == sum(block.comps.nbytes for block in cache(*held[-1][-1])._items)
+            assert held_bytes(cache) == sum(block.comps.nbytes
+                                            for block in cache(*held[-1][-1])._items)
         assert held == [[(3,)], [(4,)], [(3,)], [(4,)]]
-        assert cache._nbytes == four > cache.max_bytes
+        assert held_bytes(cache) == four > cache.max_bytes
     finally:
         monkeypatch.undo()
         _clear_block_caches()

@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import gc
 import inspect
 import itertools
 import math
@@ -10,6 +11,8 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
+import weakref
 from functools import partial
 from types import SimpleNamespace
 
@@ -36,17 +39,29 @@ def rel(x, y):
 
 # --- coefficient identities ---------------------------------------------------
 
-def block_holding(blocks, deg):
-    """The (block, log_coef) pair of the coefficient sequence blocks whose
-    block holds shell deg."""
-    return next(item for item in blocks if item[0].lo <= deg < item[0].hi)
+def with_blocks(coefficients, nvars):
+    """The (block, log_coef) pairs of a coefficient sequence: each block of
+    _blocks(nvars) with the log-coefficients at the same place."""
+    return zip(hypergeo._blocks(nvars), coefficients)
 
 
-def shell_log_coef(blocks, row):
-    """Log-coefficient of one exponent row, from the pair of the coefficient
-    sequence blocks that holds its degree."""
-    block, log_coef = block_holding(blocks, sum(row))
+def block_holding(coefficients, nvars, deg):
+    """The block of _blocks(nvars) that holds shell deg, and its
+    log-coefficients in the sequence coefficients."""
+    return next(item for item in with_blocks(coefficients, nvars)
+                if item[0].lo <= deg < item[0].hi)
+
+
+def shell_log_coef(coefficients, row):
+    """Log-coefficient of one exponent row, from the block of the
+    coefficient sequence that holds its degree."""
+    block, log_coef = block_holding(coefficients, len(row), sum(row))
     return log_coef[np.flatnonzero((block.comps == row).all(axis=1))[0]]
+
+
+def held_bytes(store):
+    """The bytes a store of held sequences counts."""
+    return sum(seq.nbytes for seq in store._held.values())
 
 
 def d1_coefficients(p, lam, flag):
@@ -79,7 +94,7 @@ def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
     for p in (0.5, 2.5):
         for lam in (1.0, 3.0):
             for deg in rng.sample(range(100, 401), 4):
-                block, log_coef = block_holding(d1_coefficients(p, lam, True), deg)
+                block, log_coef = block_holding(d1_coefficients(p, lam, True), 3, deg)
                 assert (block.lo, block.hi) == (deg, deg + 1)
                 for _ in range(4):
                     i = rng.randrange(len(log_coef))
@@ -100,7 +115,8 @@ def d1_engine_rows(p, lam, flag, top):
     """The log-coefficients of every d1 row through degree top, shell after
     shell, from the blocks the series engine reads, in its order."""
     tables = [log_coef for block, log_coef in
-              itertools.takewhile(lambda item: item[0].lo <= top, d1_coefficients(p, lam, flag))]
+              itertools.takewhile(lambda item: item[0].lo <= top,
+                                  with_blocks(d1_coefficients(p, lam, flag), 3))]
     return np.concatenate(tables)[:math.comb(top + 3, 3)]
 
 
@@ -180,7 +196,7 @@ def test_d1_blocks_do_not_depend_on_layout_or_request_order(monkeypatch):
                     assert count > 1, patches
                     blocks = d1_coefficients(p, lam, flag)
                     for i in (count // 2, count - 1, 0, count // 4, 1):
-                        block, log_coef = blocks.get(i)
+                        block, log_coef = hypergeo._blocks(3).get(i), blocks.get(i)
                         want = ref[d1_row_start(block.lo):d1_row_start(min(block.hi, top + 1))]
                         assert log_coef[:len(want)].tobytes() == want.tobytes(), (patches, i)
                     kernels._coefficients.cache_clear()
@@ -248,7 +264,7 @@ def test_ellipsoid_coefficient_is_reciprocal_norm(ps):
         alpha = tuple(rng.randrange(0, math.ceil(40 * p)) for p in ps)
         unit = [a for a, p in zip(alpha, ps) if p == 1]
         row = ((sum(unit),) if ones else ()) + tuple(a for a, p in zip(alpha, ps) if p != 1)
-        block, log_coef = block_holding(blocks, sum(row))
+        block, log_coef = block_holding(blocks, len(folded), sum(row))
         [i] = np.flatnonzero((block.comps == row).all(axis=1))
         log_multinomial = math.lgamma(sum(unit) + 1) - sum(math.lgamma(a + 1) for a in unit)
         log_norm, terms = ellipsoid_log_norm(alpha, ps)
@@ -551,36 +567,36 @@ def test_kernel_d2_series_thread_safe_on_empty_block_cache(monkeypatch):
 
 
 def test_shell_table_cache_is_bounded(monkeypatch):
-    # The held coefficient sets take at most max_bytes, each pair counting
-    # its log-coefficients and the compositions of its block; past it the
-    # least recently asked for sets are dropped whole, and a set that alone
-    # takes more is held by itself. At nu = 0 every series stops in its
-    # first block, so each d1 set takes the same bytes.
+    # The held coefficient sets take at most max_bytes, each set counting
+    # its log-coefficients only; past it the least recently asked for sets
+    # are dropped whole, and a set that alone takes more is held by itself.
+    # At nu = 0 every series stops in its first block, so each d1 set takes
+    # the same bytes.
     cache = kernels._coefficients
-    assert cache.max_bytes == kernels._COEFFICIENT_BYTES
+    assert cache.max_bytes == hypergeo._HELD_BYTES == hypergeo._blocks.max_bytes
     cache.cache_clear()
     try:
         kernel_series_d1_nu((0j,) * 4, 1.0, 2.0)
-        block, log_coef = d1_coefficients(1.0, 2.0, True).get(0)
-        one = cache._nbytes
-        assert one == block.comps.nbytes + log_coef.nbytes
+        log_coef = d1_coefficients(1.0, 2.0, True).get(0)
+        one = held_bytes(cache)
+        assert one == log_coef.nbytes
         monkeypatch.setattr(cache, "max_bytes", 3 * one)
         lams = [2.0 + i / 8 for i in range(6)]
         for lam in lams:
             kernel_series_d1_nu((0j,) * 4, 1.0, lam)
         assert [key[3] for key in cache._held] == lams[-3:]
-        assert cache._nbytes == sum(entry[1] for entry in cache._held.values()) == 3 * one
+        assert held_bytes(cache) == 3 * one
         # ellipsoid sets are keyed by the exponents, not by the degree cap
         for i in range(4):
             kernel_series_ellipsoid_nu((0j, 0j), (2, 3 + i / 4))
             kernel_series_ellipsoid_nu((0j, 0j), (2, 3 + i / 4), TruncationPolicy(50, 1e-10))
         held = list(cache._held)
         assert [key[0] for key in held[-4:]] == [kernels._ellipsoid_block] * 4
-        assert held[-5][0] is kernels._d1_block and cache._nbytes <= cache.max_bytes
+        assert held[-5][0] is kernels._d1_block and held_bytes(cache) <= cache.max_bytes
         monkeypatch.setattr(cache, "max_bytes", one // 2)
         kernel_series_d1_nu((0j,) * 4, 1.0, 2.0)
         assert list(cache._held) == [(kernels._d1_block, 3, 1.0, 2.0, True)]
-        assert cache._nbytes == one
+        assert held_bytes(cache) == one
     finally:
         monkeypatch.undo()
         cache.cache_clear()
@@ -601,7 +617,7 @@ def test_sweep_sets_stay_held_when_cycled():
         return [repr(v) for v in out]
 
     def held():
-        return {key: (seq, len(seq._items)) for key, (seq, _) in kernels._coefficients._held.items()}
+        return {key: (seq, len(seq._items)) for key, seq in kernels._coefficients._held.items()}
 
     hypergeo._blocks.cache_clear()
     kernels._coefficients.cache_clear()
@@ -613,6 +629,56 @@ def test_sweep_sets_stay_held_when_cycled():
     finally:
         hypergeo._blocks.cache_clear()
         kernels._coefficients.cache_clear()
+
+
+def test_dropping_the_blocks_frees_their_compositions():
+    # A held coefficient set keeps its log-coefficients only, so clearing the
+    # composition blocks frees them while the set stays held, and the next
+    # evaluation rebuilds the compositions but no coefficients.
+    nu = (0.2, 0.15j, 0.1, -0.3)
+    hypergeo._blocks.cache_clear()
+    kernels._coefficients.cache_clear()
+    try:
+        first = kernel_series_d1_nu(nu, 2.0, 2.0)
+        comps = weakref.ref(hypergeo._blocks(3).get(0).comps)
+        hypergeo._blocks.cache_clear()
+        gc.collect()
+        assert comps() is None
+        held = kernels._coefficients._held[(kernels._d1_block, 3, 2.0, 2.0, True)]
+        built = len(held._items)
+        assert repr(kernel_series_d1_nu(nu, 2.0, 2.0)) == repr(first)
+        assert kernels._coefficients(kernels._d1_block, 3, 2.0, 2.0, True) is held
+        assert len(held._items) == built > 1
+    finally:
+        hypergeo._blocks.cache_clear()
+        kernels._coefficients.cache_clear()
+
+
+def test_held_bytes_are_counted_once():
+    # The bytes the composition and coefficient stores count add up, to
+    # within 1%, to the traced bytes that clearing them frees: 29 MB here,
+    # over several blocks of 3 and 2 variables. Each array is counted by the
+    # one store that holds it; only small per-block overheads are not.
+    def clear():
+        hypergeo._blocks.cache_clear()
+        kernels._coefficients.cache_clear()
+        gc.collect()
+
+    clear()
+    tracemalloc.start()
+    try:
+        kernel_series_d1_nu((0.35 + 0.05j, 0.25, 0.12 - 0.05j, 0.5 + 0.1j), 1.0, 2.0)
+        kernel_series_ellipsoid_nu((0.6, 0.4j), (2, 3))
+        counted = held_bytes(hypergeo._blocks) + held_bytes(kernels._coefficients)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+        clear()
+        freed = live - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        clear()
+    assert freed > 10_000_000
+    assert abs(counted - freed) <= 0.01 * freed, (counted, freed)
 
 
 # --- d2 kernel routes ----------------------------------------------------------
