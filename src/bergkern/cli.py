@@ -14,13 +14,12 @@ import argparse
 import inspect
 import sys
 
-from .domains import DomainSpec, PointPair
+from .domains import DomainSpec, PointPair, _positive
 from .errors import BergkernError
 from .hypergeo import TruncationPolicy
 from .kernels import KERNEL_POLICY
 from .norms import norm_closed, norm_quadrature
-from .suites import (_check_tol, _kernel_routes, run_identity_suite, run_kernel_suite,
-                     run_norm_suite)
+from .suites import _kernel_routes, run_identity_suite, run_kernel_suite, run_norm_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -85,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="row tolerance (defaults: identities 1e-10, norms 1e-8, "
                          "kernels 1e-6; recurrence rows always 1e-9)")
     vf.add_argument("--tail-tol", type=float, default=None,
-                    help="series stop tolerance (identities 1e-13, kernels 1e-10)")
-    vf.add_argument("--max-degree", type=int, help="identities, kernels (default 400)")
+                    help="series stop tolerance (defaults: identities 1e-13, kernels 1e-10)")
+    vf.add_argument("--max-degree", type=int,
+                    help="series degree cap (defaults: identities 400, kernels 1000)")
     vf.add_argument("--max-index", type=int, default=None, help="norms")
     vf.add_argument("--format", choices=("json", "csv"), default="json")
     vf.add_argument("--out", default=None, help="report path (default: stdout)")
@@ -131,7 +131,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    _check_tol(args.tol)
+    _positive(args.tol, "tol")
     spec = DomainSpec.of(args.domain, _scalar_p(args), args.lam)
     # the oracle first: where both norms underflow, the oracle's error is reported
     oracle = norm_quadrature(spec, args.alpha) if args.oracle else None

@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .domains import _positive
 from .errors import BranchError, ConvergenceError, PoleError
 from .numerics import principal_pow, principal_sqrt
 
@@ -57,11 +58,16 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.max_total_degree < 1:
             raise ValueError("max_total_degree must be >= 1")
-        if not 0.0 < self.tail_tol < math.inf:
-            raise ValueError(f"tail_tol must be finite and > 0, got {self.tail_tol}")
+        _positive(self.tail_tol, "tail_tol")
 
 
 DEFAULT_POLICY = TruncationPolicy()
+
+
+def _exhausted(what: str, policy: TruncationPolicy) -> ConvergenceError:
+    # the error of a series still running after the shell of the cap's degree
+    return ConvergenceError(f"{what}: policy exhausted at total degree "
+                            f"{policy.max_total_degree} before shells shrank below tail_tol")
 
 
 @dataclass(frozen=True)
@@ -87,9 +93,7 @@ def _sum_shells(shells, policy: TruncationPolicy, what: str) -> SeriesValue:
         else:
             run = 0
         if deg > policy.max_total_degree:
-            raise ConvergenceError(
-                f"{what}: policy exhausted at total degree {policy.max_total_degree} "
-                "before shells shrank below tail_tol")
+            raise _exhausted(what, policy)
 
 
 def _check_lower_param(c: float, what: str) -> None:

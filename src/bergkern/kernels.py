@@ -44,14 +44,13 @@ from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _blocks, _
                        _Held, _shell_gather, _sum_shells, _tables_on_demand)
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
-# Near-boundary pairs converge slowly; the degree cap trades runtime for reach.
-# A d1 series stops earlier, at degree 400, where it meets hypergeo's row
-# ceiling. An ellipsoid series scales the cap by its largest exponent (see
-# kernel_series_ellipsoid_nu), and (2,2,2), a series of 3 variables, meets
-# the ceiling at degree 400 too.
+# The truncation policy of every kernel series, also `bergkern eval`'s and
+# `verify kernels`'s. Its cap trades runtime for reach near the boundary. An
+# ellipsoid series scales it by its largest exponent (see
+# kernel_series_ellipsoid_nu); d1 and (2,2,2), series of 3 variables, stop
+# earlier, at degree 400, where they meet hypergeo's row ceiling.
 KERNEL_POLICY = TruncationPolicy(max_total_degree=1000, tail_tol=1e-10)
 
-_NEG_INF = float("-inf")
 _DENOM_FLOOR = 1e-100  # |d|^3 below 1e-300 <=> |d| below 1e-100
 
 
@@ -196,13 +195,12 @@ def _kernel_closed_d1_alternate(nu, p: float, lam: float) -> complex:
 
 def _powers_logseq(xs, length: int) -> _LogSeq:
     """Powers x^m, m = 0..length-1, of every x in xs, in log/phase form,
-    one row per x."""
+    one row per x. x^0 = 1, also for x = 0."""
     m = np.arange(length)
-    logs = np.array([math.log(abs(x)) if x else _NEG_INF for x in xs])[:, None]
+    logs = np.array([math.log(abs(x)) if x else -math.inf for x in xs])[:, None]
     angles = np.array([1j * math.atan2(x.imag, x.real) if x else 0j for x in xs])[:, None]
-    with np.errstate(invalid="ignore"):  # 0 * -inf at m = 0 when x = 0
-        logmag = m * logs
-    logmag[logs[:, 0] == _NEG_INF, 0] = 0.0
+    logmag = np.zeros((len(xs), length))
+    np.multiply(m[1:], logs, out=logmag[:, 1:])
     return _LogSeq(logmag, np.exp(angles * m))
 
 

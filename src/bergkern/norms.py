@@ -95,18 +95,21 @@ def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log sin, log cos and log weight at the tanh-sinh nodes of step
     h = 2^-level on (0, pi/2): theta = (pi/2) / (1 + e^(-2u)) with
     u = (pi/2) sinh t, t in [-6.5, 6.5], where the integrand of either end is
-    below e^-1000 of its peak. log theta and log(pi/2 - theta) come from
-    logaddexp, so neither end cancels or underflows, and the weight
-    dtheta/dt h is pi^2 h cosh t / (8 cosh^2 u). The arrays are shared
+    below e^-1000 of its peak. log theta comes from logaddexp, so it never
+    underflows. Up to pi/4 (t <= 0), log sin is log theta + log sinc theta;
+    past it, log1p(-2 sin^2(phi/2)), phi = pi/2 - theta being the theta of
+    node -t. So neither end cancels, and log cos is log sin reversed. The
+    weight dtheta/dt h is pi^2 h cosh t / (8 cosh^2 u). The arrays are shared
     between callers, so they are read-only."""
     h = 2.0 ** -level
-    t = h * np.arange(-6.5 * 2**level, 6.5 * 2**level + 1)
+    n = 13 * 2**(level - 1)  # the node at t = 0
+    t = h * np.arange(-n, n + 1)
     u = 0.5 * math.pi * np.sinh(t)
-    log_half_pi = math.log(0.5 * math.pi)
-    log_theta = log_half_pi - np.logaddexp(0.0, -2.0 * u)
-    log_rest = log_half_pi - np.logaddexp(0.0, 2.0 * u)  # log(pi/2 - theta)
-    log_sin = log_theta + np.log(np.sinc(np.exp(log_theta) / math.pi))
-    log_cos = log_rest + np.log(np.sinc(np.exp(log_rest) / math.pi))
+    log_theta = math.log(0.5 * math.pi) - np.logaddexp(0.0, -2.0 * u[:n + 1])
+    theta = np.exp(log_theta)
+    log_sin = np.concatenate((log_theta + np.log(np.sinc(theta / math.pi)),
+                              np.log1p(-2.0 * np.sin(0.5 * theta[n - 1::-1]) ** 2)))
+    log_cos = log_sin[::-1]
     log_weight = (math.log(math.pi**2 * h / 8.0) + np.logaddexp(t, -t)
                   - 2.0 * np.logaddexp(u, -u) + math.log(2.0))  # cosh x = (e^x + e^-x)/2
     for table in (log_sin, log_cos, log_weight):

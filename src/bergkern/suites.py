@@ -15,7 +15,7 @@ route table, _kernel_routes: a closed route (d1, d2) and a series route (all
 three). DomainSpec.of checks a domain's parameters, for the norm sweep too.
 One suite body serves every domain: route rows (or the unit-ball form for an
 all-ones ellipsoid), Hermitian and positivity rows, then the closed routes'
-extras.
+extras. Its series stop on kernels.KERNEL_POLICY unless told otherwise.
 """
 
 from __future__ import annotations
@@ -28,12 +28,14 @@ import time
 
 import numpy as np
 
-from .domains import DomainSpec, PointPair, diagonal_pair, sample_interior, sample_pairs
+from .domains import (DomainSpec, PointPair, _positive, diagonal_pair, sample_interior,
+                      sample_pairs)
 from .hypergeo import (SeriesBatch, TruncationPolicy, _alternate_recurrence_rhs,
-                       _closed_2f1_display, _decomposition_series, appell_fa, closed_2f1_family,
-                       closed_2f1_recurrence, doubled_index_multisum, fa_equal_params_closed,
-                       gauss_2f1, gauss_2f1_batch, recurrence_coefficients)
-from .kernels import (_kernel_closed_d1_alternate, _kernel_closed_d2_alternate,
+                       _closed_2f1_display, _decomposition_series, _exhausted, appell_fa,
+                       closed_2f1_family, closed_2f1_recurrence, doubled_index_multisum,
+                       fa_equal_params_closed, gauss_2f1, gauss_2f1_batch,
+                       recurrence_coefficients)
+from .kernels import (KERNEL_POLICY, _kernel_closed_d1_alternate, _kernel_closed_d2_alternate,
                       kernel_closed_d1_nu, kernel_closed_d2_nu, kernel_series_d1_nu,
                       kernel_series_d2_nu, kernel_series_ellipsoid_nu, potential_closed_d1)
 from .norms import norm_closed, norm_quadrature
@@ -47,12 +49,6 @@ _POSITIVITY_TOL = 1e-10
 _GRADIENT_CHECKS = 25
 # Tolerance of the recurrence family's rows; the other identity rows take tol.
 _RECURRENCE_TOL = 1e-9
-
-
-def _check_tol(tol: float) -> None:
-    # at inf every row would pass, and JSON has no word for inf or nan
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def _finish(report: VerificationReport, t0: float) -> VerificationReport:
@@ -73,12 +69,11 @@ def _draw_z_right_halfplane(rng: random.Random, radius: float = 0.6,
             return z
 
 
-def _batch_value(batch: SeriesBatch, index, args, policy: TruncationPolicy) -> complex:
+def _batch_value(batch: SeriesBatch, index, policy: TruncationPolicy) -> complex:
     """The batch's value at index; at an element that used up the policy,
-    gauss_2f1(*args) itself, which raises the scalar's error at the row that
-    reads it."""
+    the scalar gauss_2f1's error, raised at the row that reads it."""
     if batch.exhausted[index]:
-        return gauss_2f1(*args, policy).value
+        raise _exhausted("gauss_2f1", policy)
     return complex(batch.value[index])
 
 
@@ -86,7 +81,7 @@ def _gauss_batch(args, policy: TruncationPolicy):
     """One gauss_2f1_batch over the (a, b, c, z) tuples of args, and the
     lookup of args[k]'s value."""
     batch = gauss_2f1_batch(*(np.array(v) for v in zip(*args)), policy)
-    return lambda k: _batch_value(batch, k, args[k], policy)
+    return lambda k: _batch_value(batch, k, policy)
 
 
 # Inner 2F1s of the decomposition family taken from one batch, degrees 0-31;
@@ -97,13 +92,11 @@ _DECOMPOSITION_DEGREES = 32
 def _decomposition_inner(table: SeriesBatch, i: int, a: float, b1: float, c1: float,
                          y1: complex, policy: TruncationPolicy):
     """The inner 2F1 of shell deg of decomposition trial i, from row i of
-    table (degrees 0, 1, ...), or the scalar call past its end or at an
-    element that used up the policy."""
+    table (degrees 0, 1, ...), or the scalar call past its end."""
     def inner(deg: int) -> complex:
-        args = (a + deg, b1 + deg, c1 + deg, y1)
         if deg < table.exhausted.shape[1]:
-            return _batch_value(table, (i, deg), args, policy)
-        return gauss_2f1(*args, policy).value
+            return _batch_value(table, (i, deg), policy)
+        return gauss_2f1(a + deg, b1 + deg, c1 + deg, y1, policy).value
     return inner
 
 
@@ -120,7 +113,7 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
     row by row."""
     if trials < 1:
         raise ValueError(f"identity suite needs trials >= 1, got {trials}")
-    _check_tol(tol)
+    _positive(tol, "tol")
     t0 = time.perf_counter()
     policy = TruncationPolicy(max_total_degree=max_degree, tail_tol=tail_tol)
     rep = VerificationReport("identities", {
@@ -234,7 +227,7 @@ def run_norm_suite(domain: str = "d2", max_index: int | None = None,
     admissible index grid."""
     if max_index is not None and max_index < 0:
         raise ValueError(f"norm suite needs max_index >= 0, got {max_index}")
-    _check_tol(tol)
+    _positive(tol, "tol")
     t0 = time.perf_counter()
     rep = VerificationReport("norms", {
         "domain": domain, "max_index": max_index, "tol": tol, "p": p, "lam": lam,
@@ -293,14 +286,14 @@ def _unit_ball_kernel(nu) -> complex:
 def run_kernel_suite(domain: str = "d2", p: float | None = None,
                      lam: float | None = None, exponents=(1, 1),
                      points: int = 50, seed: int = 7, margin: float = 0.2,
-                     tol: float = 1e-6, tail_tol: float = 1e-10,
-                     max_degree: int = 400) -> VerificationReport:
+                     tol: float = 1e-6, tail_tol: float = KERNEL_POLICY.tail_tol,
+                     max_degree: int = KERNEL_POLICY.max_total_degree) -> VerificationReport:
     """Kernel route agreement (or the unit-ball form for an all-ones
     ellipsoid) plus symmetry and positivity, then the closed routes'
     continuity, spot, dual-derivative and rejected-variant checks."""
     if points < 1:
         raise ValueError(f"kernel suite needs points >= 1, got {points}")
-    _check_tol(tol)
+    _positive(tol, "tol")
     t0 = time.perf_counter()
     policy = TruncationPolicy(max_total_degree=max_degree, tail_tol=tail_tol)
     spec, closed, series = _kernel_routes(domain, p, lam, exponents, policy)

@@ -360,17 +360,26 @@ def test_verify_defaults_are_the_suite_defaults(tmp_path, capsys, suite, run):
 
 
 def test_verify_help_states_the_suite_defaults():
-    # a "(default X)" in a verify flag's help is the default of each suite named
+    # a "(default X)" in a verify flag's help is the default of each suite
+    # named, and a "(defaults: suite X, ...)" is each named suite's own
     suites = {"identities": run_identity_suite, "norms": run_norm_suite,
               "kernels": run_kernel_suite}
     command = next(a for a in build_parser()._actions if a.dest == "command")
-    stated = [(name, action.dest, m.group(2))
-              for action in command.choices["verify"]._actions
-              for m in [re.fullmatch(r"(.+) \(default (\S+)\)", action.help or "")] if m
-              for name in m.group(1).split(", ")]
-    assert len(stated) == 9
+    stated = []
+    for action in command.choices["verify"]._actions:
+        shared = re.fullmatch(r"(.+) \(default (\S+)\)", action.help or "")
+        if shared:
+            stated += [(name, action.dest, shared.group(2))
+                       for name in shared.group(1).split(", ")]
+        each = re.search(r"\(defaults: ([^;)]+)", action.help or "")
+        if each:
+            for entry in each.group(1).split(", "):
+                name, text = entry.split(" ")
+                stated.append((name, action.dest, text))
+    assert len(stated) == 14
     for name, dest, text in stated:
-        assert str(inspect.signature(suites[name]).parameters[dest].default) == text
+        default = inspect.signature(suites[name]).parameters[dest].default
+        assert text == default if isinstance(default, str) else float(text) == default
 
 
 def test_verify_stdout_report_when_no_out(capsys):

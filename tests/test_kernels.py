@@ -28,6 +28,7 @@ from bergkern import (ConvergenceError, DomainSpec, DualComplex, PointPair, Regi
                       norm_d1, norm_d2, potential_closed_d1, potential_series_d1,
                       sample_interior, sample_pairs)
 from bergkern import hypergeo, kernels, log_gamma_array, suites
+from bergkern.cli import main
 from bergkern.kernels import _kernel_closed_d1_alternate, _kernel_closed_d2_alternate
 
 D2_SPOT = 2816.0 / (27.0 * math.pi**3)  # frozen from the Laurent-series oracle
@@ -1089,6 +1090,26 @@ def test_kernel_suite_families(kwargs, families):
     for family, (count, family_tol, gating) in families.items():
         assert seen[family] == [(family_tol or tol, gating)] * count, family
     assert rep.summary()["failed"] == 0
+
+
+def test_kernel_suite_defaults_are_the_kernel_policy():
+    # verify kernels stops where bergkern eval and the library stop
+    params = inspect.signature(suites.run_kernel_suite).parameters
+    assert params["tail_tol"].default == kernels.KERNEL_POLICY.tail_tol
+    assert params["max_degree"].default == kernels.KERNEL_POLICY.max_total_degree
+
+
+# verify kernels runs at margin 0.05 with a pair that needs more than 400
+# shells: 400 was the suite's own degree cap, which ended each of them with
+# ConvergenceError.
+@pytest.mark.parametrize("argv", [
+    "--domain ellipsoid --p 1.5,2 --points 50 --seed 3 --margin 0.05 --tol 1e-8",
+    "--domain d2 --points 50 --seed 50 --margin 0.05",
+    "--domain ellipsoid --p 2,3 --points 50 --seed 36 --margin 0.05 --tol 1e-8",
+])
+def test_near_boundary_kernel_suites_finish(capsys, argv):
+    code = main(["verify", "kernels", *argv.split(), "--out", os.devnull])
+    assert code == 0 and " failed=0 " in capsys.readouterr().err
 
 
 def test_kernel_suites_evaluate_each_value_once(monkeypatch):

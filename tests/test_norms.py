@@ -40,6 +40,15 @@ def test_theta_moment_against_mpmath_beta():
         assert abs(norms._theta_moment.__wrapped__(sin_exp, cos_exp) - want) < 1e-12
 
 
+@pytest.mark.parametrize("sin_exp, cos_exp", [(1e5, 3), (3, 1e5), (2e4, 2e4)])
+def test_theta_moment_is_exact_where_an_end_of_the_integrand_is_flat(sin_exp, cos_exp):
+    # The integrand peaks next to pi/2 (or 0), where sin (or cos) is near 1:
+    # log sin there must not come from two logs that cancel. At (2e4, 2e4),
+    # whose log is -13867.7, 1e-14 asks for the double nearest the exact log.
+    want = log_beta_moment(sin_exp, cos_exp)
+    assert abs(norms._theta_moment.__wrapped__(sin_exp, cos_exp) - want) < 1e-14
+
+
 def test_theta_moment_refuses_a_step_past_the_finest(monkeypatch):
     # exponent sums up to 2^24 - 1 take the finest step, 2^-14, and one more
     # would need 2^-15: that raises before any node table is built

@@ -6,7 +6,7 @@ import pytest
 
 from bergkern import ConvergenceError, gauss_2f1, run_identity_suite, suites
 from bergkern.cli import main
-from bergkern.hypergeo import SeriesBatch
+from bergkern.hypergeo import SeriesBatch, TruncationPolicy, gauss_2f1_batch
 
 
 def scalar_batch(a, b, c, z, policy):
@@ -55,3 +55,23 @@ def test_identity_suite_raises_the_scalar_error_at_its_row(monkeypatch, capsys, 
     got = main(argv), capsys.readouterr().err
     assert got == want
     assert got[0] == 1 and "ConvergenceError: " in got[1]
+
+
+def test_an_exhausted_batch_element_raises_the_scalar_error_unsummed(monkeypatch):
+    # The lookup raises the error gauss_2f1 would, word for word, without
+    # summing the series again to get it.
+    policy = TruncationPolicy(max_total_degree=20, tail_tol=1e-13)
+    args = [(1.5, 0.7, 1.1, 0.05), (1.5, 0.7, 1.1, 0.95)]
+    with pytest.raises(ConvergenceError) as scalar:
+        gauss_2f1(*args[1], policy)
+    assert list(gauss_2f1_batch(*np.array(args).T, policy).exhausted) == [False, True]
+
+    def refuse(*args):
+        raise AssertionError("gauss_2f1 called")
+
+    monkeypatch.setattr(suites, "gauss_2f1", refuse)
+    value = suites._gauss_batch(args, policy)
+    assert value(0) == gauss_2f1(*args[0], policy).value
+    with pytest.raises(ConvergenceError) as batched:
+        value(1)
+    assert str(batched.value) == str(scalar.value)
