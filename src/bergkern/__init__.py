@@ -13,7 +13,7 @@ from .kernels import (KERNEL_POLICY, KernelValue, kernel_closed_d1, kernel_close
                       kernel_closed_d2, kernel_closed_d2_nu, kernel_series_d1,
                       kernel_series_d1_nu, kernel_series_d2, kernel_series_d2_nu,
                       kernel_series_ellipsoid, kernel_series_ellipsoid_nu,
-                      potential_closed_d1, potential_series_d1)
+                      potential_closed_d1)
 from .norms import (check_index_d1, check_index_d2, d1_exponents, norm_closed, norm_d1,
                     norm_d2, norm_quadrature)
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,8 +57,15 @@ class TruncationPolicy:
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_total_degree < 1:
-            raise ValueError("max_total_degree must be >= 1")
+        # an integer: a float cap fails deep in a series (2.5) or lifts the
+        # cap (inf, nan)
+        try:
+            cap = operator.index(self.max_total_degree)
+        except TypeError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(
+                f"max_total_degree must be an integer >= 1, got {self.max_total_degree!r}")
         _positive(self.tail_tol, "tail_tol")
 
 

@@ -40,8 +40,8 @@ import numpy as np
 
 from .domains import DomainSpec, PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
-from .hypergeo import (DEFAULT_POLICY, SeriesValue, TruncationPolicy, _blocks, _LogSeq,
-                       _Held, _shell_gather, _sum_shells, _tables_on_demand)
+from .hypergeo import (SeriesValue, TruncationPolicy, _blocks, _LogSeq, _Held, _shell_gather,
+                       _sum_shells, _tables_on_demand)
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 # The truncation policy of every kernel series, also `bergkern eval`'s and
@@ -228,17 +228,17 @@ _coefficients = _Held(
     lambda log_coef: log_coef.nbytes)
 
 
-def _d1_block(p: float, lam: float, with_operator_factor: bool, block, before):
+def _d1_block(p: float, lam: float, block, before):
     """The log-coefficients of (nu1+nu2)^q nu3^a3 nu4^a4 at the rows
     (q, a3, a4) of a block of d1 shells. The nu1^a1 nu2^a2 terms with
     a1 + a2 = q share the factor (q+1)!/(a1! a2!), so by the binomial
     theorem they fold into (q+1) (nu1+nu2)^q.
 
-    The coefficient is (q+1)(a4+1) Gamma(2s) / (Gamma(2s-a3-1) a3!), times
-    s + w with the operator factor, where w = (a4+1)/lam and
-    s = (q+2)/p + a3 + w + 1. It is built along a3: a row with a3 = 0 is
-    log[(q+1)(a4+1)(2s-1)(s+w)], and a row with a3 >= 1 is its predecessor
-    (q, a3-1, a4), whose s is s - 1, plus
+    The coefficient is (q+1)(a4+1) Gamma(2s) / (Gamma(2s-a3-1) a3!) (s + w),
+    where w = (a4+1)/lam and s = (q+2)/p + a3 + w + 1: the closed
+    potential's coefficient times the operator's factor s + w. It is built
+    along a3: a row with a3 = 0 is log[(q+1)(a4+1)(2s-1)(s+w)], and a row
+    with a3 >= 1 is its predecessor (q, a3-1, a4), whose s is s - 1, plus
     log[(2s-2)(2s-1)(s+w) / ((2s-a3-2) a3 (s-1+w))]. The predecessors of the
     a3 >= 1 rows of shell d are the rows of shell d - 1, in order, so the
     shells are built one after another, the first from the last shell of
@@ -256,19 +256,17 @@ def _d1_block(p: float, lam: float, with_operator_factor: bool, block, before):
     s += 1.0
     heads = np.flatnonzero(a3 == 0.0)  # the rows that start a chain along a3
     head = (2.0 * s[heads] - 1.0) * plus1.take(q[heads]) * plus1.take(a4[heads])
-    if with_operator_factor:
-        sw = np.add(s, w, out=w)
-        head *= sw[heads]
+    sw = np.add(s, w, out=w)
+    head *= sw[heads]
     t = np.multiply(s, 2.0, out=s)
     num = t - 1.0
     num *= t - 2.0
     den = np.subtract(t, a3, out=t)
     den -= 2.0
     den *= a3
-    if with_operator_factor:
-        num *= sw
-        sw -= 1.0
-        den *= sw
+    num *= sw
+    sw -= 1.0
+    den *= sw
     num[heads] = head
     den[heads] = 1.0
     num /= den
@@ -294,22 +292,17 @@ def _d2_block(block, before):
     return lg
 
 
-def potential_series_d1(nu, p: float, lam: float,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
-    """Series oracle for the closed d1 potential (same coefficients as the
-    kernel series, without the operator multiplier or prefactor)."""
-    n1, n2, n3, n4 = _nu(nu, 4, "potential_series_d1")
-    _d1_scale_exponent(p, lam, "potential_series_d1")
-    return _monomial_series((n1 + n2, n3, n4), _coefficients(_d1_block, 3, p, lam, False),
-                            policy, "d1 kernel series")
-
-
 def kernel_series_d1_nu(nu, p: float, lam: float,
                         policy: TruncationPolicy = KERNEL_POLICY) -> KernelValue:
-    """Orthonormal-series d1 kernel at a Hermitian-product vector."""
+    """Orthonormal-series d1 kernel at a Hermitian-product vector. Along
+    each axis the coefficients grow polynomially in q and a4 and like 4^a3,
+    so the series needs |nu1+nu2| < 1, |nu3| < 1/4 and |nu4| < 1, which
+    every d1 pair meets; elsewhere ConvergenceError, before any shell."""
     n1, n2, n3, n4 = _nu(nu, 4, "d1 kernel")
     _d1_scale_exponent(p, lam, "d1 kernel series")
-    sv = _monomial_series((n1 + n2, n3, n4), _coefficients(_d1_block, 3, p, lam, True),
+    if abs(n1 + n2) >= 1.0 or abs(n3) >= 0.25 or abs(n4) >= 1.0:
+        raise ConvergenceError("d1 series requires |nu1 + nu2| < 1, |nu3| < 1/4 and |nu4| < 1")
+    sv = _monomial_series((n1 + n2, n3, n4), _coefficients(_d1_block, 3, p, lam),
                           policy, "d1 kernel series")
     pref = p / math.pi**4
     return KernelValue(pref * sv.value, "series", pref * sv.tail_estimate)

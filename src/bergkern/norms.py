@@ -28,10 +28,23 @@ from .errors import QuadratureError, RegionError
 _MAX_LEVEL = 14
 
 
+def _integral(alpha, length: int, kind: str) -> tuple[int, ...]:
+    """alpha as a tuple of ints; ValueError on another length or on an entry
+    that is not an integer, which int() would truncate."""
+    alpha = tuple(alpha)
+    if len(alpha) != length:
+        raise ValueError(f"{kind} multi-index must have length {length}")
+    try:
+        ints = tuple(map(int, alpha))
+    except (OverflowError, ValueError):  # int(inf), int(nan)
+        ints = None
+    if ints != alpha:
+        raise ValueError(f"{kind} multi-index must have integer entries, got {alpha}")
+    return ints
+
+
 def check_index_d2(alpha) -> tuple[int, int, int]:
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != 3:
-        raise ValueError("d2 multi-index must have length 3")
+    alpha = _integral(alpha, 3, "d2")
     a1, a2, a3 = alpha
     if a2 < 0 or a3 < 0 or a1 < -2 - a2 - a3:
         raise ValueError(
@@ -40,9 +53,7 @@ def check_index_d2(alpha) -> tuple[int, int, int]:
 
 
 def check_index_d1(alpha) -> tuple[int, int, int, int]:
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != 4:
-        raise ValueError("d1 multi-index must have length 4")
+    alpha = _integral(alpha, 4, "d1")
     if any(a < 0 for a in alpha):
         raise ValueError(f"inadmissible d1 index {alpha}: all entries must be >= 0")
     return alpha
@@ -71,7 +82,7 @@ def norm_d2(alpha) -> float:
 def norm_d1(alpha, p: float, lam: float) -> float:
     """Squared L2(d1(p, lam)) norm of z^alpha, alpha >= 0 componentwise;
     RegionError where it underflows a double."""
-    a1, a2, a3, a4 = check_index_d1(alpha)
+    a1, a2, a3, a4 = alpha = check_index_d1(alpha)
     DomainSpec.d1(p, lam)
     s, _ = d1_exponents(alpha, p, lam)
     lg = math.lgamma(a1 + 1.0) + math.lgamma(a2 + 1.0) + math.lgamma(a3 + 1.0) \

@@ -4,7 +4,9 @@ A report has gating rows (they decide the exit status) and informational
 rows (adjudication comparisons that are reported but never gate). A row
 passes when its relative error is within its tolerance; when the reference
 magnitude is below 1e-12 the absolute error is used instead. Each row
-computes its errors once, when it is made.
+computes its errors once, when it is made. A row whose evaluation raised a
+BergkernError carries it as "error": "<Type>: <message>", with null values
+and errors, and fails; only such rows have the key.
 
 JSON reports are single-line (the C encoder) and carry "report_version";
 version 2 is the single-line form, version 1 (no key) was indented.
@@ -16,6 +18,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+
+from .errors import BergkernError
 
 _ABS_FALLBACK = 1e-12
 REPORT_VERSION = 2
@@ -41,38 +45,49 @@ class ReportRow:
     case_id: str
     suite: str
     inputs: dict
-    lhs: complex
-    rhs: complex
+    lhs: complex | None
+    rhs: complex | None
     tol: float
+    error: str | None = None  # set, the values are None and the row fails
 
-    abs_err: float = field(init=False)
-    rel_err: float = field(init=False)
+    abs_err: float | None = field(init=False)
+    rel_err: float | None = field(init=False)
 
     def __post_init__(self):
         # computed once here; every serialisation and summary reads them
-        abs_err, rel_err = error_pair(self.lhs, self.rhs)
+        abs_err, rel_err = (None, None) if self.error else error_pair(self.lhs, self.rhs)
         object.__setattr__(self, "abs_err", abs_err)
         object.__setattr__(self, "rel_err", rel_err)
 
     @property
     def passed(self) -> bool:
-        return self.rel_err <= self.tol
+        return not self.error and self.rel_err <= self.tol
 
     def to_dict(self) -> dict:
-        return {
+        row = {
             "case_id": self.case_id,
             "suite": self.suite,
             "inputs": {k: _flatten(v) for k, v in self.inputs.items()},
-            "lhs": {"re": self.lhs.real, "im": self.lhs.imag},
-            "rhs": {"re": self.rhs.real, "im": self.rhs.imag},
+            "lhs": None if self.error else {"re": self.lhs.real, "im": self.lhs.imag},
+            "rhs": None if self.error else {"re": self.rhs.real, "im": self.rhs.imag},
             "abs_err": self.abs_err,
             "rel_err": self.rel_err,
             "tol": self.tol,
             "pass": self.passed,
         }
+        if self.error:
+            row["error"] = self.error
+        return row
 
 
 def make_row(case_id: str, suite: str, inputs: dict, lhs, rhs, tol: float) -> ReportRow:
+    """A row comparing lhs with the reference rhs. Either may instead be the
+    BergkernError its evaluation raised: the row then carries that error,
+    the first of the two."""
+    for value in (lhs, rhs):
+        if isinstance(value, BergkernError):
+            return ReportRow(case_id, suite, dict(inputs), None, None, float(tol),
+                             f"{type(value).__name__}: {value}")
     return ReportRow(case_id, suite, dict(inputs), complex(lhs), complex(rhs), float(tol))
 
 
@@ -94,7 +109,7 @@ class VerificationReport:
             "total": len(self.rows),
             "passed": passed,
             "failed": len(self.rows) - passed,
-            "max_rel_err": max((r.rel_err for r in self.rows), default=0.0),
+            "max_rel_err": max((r.rel_err for r in self.rows if not r.error), default=0.0),
             "wall_time_ms": self.wall_time_ms,
         }
 
@@ -121,12 +136,14 @@ class VerificationReport:
                          "pass", "inputs"])
         for gating, rows in ((True, self.rows), (False, self.informational)):
             for r in rows:
-                writer.writerow([
-                    r.case_id, r.suite, gating,
-                    repr(r.lhs.real), repr(r.lhs.imag),
-                    repr(r.rhs.real), repr(r.rhs.imag),
-                    repr(r.abs_err), repr(r.rel_err), repr(r.tol), r.passed,
-                    json.dumps({k: _flatten(v) for k, v in r.inputs.items()},
-                               separators=(",", ":")),
-                ])
+                inputs = {k: _flatten(v) for k, v in r.inputs.items()}
+                if r.error:
+                    # the header has no error column: empty values, the error in inputs
+                    values = [""] * 6
+                    inputs["error"] = r.error
+                else:
+                    values = [repr(r.lhs.real), repr(r.lhs.imag), repr(r.rhs.real),
+                              repr(r.rhs.imag), repr(r.abs_err), repr(r.rel_err)]
+                writer.writerow([r.case_id, r.suite, gating, *values, repr(r.tol), r.passed,
+                                 json.dumps(inputs, separators=(",", ":"))])
         return buf.getvalue()

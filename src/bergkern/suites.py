@@ -6,6 +6,10 @@ case plus informational rows for the rejected formula variants that the
 validated forms replace. Each suite's signature holds its defaults, which
 `bergkern verify` takes for every flag left out.
 
+Each row evaluates its two sides through _row: a BergkernError raised on
+the way becomes the error that row carries, so one bad case costs one row,
+not the report. A ValueError, a usage error, still ends the run.
+
 The identity sweep draws each family's inputs first, then sums the family's
 Gauss 2F1 series in one batched pass (hypergeo.gauss_2f1_batch, equal bit
 for bit to gauss_2f1), then makes its rows in order.
@@ -25,11 +29,13 @@ import itertools
 import math
 import random
 import time
+from functools import partial
 
 import numpy as np
 
 from .domains import (DomainSpec, PointPair, _positive, diagonal_pair, sample_interior,
                       sample_pairs)
+from .errors import BergkernError
 from .hypergeo import (SeriesBatch, TruncationPolicy, _alternate_recurrence_rhs,
                        _closed_2f1_display, _decomposition_series, _exhausted, appell_fa,
                        closed_2f1_family, closed_2f1_recurrence, doubled_index_multisum,
@@ -49,6 +55,30 @@ _POSITIVITY_TOL = 1e-10
 _GRADIENT_CHECKS = 25
 # Tolerance of the recurrence family's rows; the other identity rows take tol.
 _RECURRENCE_TOL = 1e-9
+
+
+def _row(case_id: str, suite: str, inputs: dict, evaluate, tol: float):
+    """The row of the (lhs, rhs) pair that evaluate() returns, or, where it
+    raises a BergkernError, the row that carries that error."""
+    try:
+        lhs, rhs = evaluate()
+    except BergkernError as exc:
+        lhs = rhs = exc
+    return make_row(case_id, suite, inputs, lhs, rhs, tol)
+
+
+def _settled(route, nu):
+    """route(nu).value, evaluated now, as a function that returns it, or
+    raises again the BergkernError route raised, for each row that reads it."""
+    try:
+        value = route(nu).value
+    except BergkernError as exc:
+        error = exc
+
+        def fail():
+            raise error
+        return fail
+    return lambda: value
 
 
 def _finish(report: VerificationReport, t0: float) -> VerificationReport:
@@ -71,7 +101,7 @@ def _draw_z_right_halfplane(rng: random.Random, radius: float = 0.6,
 
 def _batch_value(batch: SeriesBatch, index, policy: TruncationPolicy) -> complex:
     """The batch's value at index; at an element that used up the policy,
-    the scalar gauss_2f1's error, raised at the row that reads it."""
+    the scalar gauss_2f1's error, raised for the row that reads it."""
     if batch.exhausted[index]:
         raise _exhausted("gauss_2f1", policy)
     return complex(batch.value[index])
@@ -109,8 +139,8 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
     Each family draws all its inputs first, in the order of its rows, then
     sums its Gauss series in one gauss_2f1_batch, then makes its rows. No
     draw depends on an evaluated value, and a series that uses up the policy
-    raises at its row, so the report and any error are those of evaluating
-    row by row."""
+    gives the error of the rows that read it, so the report is that of
+    evaluating row by row."""
     if trials < 1:
         raise ValueError(f"identity suite needs trials >= 1, got {trials}")
     _positive(tol, "tol")
@@ -133,9 +163,10 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
         draws.append((r, a, c, tuple(v * scale for v in raw)))
     rhs = _gauss_batch([(a / 2, (a + 1) / 2, c, 4 * sum(x)) for _, a, c, x in draws], policy)
     for i, (r, a, c, x) in enumerate(draws):
-        lhs = doubled_index_multisum(a, c, x, policy).value
-        rep.rows.append(make_row(f"multisum-collapse/{i:04d}", "identities",
-                                 {"r": r, "a": a, "c": c, "x": list(x)}, lhs, rhs(i), tol))
+        rep.rows.append(_row(f"multisum-collapse/{i:04d}", "identities",
+                             {"r": r, "a": a, "c": c, "x": list(x)},
+                             lambda: (doubled_index_multisum(a, c, x, policy).value, rhs(i)),
+                             tol))
 
     params = {"i": lambda a: ((a + 1) / 2, (a + 2) / 2, a),
               "ii": lambda a: ((a + 3) / 2, (a + 4) / 2, a + 2),
@@ -144,9 +175,8 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
              for variant in params for i in range(trials)]
     rhs = _gauss_batch([params[variant](a) + (z,) for variant, _, a, z in draws], policy)
     for k, (variant, i, a, z) in enumerate(draws):
-        rep.rows.append(make_row(f"closed-2f1-{variant}/{i:04d}", "identities",
-                                 {"a": a, "z": z}, closed_2f1_family(variant, a, z),
-                                 rhs(k), tol))
+        rep.rows.append(_row(f"closed-2f1-{variant}/{i:04d}", "identities", {"a": a, "z": z},
+                             lambda: (closed_2f1_family(variant, a, z), rhs(k)), tol))
 
     for i in range(trials):
         n = rng.choice((1, 2, 3))
@@ -155,11 +185,10 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
         raw = [_draw_in_disk(rng, 1.0) for _ in range(n)]
         scale = rng.uniform(0.05, 0.5) / max(sum(abs(v) for v in raw), 1e-12)
         z = tuple(v * scale for v in raw)
-        lhs = appell_fa(a, b, b, z, policy).value
-        rhs = fa_equal_params_closed(a, z)
-        rep.rows.append(make_row(f"equal-param-collapse/{i:04d}", "identities",
-                                 {"n": n, "a": a, "b": list(b), "z": list(z)},
-                                 lhs, rhs, tol))
+        rep.rows.append(_row(f"equal-param-collapse/{i:04d}", "identities",
+                             {"n": n, "a": a, "b": list(b), "z": list(z)},
+                             lambda: (appell_fa(a, b, b, z, policy).value,
+                                      fa_equal_params_closed(a, z)), tol))
 
     draws = []
     for _ in range(trials):
@@ -176,13 +205,13 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
     table = gauss_2f1_batch(*(np.add.outer([d[k] for d in draws], degrees) for k in (1, 2, 3)),
                             np.array([d[5][0] for d in draws])[:, None], policy)
     for i, (r, a, b1, c1, shared, y) in enumerate(draws):
-        lhs = _decomposition_series(a, b1, c1, y, policy,
-                                    _decomposition_inner(table, i, a, b1, c1, y[0], policy)).value
-        rhs = appell_fa(a, (b1,) + (shared,) * (r - 1), (c1,) + (shared,) * (r - 1),
-                        y, policy).value
-        rep.rows.append(make_row(f"decomposition/{i:04d}", "identities",
-                                 {"r": r, "a": a, "b1": b1, "c1": c1,
-                                  "shared": shared, "y": list(y)}, lhs, rhs, tol))
+        inner = _decomposition_inner(table, i, a, b1, c1, y[0], policy)
+        rep.rows.append(_row(f"decomposition/{i:04d}", "identities",
+                             {"r": r, "a": a, "b1": b1, "c1": c1, "shared": shared, "y": list(y)},
+                             lambda: (_decomposition_series(a, b1, c1, y, policy, inner).value,
+                                      appell_fa(a, (b1,) + (shared,) * (r - 1),
+                                                (c1,) + (shared,) * (r - 1), y, policy).value),
+                             tol))
 
     # contiguous recurrence family: validated forms gate, rejected displays
     # and the rejected coefficient set are informational
@@ -194,28 +223,26 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
         ((a + 3) / 2, (a + 4) / 2, a + 3))],  # c = a+3 neighbours
         policy)
     for i, (a, z) in enumerate(draws):
-        s_iv, s_v, f2, f3 = (series(4 * i + k) for k in range(4))
+        s_iv, s_v, f2, f3 = (partial(series, 4 * i + k) for k in range(4))
         c2, c3 = recurrence_coefficients(a, z)
-        rep.rows.append(make_row(f"recurrence-closed-iv/{i:04d}", "identities",
-                                 {"a": a, "z": z},
-                                 closed_2f1_recurrence("iv", a, z), s_iv, _RECURRENCE_TOL))
-        rep.rows.append(make_row(f"recurrence-closed-v/{i:04d}", "identities",
-                                 {"a": a, "z": z},
-                                 closed_2f1_recurrence("v", a, z), s_v, _RECURRENCE_TOL))
-        rep.rows.append(make_row(f"recurrence-relation/{i:04d}", "identities",
-                                 {"a": a, "z": z}, s_iv, c2 * f2 + c3 * f3, _RECURRENCE_TOL))
-        rep.informational.append(make_row(f"direct-display-iv/{i:04d}", "identities",
-                                          {"a": a, "z": z},
-                                          _closed_2f1_display("iv", a, z), s_iv,
-                                          _RECURRENCE_TOL))
-        rep.informational.append(make_row(f"direct-display-v/{i:04d}", "identities",
-                                          {"a": a, "z": z},
-                                          _closed_2f1_display("v", a, z), s_v,
-                                          _RECURRENCE_TOL))
+        az = {"a": a, "z": z}
+        rep.rows.append(_row(f"recurrence-closed-iv/{i:04d}", "identities", az,
+                             lambda: (closed_2f1_recurrence("iv", a, z), s_iv()),
+                             _RECURRENCE_TOL))
+        rep.rows.append(_row(f"recurrence-closed-v/{i:04d}", "identities", az,
+                             lambda: (closed_2f1_recurrence("v", a, z), s_v()), _RECURRENCE_TOL))
+        rep.rows.append(_row(f"recurrence-relation/{i:04d}", "identities", az,
+                             lambda: (s_iv(), c2 * f2() + c3 * f3()), _RECURRENCE_TOL))
+        rep.informational.append(_row(f"direct-display-iv/{i:04d}", "identities", az,
+                                      lambda: (_closed_2f1_display("iv", a, z), s_iv()),
+                                      _RECURRENCE_TOL))
+        rep.informational.append(_row(f"direct-display-v/{i:04d}", "identities", az,
+                                      lambda: (_closed_2f1_display("v", a, z), s_v()),
+                                      _RECURRENCE_TOL))
         if i < 50:
-            rep.informational.append(make_row(
-                f"alternate-relation-coefficients/{i:04d}", "identities", {"a": a, "z": z},
-                s_iv, _alternate_recurrence_rhs(a, z, f2, f3), _RECURRENCE_TOL))
+            rep.informational.append(_row(
+                f"alternate-relation-coefficients/{i:04d}", "identities", az,
+                lambda: (s_iv(), _alternate_recurrence_rhs(a, z, f2(), f3())), _RECURRENCE_TOL))
 
     return _finish(rep, t0)
 
@@ -239,9 +266,9 @@ def run_norm_suite(domain: str = "d2", max_index: int | None = None,
             for a3 in range(max_index + 1):
                 for a1 in range(-2 - a2 - a3, 7):
                     alpha = (a1, a2, a3)
-                    rep.rows.append(make_row(
+                    rep.rows.append(_row(
                         f"norm-d2/{a1:+03d}_{a2}_{a3}", "norms", {"alpha": list(alpha)},
-                        norm_closed(spec, alpha), norm_quadrature(spec, alpha), tol))
+                        lambda: (norm_closed(spec, alpha), norm_quadrature(spec, alpha)), tol))
     elif domain == "d1":
         max_index = 3 if max_index is None else max_index
         combos = [(p, lam)] if p is not None or lam is not None else \
@@ -249,10 +276,10 @@ def run_norm_suite(domain: str = "d2", max_index: int | None = None,
         for pv, lv in combos:
             spec = DomainSpec.of("d1", pv, lv)
             for alpha in itertools.product(range(max_index + 1), repeat=4):
-                rep.rows.append(make_row(
+                rep.rows.append(_row(
                     f"norm-d1/p{pv}_l{lv}/{'_'.join(map(str, alpha))}", "norms",
                     {"alpha": list(alpha), "p": pv, "lam": lv},
-                    norm_closed(spec, alpha), norm_quadrature(spec, alpha), tol))
+                    lambda: (norm_closed(spec, alpha), norm_quadrature(spec, alpha)), tol))
     else:
         raise ValueError(f"norm suite supports d1 and d2, got {domain!r}")
     return _finish(rep, t0)
@@ -281,6 +308,36 @@ def _unit_ball_kernel(nu) -> complex:
     for v in nu:  # one by one: 1 - sum(nu) rounds differently
         gap -= v
     return math.factorial(len(nu)) / math.pi**len(nu) * gap ** -(len(nu) + 1)
+
+
+def _positive_part(k: complex) -> tuple[complex, complex]:
+    # (k, k's real part if positive, else 0): equal only for a positive k
+    return k, complex(k.real, 0.0) if k.real > 0.0 else 0j
+
+
+def _nu3_continuity(closed, others) -> tuple[complex, complex]:
+    # the closed route at nu3 = 1e-8 and at nu3 = 0, the others fixed
+    at0, near = (closed(others[:2] + [nu3] + others[2:]).value for nu3 in (0j, 1e-8 + 0j))
+    return near, at0
+
+
+def _worst_gradient(nu, p: float, lam: float, h: float = 1e-5) -> tuple[complex, complex]:
+    """The closed d1 potential's dual partial d/dnu_j and its central
+    difference, at the slot j where they differ most."""
+    worst = (0.0, 0j, 0j)
+    for j in range(4):
+        # a unit tangent on nu_j alone gives the partial d/dnu_j
+        seeded = tuple(DualComplex(v, 1 + 0j if k == j else 0j) for k, v in enumerate(nu))
+        slope = potential_closed_d1(seeded, p, lam).der
+        up, dn = list(nu), list(nu)
+        up[j] += h
+        dn[j] -= h
+        fd = (potential_closed_d1(tuple(up), p, lam)
+              - potential_closed_d1(tuple(dn), p, lam)) / (2 * h)
+        err = abs(slope - fd) / max(abs(fd), 1e-12)
+        if err >= worst[0]:
+            worst = (err, slope, fd)
+    return worst[1], worst[2]
 
 
 def run_kernel_suite(domain: str = "d2", p: float | None = None,
@@ -312,26 +369,26 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
         checked, sym_pairs, sym_tol = closed, pairs, _HERMITIAN_TOL
     else:
         checked, sym_pairs, sym_tol = series, pairs[:20], 1e-10
-    summed = [series(pr.nu).value for pr in (pairs if closed or ball else sym_pairs)]
-    forward = [closed(pr.nu).value for pr in pairs] if closed else summed
+    summed = [_settled(series, pr.nu) for pr in (pairs if closed or ball else sym_pairs)]
+    forward = [_settled(closed, pr.nu) for pr in pairs] if closed else summed
     for i, pr in enumerate(pairs):
         if closed:
-            rep.rows.append(make_row(f"{domain}/route/{i:04d}", "kernels",
-                                     {"nu": list(pr.nu)}, forward[i], summed[i], tol))
+            rep.rows.append(_row(f"{domain}/route/{i:04d}", "kernels", {"nu": list(pr.nu)},
+                                 lambda: (forward[i](), summed[i]()), tol))
         elif ball:
-            rep.rows.append(make_row(f"{domain}/unit-ball-collapse/{i:04d}", "kernels",
-                                     {"nu": list(pr.nu)}, summed[i],
-                                     _unit_ball_kernel(pr.nu), tol))
+            rep.rows.append(_row(f"{domain}/unit-ball-collapse/{i:04d}", "kernels",
+                                 {"nu": list(pr.nu)},
+                                 lambda: (summed[i](), _unit_ball_kernel(pr.nu)), tol))
     for i, (pr, fwd) in enumerate(zip(sym_pairs, forward)):
         # K(z, zeta) against conj K(zeta, z)
-        rev = checked(PointPair(pr.zeta, pr.z).nu).value
-        rep.rows.append(make_row(f"{domain}/hermitian/{i:04d}", "kernels",
-                                 {"z": list(pr.z), "zeta": list(pr.zeta)},
-                                 fwd, rev.conjugate(), sym_tol))
+        rev = PointPair(pr.zeta, pr.z).nu
+        rep.rows.append(_row(f"{domain}/hermitian/{i:04d}", "kernels",
+                             {"z": list(pr.z), "zeta": list(pr.zeta)},
+                             lambda: (fwd(), checked(rev).value.conjugate()), sym_tol))
     for i, z in enumerate(sample_interior(spec, seed + 1, max(points // 2, 1), margin)):
-        k = checked(diagonal_pair(z).nu).value
-        rep.rows.append(make_row(f"{domain}/diagonal-positive/{i:04d}", "kernels", {"z": list(z)},
-                                 k, complex(k.real, 0.0) if k.real > 0.0 else 0j, _POSITIVITY_TOL))
+        rep.rows.append(_row(f"{domain}/diagonal-positive/{i:04d}", "kernels", {"z": list(z)},
+                             lambda: _positive_part(checked(diagonal_pair(z).nu).value),
+                             _POSITIVITY_TOL))
     if closed is None:
         return _finish(rep, t0)
 
@@ -343,40 +400,25 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
         others = ([cmath.rect(rng.uniform(0.1, 0.3), rng.uniform(0.0, 2 * math.pi)),
                    _draw_in_disk(rng, 0.03)] if domain == "d2"
                   else [_draw_in_disk(rng, 0.1) for _ in range(3)])
-        at0, near = (closed(others[:2] + [nu3] + others[2:]).value for nu3 in (0j, 1e-8 + 0j))
-        rep.rows.append(make_row(f"{domain}/nu3-continuity/{i:04d}", "kernels",
-                                 {"nu": others}, near, at0, tol))
+        rep.rows.append(_row(f"{domain}/nu3-continuity/{i:04d}", "kernels", {"nu": others},
+                             lambda: _nu3_continuity(closed, others), tol))
     if domain == "d2":
-        spot = series(D2_SPOT_NU).value
-        rep.rows.append(make_row("d2/route/spot-quarter", "kernels", {"nu": list(D2_SPOT_NU)},
-                                 closed(D2_SPOT_NU).value, spot, tol))
-        rep.informational.append(make_row(
+        spot = _settled(series, D2_SPOT_NU)
+        rep.rows.append(_row("d2/route/spot-quarter", "kernels", {"nu": list(D2_SPOT_NU)},
+                             lambda: (closed(D2_SPOT_NU).value, spot()), tol))
+        rep.informational.append(_row(
             "d2/alternate-numerator/spot-quarter", "kernels", {"nu": list(D2_SPOT_NU)},
-            _kernel_closed_d2_alternate(D2_SPOT_NU), spot, tol))
+            lambda: (_kernel_closed_d2_alternate(D2_SPOT_NU), spot()), tol))
         alternate, variant = _kernel_closed_d2_alternate, "alternate-numerator"
     else:
-        h = 1e-5
         for i in range(_GRADIENT_CHECKS):
             nu = pairs[i % len(pairs)].nu
-            worst = (0.0, 0j, 0j)
-            for j in range(4):
-                # a unit tangent on nu_j alone gives the partial d/dnu_j
-                seeded = tuple(DualComplex(v, 1 + 0j if k == j else 0j)
-                               for k, v in enumerate(nu))
-                partial = potential_closed_d1(seeded, p, lam).der
-                up, dn = list(nu), list(nu)
-                up[j] += h
-                dn[j] -= h
-                fd = (potential_closed_d1(tuple(up), p, lam)
-                      - potential_closed_d1(tuple(dn), p, lam)) / (2 * h)
-                err = abs(partial - fd) / max(abs(fd), 1e-12)
-                if err >= worst[0]:
-                    worst = (err, partial, fd)
-            rep.rows.append(make_row(f"d1/gradient-fd/{i:04d}", "kernels",
-                                     {"nu": list(nu)}, worst[1], worst[2], tol))
+            rep.rows.append(_row(f"d1/gradient-fd/{i:04d}", "kernels", {"nu": list(nu)},
+                                 lambda: _worst_gradient(nu, p, lam), tol))
         alternate, variant = (lambda nu: _kernel_closed_d1_alternate(nu, p, lam),
                               "alternate-operator-weights")
     for i, pr in enumerate(pairs[:3]):
-        rep.informational.append(make_row(f"{domain}/{variant}/{i:04d}", "kernels",
-                                          {"nu": list(pr.nu)}, alternate(pr.nu), summed[i], tol))
+        rep.informational.append(_row(f"{domain}/{variant}/{i:04d}", "kernels",
+                                      {"nu": list(pr.nu)},
+                                      lambda: (alternate(pr.nu), summed[i]()), tol))
     return _finish(rep, t0)

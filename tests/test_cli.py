@@ -104,6 +104,13 @@ def test_eval_region_error_exit_1(capsys):
     assert "RegionError" in err
 
 
+@pytest.mark.parametrize("nu", ("0,0,0.3,0", "0,0,0.26,0", "0,0,0,1.2"))
+def test_eval_d1_series_past_its_radii_is_convergence_error_exit_1(capsys, nu):
+    code, out, err = run_cli(capsys, "eval", "--domain", "d1", "--p", "2", "--lambda", "2",
+                             "--nu", nu, "--method", "series")
+    assert code == 1 and out == "" and "ConvergenceError: d1 series requires" in err
+
+
 def test_eval_tiny_p_is_region_error_exit_1(capsys):
     # 2**(4/p + 2/lam) would overflow: a RegionError, not a traceback
     code, out, err = run_cli(capsys, "eval", "--domain", "d1", "--p", "1e-3",

@@ -880,3 +880,11 @@ def test_policy_validation():
         TruncationPolicy(max_total_degree=0)
     with pytest.raises(ValueError):
         TruncationPolicy(tail_tol=0.0)
+
+
+@pytest.mark.parametrize("cap", (2.5, math.inf, math.nan), ids=str)
+def test_policy_degree_cap_is_an_integer(cap):
+    # a float cap failed deep in gauss_2f1_batch (2.5) or an ellipsoid
+    # series (inf, nan), or let a d2 series run with no cap at all
+    with pytest.raises(ValueError, match="integer"):
+        TruncationPolicy(max_total_degree=cap)

@@ -25,8 +25,7 @@ from bergkern import (ConvergenceError, DomainSpec, DualComplex, PointPair, Regi
                       kernel_closed_d1, kernel_closed_d1_nu, kernel_closed_d2,
                       kernel_closed_d2_nu, kernel_series_d1, kernel_series_d1_nu,
                       kernel_series_d2, kernel_series_d2_nu, kernel_series_ellipsoid_nu,
-                      norm_d1, norm_d2, potential_closed_d1, potential_series_d1,
-                      sample_interior, sample_pairs)
+                      norm_d1, norm_d2, potential_closed_d1, sample_interior, sample_pairs)
 from bergkern import hypergeo, kernels, log_gamma_array, suites
 from bergkern.cli import main
 from bergkern.kernels import _kernel_closed_d1_alternate, _kernel_closed_d2_alternate
@@ -65,8 +64,8 @@ def held_bytes(store):
     return sum(seq.nbytes for seq in store._held.values())
 
 
-def d1_coefficients(p, lam, flag):
-    return kernels._coefficients(kernels._d1_block, 3, p, lam, flag)
+def d1_coefficients(p, lam):
+    return kernels._coefficients(kernels._d1_block, 3, p, lam)
 
 
 def test_d1_coefficient_is_reciprocal_norm():
@@ -78,7 +77,7 @@ def test_d1_coefficient_is_reciprocal_norm():
         p = rng.choice((0.5, 1.0, 2.0, 2.5))
         lam = rng.choice((1.0, 2.0, 3.0))
         q = a1 + a2
-        lc = shell_log_coef(d1_coefficients(p, lam, True), (q, a3, a4))
+        lc = shell_log_coef(d1_coefficients(p, lam), (q, a3, a4))
         coeff = math.exp(lc) * (p / math.pi**4) * math.comb(q, a1)
         assert rel(coeff, 1.0 / norm_d1(alpha, p, lam)) < 1e-12
 
@@ -95,7 +94,7 @@ def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
     for p in (0.5, 2.5):
         for lam in (1.0, 3.0):
             for deg in rng.sample(range(100, 401), 4):
-                block, log_coef = block_holding(d1_coefficients(p, lam, True), 3, deg)
+                block, log_coef = block_holding(d1_coefficients(p, lam), 3, deg)
                 assert (block.lo, block.hi) == (deg, deg + 1)
                 for _ in range(4):
                     i = rng.randrange(len(log_coef))
@@ -112,12 +111,12 @@ def test_d1_coefficient_is_reciprocal_norm_deep_in_table():
     hypergeo._blocks.cache_clear()
 
 
-def d1_engine_rows(p, lam, flag, top):
+def d1_engine_rows(p, lam, top):
     """The log-coefficients of every d1 row through degree top, shell after
     shell, from the blocks the series engine reads, in its order."""
     tables = [log_coef for block, log_coef in
               itertools.takewhile(lambda item: item[0].lo <= top,
-                                  with_blocks(d1_coefficients(p, lam, flag), 3))]
+                                  with_blocks(d1_coefficients(p, lam), 3))]
     return np.concatenate(tables)[:math.comb(top + 3, 3)]
 
 
@@ -133,8 +132,7 @@ _D1_ACCURACY_SETS = [(p, lam, 150) for p in (0.5, 1.0, 2.0, 2.5) for lam in (1.0
     + [(0.01, 1.0, 300), (0.005, 2.0, 300)]
 
 
-@pytest.mark.parametrize("flag", (True, False), ids=("kernel", "potential"))
-def test_d1_log_coefficients_against_mpmath(flag):
+def test_d1_log_coefficients_against_mpmath():
     # Each row is its predecessor along a3 plus one log, so a deep row sums
     # hundreds of logs. Against mpmath's loggamma at 40 digits, no set may do
     # worse than the direct difference log Gamma(2s) - log Gamma(2s-a3-1) by
@@ -142,7 +140,7 @@ def test_d1_log_coefficients_against_mpmath(flag):
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(23)
     for p, lam, top in _D1_ACCURACY_SETS:
-        rows = d1_engine_rows(p, lam, flag, top)
+        rows = d1_engine_rows(p, lam, top)
         kernels._coefficients.cache_clear()
         picked = []
         for deg in [top] + rng.sample(range(top), 9):
@@ -154,9 +152,7 @@ def test_d1_log_coefficients_against_mpmath(flag):
         w = (a4 + 1.0) / lam
         s = (q + 2.0) / p + a3 + w + 1.0
         stirling = np.log(q + 1.0) + np.log(a4 + 1.0) + log_gamma_array(2.0 * s) \
-            - log_gamma_array(2.0 * s - a3 - 1.0) - log_gamma_array(a3 + 1.0)
-        if flag:
-            stirling += np.log(s + w)
+            - log_gamma_array(2.0 * s - a3 - 1.0) - log_gamma_array(a3 + 1.0) + np.log(s + w)
         new_err = old_err = 0.0
         with mpmath.workdps(40):
             for (comp, got), old in zip(picked, stirling):
@@ -164,9 +160,8 @@ def test_d1_log_coefficients_against_mpmath(flag):
                 cw = (ca4 + 1) / mpmath.mpf(lam)
                 cs = (cq + 2) / mpmath.mpf(p) + ca3 + cw + 1
                 exact = mpmath.log((cq + 1) * (ca4 + 1)) + mpmath.loggamma(2 * cs) \
-                    - mpmath.loggamma(2 * cs - ca3 - 1) - mpmath.loggamma(ca3 + 1)
-                if flag:
-                    exact += mpmath.log(cs + cw)
+                    - mpmath.loggamma(2 * cs - ca3 - 1) - mpmath.loggamma(ca3 + 1) \
+                    + mpmath.log(cs + cw)
                 new_err = max(new_err, float(abs(got - exact)))
                 old_err = max(old_err, float(abs(old - exact)))
         assert new_err <= old_err, (p, lam, new_err, old_err)
@@ -183,9 +178,9 @@ def test_d1_blocks_do_not_depend_on_layout_or_request_order(monkeypatch):
     layouts = ((), (("_BLOCK_ROWS", 1),), (("_BLOCK_DEGREES", 1),),
                (("_BLOCK_ROWS", 100000), ("_BLOCK_DEGREES", 400)))
     try:
-        for p, lam, flag in ((0.5, 3.0, True), (2.0, 1.0, False)):
+        for p, lam in ((0.5, 3.0), (2.0, 1.0)):
             kernels._coefficients.cache_clear()
-            ref = d1_engine_rows(p, lam, flag, top)
+            ref = d1_engine_rows(p, lam, top)
             for patches in layouts:
                 with monkeypatch.context() as mp:
                     for attr, value in patches:
@@ -195,13 +190,13 @@ def test_d1_blocks_do_not_depend_on_layout_or_request_order(monkeypatch):
                     count = sum(1 for _ in itertools.takewhile(lambda b: b.lo <= top,
                                                                hypergeo._blocks(3)))
                     assert count > 1, patches
-                    blocks = d1_coefficients(p, lam, flag)
+                    blocks = d1_coefficients(p, lam)
                     for i in (count // 2, count - 1, 0, count // 4, 1):
                         block, log_coef = hypergeo._blocks(3).get(i), blocks.get(i)
                         want = ref[d1_row_start(block.lo):d1_row_start(min(block.hi, top + 1))]
                         assert log_coef[:len(want)].tobytes() == want.tobytes(), (patches, i)
                     kernels._coefficients.cache_clear()
-                    assert d1_engine_rows(p, lam, flag, top).tobytes() == ref.tobytes(), patches
+                    assert d1_engine_rows(p, lam, top).tobytes() == ref.tobytes(), patches
     finally:
         hypergeo._blocks.cache_clear()
         kernels._coefficients.cache_clear()
@@ -216,11 +211,9 @@ def test_d1_series_builds_its_tables_without_log_gamma(monkeypatch):
 
     monkeypatch.setattr(kernels, "log_gamma_array", spy)
     kernels._coefficients.cache_clear()
-    nu = (0.2 + 0.1j, -0.15, 0.04j, 0.3)
+    nu = (0.2 + 0.1j, -0.15, 0.08j, 0.5)  # deep enough for several blocks
     kernel_series_d1_nu(nu, 1.3, 2.2)
-    potential_series_d1(nu, 1.3, 2.2)
-    built = sum(len(d1_coefficients(1.3, 2.2, flag)._items) for flag in (True, False))
-    assert built > 2 and not calls
+    assert len(d1_coefficients(1.3, 2.2)._items) > 2 and not calls
     # the spy sees the ellipsoid tables, which are still built from log-gammas
     kernel_series_ellipsoid_nu((0.1, 0.2j), (2, 3.25))
     assert calls
@@ -277,24 +270,42 @@ def test_ellipsoid_coefficient_is_reciprocal_norm(ps):
 
 # --- d1 potential --------------------------------------------------------------
 
+def potential_reference(p, lam, top=40):
+    """The closed d1 potential's series, summed to total degree top from
+    coefficients by math.lgamma, with neither the kernel series' recurrence
+    nor its engine: a function of nu summing
+    (q+1)(a4+1) Gamma(2s) / (Gamma(2s-a3-1) a3!) (nu1+nu2)^q nu3^a3 nu4^a4
+    over q + a3 + a4 <= top, with s = (q+2)/p + a3 + (a4+1)/lam + 1."""
+    rows = np.array([row for row in itertools.product(range(top + 1), repeat=3)
+                     if sum(row) <= top])
+    coef = np.array([math.log((q + 1) * (a4 + 1)) + math.lgamma(2 * s) - math.lgamma(2 * s - a3 - 1)
+                     - math.lgamma(a3 + 1)
+                     for q, a3, a4 in rows.tolist()
+                     for s in [(q + 2) / p + a3 + (a4 + 1) / lam + 1]])
+
+    def potential(nu):
+        x = np.array([nu[0] + nu[1], nu[2], nu[3]], dtype=complex)
+        return complex(np.sum(np.exp(coef) * np.prod(x ** rows, axis=1)))
+    return potential
+
+
 def test_potential_at_zero_matches_series_head():
     for p, lam in ((1.0, 2.0), (2.0, 1.0), (2.5, 1.5)):
         closed = potential_closed_d1((0j, 0j, 0j, 0j), p, lam)
         assert rel(closed, 4.0 / p + 2.0 / lam + 1.0) < 1e-13
-        series = potential_series_d1((0j, 0j, 0j, 0j), p, lam)
-        assert rel(series.value, closed) < 1e-13
+        assert rel(potential_reference(p, lam, top=2)((0j, 0j, 0j, 0j)), closed) < 1e-13
 
 
 def test_potential_closed_matches_series_oracle():
+    # the test's own series shares neither the d1 recurrence nor the series
+    # engine with any route
     rng = random.Random(23)
-    policy = TruncationPolicy(max_total_degree=400, tail_tol=1e-12)
-    for _ in range(10):
-        nu = tuple(complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
-                   for _ in range(4))
-        for p, lam in ((1.0, 2.0), (2.0, 2.0)):
-            closed = potential_closed_d1(nu, p, lam)
-            series = potential_series_d1(nu, p, lam, policy)
-            assert rel(closed, series.value) < 1e-8
+    nus = [tuple(complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05)) for _ in range(4))
+           for _ in range(10)]
+    for p, lam in ((1.0, 2.0), (2.0, 2.0)):
+        series = potential_reference(p, lam)
+        for nu in nus:
+            assert rel(potential_closed_d1(nu, p, lam), series(nu)) < 1e-12
 
 
 def test_potential_real_positive_on_diagonal():
@@ -377,8 +388,7 @@ def test_d1_routes_refuse_the_same_tiny_p():
     # p = 1e-300, where the kernel is near 1e299), so both routes refuse
     # wherever 2**(4/p + 2/lam) overflows
     nu = (0.01 + 0j, 0j, 0j, 0j)
-    routes = (kernel_closed_d1_nu, kernel_series_d1_nu, potential_closed_d1,
-              potential_series_d1)
+    routes = (kernel_closed_d1_nu, kernel_series_d1_nu, potential_closed_d1)
     for p in (1e-300, 1e-3, 0.0039):
         for route in routes:
             with pytest.raises(RegionError, match="4/p"):
@@ -392,11 +402,27 @@ def test_d1_routes_refuse_the_same_tiny_p():
         for route in routes:
             with pytest.raises(ValueError):
                 route(nu, p, lam)
+    # just inside the bound the potential still matches its series; the
+    # kernel routes' agreement there is test_closed_d1_tiny_p_...'s
     closed = potential_closed_d1(nu, 0.004, 2.0)
-    assert rel(closed, potential_series_d1(nu, 0.004, 2.0).value) < 1e-10
+    assert rel(closed, potential_reference(0.004, 2.0)(nu)) < 1e-10
 
 
 # --- d1 kernel routes ----------------------------------------------------------
+
+@pytest.mark.parametrize("nu", ((0, 0, 0.3, 0), (0, 0, 0.26, 0), (0, 0, 0, 1.2),
+                                (0.6, 0.5, 0, 0)), ids=str)
+def test_d1_series_refuses_a_nu_past_its_axis_radii_before_any_shell(monkeypatch, nu):
+    # Along each axis the coefficients grow like 4^a3, or polynomially in q
+    # and a4, so the series cannot converge unless |nu1+nu2| < 1,
+    # |nu3| < 1/4 and |nu4| < 1; it walked to the row ceiling before saying so.
+    def refuse(*args):
+        raise AssertionError("shells summed")
+
+    monkeypatch.setattr(kernels, "_monomial_series", refuse)
+    with pytest.raises(ConvergenceError, match="requires"):
+        kernel_series_d1_nu(nu, 2.0, 2.0)
+
 
 def test_kernel_d1_at_zero_matches_head_coefficient():
     for p, lam in ((1.0, 2.0), (2.0, 1.0)):
@@ -494,8 +520,8 @@ def test_kernel_d1_series_thread_safe_on_fresh_parameters(monkeypatch):
     serial = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=300).stdout.split()
     threaded = [None] * len(serial)
-    coefs = count_builds(monkeypatch, kernels, "_d1_block", lambda p, lam, flag, block, before:
-                         (p, lam, flag, block.lo))
+    coefs = count_builds(monkeypatch, kernels, "_d1_block", lambda p, lam, block, before:
+                         (p, lam, block.lo))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -578,7 +604,7 @@ def test_shell_table_cache_is_bounded(monkeypatch):
     cache.cache_clear()
     try:
         kernel_series_d1_nu((0j,) * 4, 1.0, 2.0)
-        log_coef = d1_coefficients(1.0, 2.0, True).get(0)
+        log_coef = d1_coefficients(1.0, 2.0).get(0)
         one = held_bytes(cache)
         assert one == log_coef.nbytes
         monkeypatch.setattr(cache, "max_bytes", 3 * one)
@@ -596,7 +622,7 @@ def test_shell_table_cache_is_bounded(monkeypatch):
         assert held[-5][0] is kernels._d1_block and held_bytes(cache) <= cache.max_bytes
         monkeypatch.setattr(cache, "max_bytes", one // 2)
         kernel_series_d1_nu((0j,) * 4, 1.0, 2.0)
-        assert list(cache._held) == [(kernels._d1_block, 3, 1.0, 2.0, True)]
+        assert list(cache._held) == [(kernels._d1_block, 3, 1.0, 2.0)]
         assert held_bytes(cache) == one
     finally:
         monkeypatch.undo()
@@ -645,10 +671,10 @@ def test_dropping_the_blocks_frees_their_compositions():
         hypergeo._blocks.cache_clear()
         gc.collect()
         assert comps() is None
-        held = kernels._coefficients._held[(kernels._d1_block, 3, 2.0, 2.0, True)]
+        held = kernels._coefficients._held[(kernels._d1_block, 3, 2.0, 2.0)]
         built = len(held._items)
         assert repr(kernel_series_d1_nu(nu, 2.0, 2.0)) == repr(first)
-        assert kernels._coefficients(kernels._d1_block, 3, 2.0, 2.0, True) is held
+        assert kernels._coefficients(kernels._d1_block, 3, 2.0, 2.0) is held
         assert len(held._items) == built > 1
     finally:
         hypergeo._blocks.cache_clear()
@@ -734,8 +760,6 @@ _ENTRY_POINTS = {
     "closed-d1": (lambda nu: kernel_closed_d1_nu(nu, 1.0, 2.0), (0.01, 0.02, 0.03, 0.04)),
     "series-d1": (lambda nu: kernel_series_d1_nu(nu, 1.0, 2.0), (0.01, 0.02, 0.03, 0.04)),
     "closed-d1-potential": (lambda nu: SimpleNamespace(value=potential_closed_d1(nu, 1.0, 2.0)),
-                            (0.01, 0.02, 0.03, 0.04)),
-    "series-d1-potential": (lambda nu: potential_series_d1(nu, 1.0, 2.0),
                             (0.01, 0.02, 0.03, 0.04)),
     "closed-d2": (kernel_closed_d2_nu, (0.25, 0.0, 0.0)),
     "series-d2": (kernel_series_d2_nu, (0.25, 0.0, 0.0)),

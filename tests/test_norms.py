@@ -311,3 +311,18 @@ def test_every_norm_row_can_fail(monkeypatch):
     monkeypatch.setattr(norms, "_theta_moment", lambda s, c: real(s, c + 1.0))
     report = run_norm_suite("d2")
     assert report.rows and not any(row.passed for row in report.rows)
+
+
+def test_a_fractional_index_is_refused_not_truncated():
+    # int() would read 0.9 as 0 and 1.5 as 1; norm_d1 gave a value of
+    # neither index, its log-gammas at the truncated index and its exponents
+    # at the raw one
+    for call in (lambda: norm_d2((0.9, 0, 0)), lambda: norm_d1((1.5, 0, 0, 0), 1.0, 2.0),
+                 lambda: norm_quadrature(DomainSpec.d2(), (0.7, 0.2, 0)),
+                 lambda: norm_quadrature(DomainSpec.d1(1.0, 2.0), (0, 0, 2.5, 0)),
+                 lambda: norm_d2((math.inf, 0, 0)), lambda: norm_d1((0, math.nan, 0, 0), 1, 2)):
+        with pytest.raises(ValueError, match="integer"):
+            call()
+    # an integral float is its integer
+    assert norm_d2((1.0, 0.0, 2.0)) == norm_d2((1, 0, 2))
+    assert norm_d1((1.0, 2, 0.0, 1), 1.0, 2.0) == norm_d1((1, 2, 0, 1), 1.0, 2.0)

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 
-from bergkern import report
+from bergkern import ConvergenceError, RegionError, report
 from bergkern.report import VerificationReport, error_pair, make_row
 
 
@@ -59,3 +59,30 @@ def test_csv_error_columns_are_the_error_pair_of_each_row():
         assert (r["abs_err"], r["rel_err"]) == (repr(abs_err), repr(rel_err))
         assert r["pass"] == str(rel_err <= float(r["tol"]))
 
+
+
+def test_a_row_can_carry_the_error_of_its_evaluation():
+    # Either side may be the BergkernError its evaluation raised: the row
+    # then has null values, fails, and is the only kind with an "error" key.
+    rep = small_report()
+    plain = rep.to_dict()
+    rep.rows.append(make_row("demo/3", "demo", {"z": 0.5j}, ConvergenceError("no luck"), 1.0,
+                             1e-10))
+    rep.informational.append(make_row("demo/alt2", "demo", {}, 2.0, RegionError("outside"),
+                                      1e-10))
+    doc = json.loads(rep.to_json())
+    assert doc["rows"][3] == {
+        "case_id": "demo/3", "suite": "demo", "inputs": {"z": [0.0, 0.5]}, "lhs": None,
+        "rhs": None, "abs_err": None, "rel_err": None, "tol": 1e-10, "pass": False,
+        "error": "ConvergenceError: no luck"}
+    assert doc["informational"][1]["error"] == "RegionError: outside"
+    assert doc["rows"][:3] == plain["rows"] and doc["informational"][:1] == plain["informational"]
+    assert doc["summary"] == {"total": 4, "passed": 2, "failed": 2,
+                              "max_rel_err": rep.rows[1].rel_err, "wall_time_ms": 12}
+    # CSV: no column of its own, so empty values and the error with the inputs
+    rows = list(csv.DictReader(io.StringIO(rep.to_csv())))
+    assert [(r["case_id"], r["pass"]) for r in rows if r["lhs_re"] == ""] \
+        == [("demo/3", "False"), ("demo/alt2", "False")]
+    assert {rows[3][k] for k in ("lhs_im", "rhs_re", "rhs_im", "abs_err", "rel_err")} == {""}
+    assert json.loads(rows[3]["inputs"]) == {"z": [0.0, 0.5], "error": "ConvergenceError: no luck"}
+    assert rows[3]["tol"] == "1e-10"
