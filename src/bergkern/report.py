@@ -84,10 +84,10 @@ def make_row(case_id: str, suite: str, inputs: dict, lhs, rhs, tol: float) -> Re
     """A row comparing lhs with the reference rhs. Either may instead be the
     BergkernError its evaluation raised: the row then carries that error,
     the first of the two."""
-    for value in (lhs, rhs):
-        if isinstance(value, BergkernError):
-            return ReportRow(case_id, suite, dict(inputs), None, None, float(tol),
-                             f"{type(value).__name__}: {value}")
+    if isinstance(lhs, BergkernError) or isinstance(rhs, BergkernError):
+        error = lhs if isinstance(lhs, BergkernError) else rhs
+        return ReportRow(case_id, suite, dict(inputs), None, None, float(tol),
+                         f"{type(error).__name__}: {error}")
     return ReportRow(case_id, suite, dict(inputs), complex(lhs), complex(rhs), float(tol))
 
 

@@ -8,7 +8,10 @@ validated forms replace. Each suite's signature holds its defaults, which
 
 Each row evaluates its two sides through _row: a BergkernError raised on
 the way becomes the error that row carries, so one bad case costs one row,
-not the report. A ValueError, a usage error, still ends the run.
+not the report. A kernel route's value, read by several rows, is settled
+once (_settled): it is the value or the BergkernError the route raised,
+which make_row takes in place of a value. A ValueError, a usage error,
+still ends the run.
 
 The identity sweep draws each family's inputs first, then sums the family's
 Gauss 2F1 series in one batched pass (hypergeo.gauss_2f1_batch, equal bit
@@ -58,8 +61,9 @@ _RECURRENCE_TOL = 1e-9
 
 
 def _row(case_id: str, suite: str, inputs: dict, evaluate, tol: float):
-    """The row of the (lhs, rhs) pair that evaluate() returns, or, where it
-    raises a BergkernError, the row that carries that error."""
+    """The row of the (lhs, rhs) pair that evaluate() returns, either of
+    which may be a settled error, or, where evaluate() raises a
+    BergkernError, the row that carries that error."""
     try:
         lhs, rhs = evaluate()
     except BergkernError as exc:
@@ -68,17 +72,11 @@ def _row(case_id: str, suite: str, inputs: dict, evaluate, tol: float):
 
 
 def _settled(route, nu):
-    """route(nu).value, evaluated now, as a function that returns it, or
-    raises again the BergkernError route raised, for each row that reads it."""
+    """route(nu).value, or the BergkernError that route raised."""
     try:
-        value = route(nu).value
+        return route(nu).value
     except BergkernError as exc:
-        error = exc
-
-        def fail():
-            raise error
-        return fail
-    return lambda: value
+        return exc
 
 
 def _finish(report: VerificationReport, t0: float) -> VerificationReport:
@@ -321,9 +319,10 @@ def _nu3_continuity(closed, others) -> tuple[complex, complex]:
     return near, at0
 
 
-def _worst_gradient(nu, p: float, lam: float, h: float = 1e-5) -> tuple[complex, complex]:
+def _worst_gradient(nu, p: float, lam: float) -> tuple[complex, complex]:
     """The closed d1 potential's dual partial d/dnu_j and its central
     difference, at the slot j where they differ most."""
+    h = 1e-5
     worst = (0.0, 0j, 0j)
     for j in range(4):
         # a unit tangent on nu_j alone gives the partial d/dnu_j
@@ -373,18 +372,18 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
     forward = [_settled(closed, pr.nu) for pr in pairs] if closed else summed
     for i, pr in enumerate(pairs):
         if closed:
-            rep.rows.append(_row(f"{domain}/route/{i:04d}", "kernels", {"nu": list(pr.nu)},
-                                 lambda: (forward[i](), summed[i]()), tol))
+            rep.rows.append(make_row(f"{domain}/route/{i:04d}", "kernels",
+                                     {"nu": list(pr.nu)}, forward[i], summed[i], tol))
         elif ball:
-            rep.rows.append(_row(f"{domain}/unit-ball-collapse/{i:04d}", "kernels",
-                                 {"nu": list(pr.nu)},
-                                 lambda: (summed[i](), _unit_ball_kernel(pr.nu)), tol))
+            rep.rows.append(make_row(f"{domain}/unit-ball-collapse/{i:04d}", "kernels",
+                                     {"nu": list(pr.nu)}, summed[i],
+                                     _unit_ball_kernel(pr.nu), tol))
     for i, (pr, fwd) in enumerate(zip(sym_pairs, forward)):
         # K(z, zeta) against conj K(zeta, z)
         rev = PointPair(pr.zeta, pr.z).nu
         rep.rows.append(_row(f"{domain}/hermitian/{i:04d}", "kernels",
                              {"z": list(pr.z), "zeta": list(pr.zeta)},
-                             lambda: (fwd(), checked(rev).value.conjugate()), sym_tol))
+                             lambda: (fwd, checked(rev).value.conjugate()), sym_tol))
     for i, z in enumerate(sample_interior(spec, seed + 1, max(points // 2, 1), margin)):
         rep.rows.append(_row(f"{domain}/diagonal-positive/{i:04d}", "kernels", {"z": list(z)},
                              lambda: _positive_part(checked(diagonal_pair(z).nu).value),
@@ -405,10 +404,10 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
     if domain == "d2":
         spot = _settled(series, D2_SPOT_NU)
         rep.rows.append(_row("d2/route/spot-quarter", "kernels", {"nu": list(D2_SPOT_NU)},
-                             lambda: (closed(D2_SPOT_NU).value, spot()), tol))
+                             lambda: (closed(D2_SPOT_NU).value, spot), tol))
         rep.informational.append(_row(
             "d2/alternate-numerator/spot-quarter", "kernels", {"nu": list(D2_SPOT_NU)},
-            lambda: (_kernel_closed_d2_alternate(D2_SPOT_NU), spot()), tol))
+            lambda: (_kernel_closed_d2_alternate(D2_SPOT_NU), spot), tol))
         alternate, variant = _kernel_closed_d2_alternate, "alternate-numerator"
     else:
         for i in range(_GRADIENT_CHECKS):
@@ -420,5 +419,5 @@ def run_kernel_suite(domain: str = "d2", p: float | None = None,
     for i, pr in enumerate(pairs[:3]):
         rep.informational.append(_row(f"{domain}/{variant}/{i:04d}", "kernels",
                                       {"nu": list(pr.nu)},
-                                      lambda: (alternate(pr.nu), summed[i]()), tol))
+                                      lambda: (alternate(pr.nu), summed[i]), tol))
     return _finish(rep, t0)
