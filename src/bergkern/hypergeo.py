@@ -20,9 +20,11 @@ cheapest for one series. gauss_2f1_batch sums many at once, one numpy pass
 per degree over every series still running, and repeats that arithmetic on
 real and imaginary float arrays, so each of its values equals the scalar
 call's bit for bit; the identity suite takes each family's 2F1s from one
-batch. fa_decomposition_rhs and that suite share _decomposition_series,
-which gathers its shells in blocks like every other series but takes the
-inner 2F1 of each shell from a callable, lazily, as the stop rule reaches it.
+batch. fa_decomposition_rhs and that suite share _decomposition_series. The
+decomposition formula is printed as a sum over m_2..m_r, but its terms of
+one total degree M add to a multiple of (y_2 + ... + y_r)^M / M!, so it is
+summed over M alone, term by term like gauss_2f1, taking the inner 2F1 of
+each term from a callable, lazily, as the stop rule reaches it.
 """
 
 from __future__ import annotations
@@ -309,24 +311,17 @@ def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag) -> np.ndarray:
     return np.add.reduceat(phases, block.starts)
 
 
-def _front_product(lo: int, sums: np.ndarray, phase: np.ndarray) -> list[complex]:
-    return (sums * phase).tolist()
-
-
-def _front_series(nvars: int, ratios, policy: TruncationPolicy, what: str,
-                  finish=_front_product) -> SeriesValue:
+def _front_series(nvars: int, ratios, policy: TruncationPolicy, what: str) -> SeriesValue:
     """Sum of the shells front[M] * prod_i seq_i[m_i] over m_1+...+m_n = M,
     the sequences being built from ratios by _ratio_logseq: one row per
-    variable, then the front. A block's shells are finish(lo, sums, phase),
-    from its per-shell sums of |front[M]| * prod_i seq_i[m_i] and the phases
-    of front[M]."""
+    variable, then the front."""
     tables = _tables_on_demand(_ratio_logseq, ratios)
 
     def shells(block):
         seqs = tables(block.hi)
         front = slice(block.lo, block.hi)
         sums = _shell_gather(seqs, block, np.repeat(seqs.logmag[-1, front], block.sizes))
-        return finish(block.lo, sums, seqs.phase[-1, front])
+        return (sums * seqs.phase[-1, front]).tolist()
 
     return _sum_shells(itertools.chain.from_iterable(map(shells, _blocks(nvars))), policy, what)
 
@@ -496,7 +491,12 @@ def fa_decomposition_rhs(a: float, b1: float, c1: float, y,
         sum over (m_2..m_r) of
             (a)_M (b1)_M / ((c1)_M m_2!...m_r!) * y_1^M y_2^{m_2}...y_r^{m_r}
             * 2F1(a+M, b1+M; c1+M; y_1) * (1 - y_2 - ... - y_r)^{-(a+M)},
-        M = m_2 + ... + m_r.
+        M = m_2 + ... + m_r,
+
+    summed over M alone: with S = y_2 + ... + y_r, the terms of one M add to
+
+        (1 - S)^(-a) (a)_M (b1)_M / ((c1)_M M!) * t^M * 2F1(a+M, b1+M; c1+M; y_1),
+        t = y_1 S / (1 - S).
     """
     y = tuple(complex(v) for v in y)
     return _decomposition_series(  # gauss_2f1 is looked up at each call
@@ -507,8 +507,12 @@ def fa_decomposition_rhs(a: float, b1: float, c1: float, y,
 def _decomposition_series(a: float, b1: float, c1: float, y, policy: TruncationPolicy,
                           inner) -> SeriesValue:
     """fa_decomposition_rhs, with inner(M) giving the shell-M factor
-    2F1(a+M, b1+M; c1+M; y_1). inner is called for each shell summed, in
-    order, and for no shell past the stop or the degree cap."""
+    2F1(a+M, b1+M; c1+M; y_1). The printed shell M sums y_2^{m_2}...y_r^{m_r}
+    / (m_2!...m_r!) over m_2+...+m_r = M, which is S^M / M! by the
+    multinomial theorem, so the shells are the one-index terms, each
+    coefficient built from the one before. inner is called for each shell
+    summed, in order, and for no shell past the stop or the degree cap:
+    there its 2F1 need not converge."""
     y = tuple(complex(v) for v in y)
     r = len(y)
     if r < 2:
@@ -520,21 +524,15 @@ def _decomposition_series(a: float, b1: float, c1: float, y, policy: TruncationP
     if sum(abs(v) for v in rest) >= 1.0:
         raise ConvergenceError("fa_decomposition_rhs requires sum_{i>=2} |y_i| < 1")
     srest = sum(rest)
-    base = principal_pow(1.0 - srest, -a)
-    scale = 1.0 / (1.0 - srest)
+    t = y1 * srest / (1.0 - srest)
 
-    def finish(lo, sums, phase):
-        for k in range(len(sums)):
-            # The inner 2F1 of a shell past the stop need not converge, so
-            # each is evaluated only as its shell is yielded. The products are
-            # numpy's, on length-1 slices: Python's complex product rounds
-            # differently.
-            yield (sums[k:k + 1] * (phase[k:k + 1] * (inner(lo + k) * base))).item()
+    def shells():
+        coef = principal_pow(1.0 - srest, -a)
+        for deg in itertools.count():
+            yield coef * inner(deg)
+            coef *= (a + deg) * (b1 + deg) / ((c1 + deg) * (deg + 1)) * t
 
-    ys = np.array(rest)[:, None]
-    return _front_series(  # y_i^m / m!, front (a)_M (b1)_M (y1 scale)^M / (c1)_M
-        r - 1, lambda m: np.vstack((ys / (m + 1), (a + m) * (b1 + m) / (c1 + m) * y1 * scale)),
-        policy, "fa_decomposition_rhs", finish)
+    return _sum_shells(shells(), policy, "fa_decomposition_rhs")
 
 
 # --- closed 2F1 family -------------------------------------------------------
@@ -543,6 +541,14 @@ def _decomposition_series(a: float, b1: float, c1: float, y, policy: TruncationP
 # the reductions use (w - 1) = -z / (1 + w) exactly, which cancels every z
 # denominator and makes each form finite and stable through z = 0.
 
+# The 2F1 parameters (alpha, beta, c) of each family member, as functions of a.
+_FAMILY_PARAMS = {
+    "i": lambda a: ((a + 1) / 2, (a + 2) / 2, a),
+    "ii": lambda a: ((a + 3) / 2, (a + 4) / 2, a + 2),
+    "iii": lambda a: ((a + 3) / 2, (a + 4) / 2, a + 3),
+    "iv": lambda a: ((a + 3) / 2, (a + 4) / 2, a),
+    "v": lambda a: ((a + 2) / 2, (a + 3) / 2, a),
+}
 _VARIANTS = ("i", "ii", "iii")
 
 
@@ -556,7 +562,7 @@ def _branch_parts(z: complex):
 def closed_2f1_family(variant: str, a: float, z: complex) -> complex:
     """Closed-form evaluation of one 2F1 family member.
 
-    Variants (all with real a > 0, Re(1-z) > 0):
+    Variants, as in _FAMILY_PARAMS (real a, lower parameter > 0, Re(1-z) > 0):
       "i"   F((a+1)/2, (a+2)/2; a;   z)
       "ii"  F((a+3)/2, (a+4)/2; a+2; z)
       "iii" F((a+3)/2, (a+4)/2; a+3; z)
@@ -568,11 +574,13 @@ def closed_2f1_family(variant: str, a: float, z: complex) -> complex:
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {_VARIANTS} "
                          "(closed_2f1_recurrence evaluates 'iv' and 'v')")
-    # each variant needs its lower 2F1 parameter positive ("ii"/"iii" stay
-    # valid at shifted a, which the "v" recurrence relies on)
-    lower_shift = {"i": 0.0, "ii": 2.0, "iii": 3.0}[variant]
-    if not a + lower_shift > 0.0:
-        raise ValueError(f"closed_2f1_family({variant!r}) requires a > {-lower_shift}, got {a}")
+    # each variant needs its lower 2F1 parameter c positive ("ii"/"iii" stay
+    # valid at shifted a, which the "v" recurrence relies on); c - a is
+    # constant, so that is a > -c(0)
+    params = _FAMILY_PARAMS[variant]
+    if not params(a)[2] > 0.0:
+        raise ValueError(f"closed_2f1_family({variant!r}) requires "
+                         f"a > {0.0 - params(0.0)[2]:g}, got {a}")
     z = complex(z)
     w, onepw, cuberoot = _branch_parts(z)
 

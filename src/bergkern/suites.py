@@ -39,7 +39,7 @@ import numpy as np
 from .domains import (DomainSpec, PointPair, _positive, diagonal_pair, sample_interior,
                       sample_pairs)
 from .errors import BergkernError
-from .hypergeo import (SeriesBatch, TruncationPolicy, _alternate_recurrence_rhs,
+from .hypergeo import (_FAMILY_PARAMS, SeriesBatch, TruncationPolicy, _alternate_recurrence_rhs,
                        _closed_2f1_display, _decomposition_series, _exhausted, appell_fa,
                        closed_2f1_family, closed_2f1_recurrence, doubled_index_multisum,
                        fa_equal_params_closed, gauss_2f1, gauss_2f1_batch,
@@ -58,6 +58,8 @@ _POSITIVITY_TOL = 1e-10
 _GRADIENT_CHECKS = 25
 # Tolerance of the recurrence family's rows; the other identity rows take tol.
 _RECURRENCE_TOL = 1e-9
+# Radius of the closed-form rows' z: |z| <= 0.6 keeps Re(1 - z) >= 0.4 > 0
+_CLOSED_Z_RADIUS = 0.6
 
 
 def _row(case_id: str, suite: str, inputs: dict, evaluate, tol: float):
@@ -87,14 +89,6 @@ def _finish(report: VerificationReport, t0: float) -> VerificationReport:
 
 def _draw_in_disk(rng: random.Random, radius: float) -> complex:
     return cmath.rect(radius * math.sqrt(rng.random()), rng.uniform(0.0, 2 * math.pi))
-
-
-def _draw_z_right_halfplane(rng: random.Random, radius: float = 0.6,
-                            min_re_1mz: float = 0.2) -> complex:
-    while True:
-        z = _draw_in_disk(rng, radius)
-        if (1 - z).real > min_re_1mz:
-            return z
 
 
 def _batch_value(batch: SeriesBatch, index, policy: TruncationPolicy) -> complex:
@@ -166,12 +160,10 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
                              lambda: (doubled_index_multisum(a, c, x, policy).value, rhs(i)),
                              tol))
 
-    params = {"i": lambda a: ((a + 1) / 2, (a + 2) / 2, a),
-              "ii": lambda a: ((a + 3) / 2, (a + 4) / 2, a + 2),
-              "iii": lambda a: ((a + 3) / 2, (a + 4) / 2, a + 3)}
-    draws = [(variant, i, rng.uniform(0.5, 6.0), _draw_z_right_halfplane(rng))
-             for variant in params for i in range(trials)]
-    rhs = _gauss_batch([params[variant](a) + (z,) for variant, _, a, z in draws], policy)
+    draws = [(variant, i, rng.uniform(0.5, 6.0), _draw_in_disk(rng, _CLOSED_Z_RADIUS))
+             for variant in ("i", "ii", "iii") for i in range(trials)]
+    rhs = _gauss_batch([_FAMILY_PARAMS[variant](a) + (z,) for variant, _, a, z in draws],
+                       policy)
     for k, (variant, i, a, z) in enumerate(draws):
         rep.rows.append(_row(f"closed-2f1-{variant}/{i:04d}", "identities", {"a": a, "z": z},
                              lambda: (closed_2f1_family(variant, a, z), rhs(k)), tol))
@@ -213,13 +205,10 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
 
     # contiguous recurrence family: validated forms gate, rejected displays
     # and the rejected coefficient set are informational
-    draws = [(rng.uniform(0.5, 6.0), _draw_z_right_halfplane(rng)) for _ in range(trials)]
-    series = _gauss_batch([args + (z,) for a, z in draws for args in (
-        ((a + 3) / 2, (a + 4) / 2, a),        # s_iv
-        ((a + 2) / 2, (a + 3) / 2, a),        # s_v
-        ((a + 3) / 2, (a + 4) / 2, a + 2),    # f2 and f3, s_iv's c = a+2 and
-        ((a + 3) / 2, (a + 4) / 2, a + 3))],  # c = a+3 neighbours
-        policy)
+    draws = [(rng.uniform(0.5, 6.0), _draw_in_disk(rng, _CLOSED_Z_RADIUS)) for _ in range(trials)]
+    # f2 and f3 are s_iv's c = a+2 and c = a+3 neighbours, members ii and iii
+    series = _gauss_batch([_FAMILY_PARAMS[variant](a) + (z,) for a, z in draws
+                           for variant in ("iv", "v", "ii", "iii")], policy)
     for i, (a, z) in enumerate(draws):
         s_iv, s_v, f2, f3 = (partial(series, 4 * i + k) for k in range(4))
         c2, c3 = recurrence_coefficients(a, z)

@@ -320,6 +320,14 @@ def test_closed_family_i_iii_sweep():
                        gauss_2f1(aa, bb, cc, z, TIGHT).value) < 1e-10
 
 
+def test_closed_family_names_the_bound_on_a_it_needs():
+    # the lower parameter of "i", "ii" and "iii" is a, a+2 and a+3
+    for variant, a, bound in (("i", -1.0, "0"), ("ii", -2.5, "-2"), ("iii", -3.0, "-3")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"closed_2f1_family({variant!r}) requires a > {bound}, got {a}")):
+            closed_2f1_family(variant, a, 0.3)
+
+
 def test_recurrence_forms_match_series_and_direct_forms_do_not():
     rng = random.Random(78)
     for _ in range(60):
@@ -406,6 +414,42 @@ def test_decomposition_three_variables():
     assert rel(got, ref) < 1e-8
 
 
+def _decomposition_by_mpmath(mpmath, a, b1, c1, y, depth):
+    # the formula as printed, at 30 digits: a sum over m_2..m_r with
+    # m_2 + ... + m_r < depth, mpmath's 2F1 the inner factor of each term
+    with mpmath.workdps(30):
+        y1, rest = mpmath.mpc(y[0]), [mpmath.mpc(v) for v in y[1:]]
+        gap = 1 - mpmath.fsum(rest)
+        # the factors of each term that depend on M = m_2 + ... + m_r only
+        front = [mpmath.rf(a, m) * mpmath.rf(b1, m) / mpmath.rf(c1, m) * y1 ** m
+                 * mpmath.hyp2f1(a + m, b1 + m, c1 + m, y1) * gap ** -(a + m)
+                 for m in range(depth)]
+        powers = [[v ** m / mpmath.factorial(m) for m in range(depth)] for v in rest]
+        total = mpmath.mpf(0)
+        for ms in itertools.product(range(depth), repeat=len(rest)):
+            if sum(ms) < depth:
+                total += front[sum(ms)] * mpmath.fprod(p[m] for p, m in zip(powers, ms))
+        return complex(total)
+
+
+def test_decomposition_matches_the_printed_multi_index_sum():
+    # Summed over one index, the series must give the printed multi-index
+    # sum: for 2, 3 and 4 variables, rest variables that nearly cancel
+    # (the shells are then far smaller than their terms), and a zero y_1 or
+    # y_i. Every case has converged well within 30 degrees.
+    mpmath = pytest.importorskip("mpmath")
+    cases = ((1.2, 0.7, 1.4, (0.2 + 0.1j, 0.3 - 0.2j)),
+             (1.3, 0.8, 1.6, (0.15, 0.1 + 0.05j, 0.12 - 0.03j)),
+             (2.1, 1.5, 0.9, (-0.25 + 0.1j, 0.1j, 0.15 - 0.05j, -0.1)),
+             (1.6, 2.4, 1.1, (0.3 - 0.1j, 0.2 + 0.1j, -0.2 - 0.1j + 1e-6j)),
+             (0.9, 3.2, 2.7, (0.35 + 0.2j, 0.3 - 0.15j, -0.3 + 0.15j, 1e-7)),
+             (1.7, 2.2, 3.1, (0.4 - 0.2j, 0.25j, 0j)),
+             (2.5, 0.6, 1.3, (0j, 0.2, -0.1 + 0.3j)))
+    for a, b1, c1, y in cases:
+        ref = _decomposition_by_mpmath(mpmath, a, b1, c1, y, 30)
+        assert rel(fa_decomposition_rhs(a, b1, c1, y, TIGHT).value, ref) < 1e-13, y
+
+
 def test_decomposition_evaluates_no_inner_series_past_its_stop():
     # the inner 2F1 of a shell past the stop degree need not converge, so
     # the series must not evaluate any ahead of the stop rule
@@ -426,8 +470,7 @@ def test_decomposition_evaluates_no_inner_series_past_its_stop():
 
 def test_decomposition_asks_for_no_inner_series_past_its_cap():
     # At a cap of 5 this series is still far from its stop: it sums and
-    # raises at degree 5, and inner is called for degrees 0-5 only, although
-    # the block it gathers runs further.
+    # raises at degree 5, and inner is called for degrees 0-5 only.
     calls = []
 
     def inner(deg):
@@ -454,7 +497,7 @@ def test_table_builders_take_the_length_last(monkeypatch):
 
         monkeypatch.setattr(module, name, spy)
     appell_fa(1.5, (0.7, 1.3), (1.1, 0.6), (0.3, -0.2j))
-    fa_decomposition_rhs(1.2, 0.7, 1.4, (0.2, 0.3))
+    doubled_index_multisum(2.5, 1.3, (0.1 + 0.03j, -0.06 + 0.02j))
     kernel_series_d2_nu((0.3, 0.05, 0.1j))
     assert len(calls) >= 3
     for args, kwargs in calls:
