@@ -2,25 +2,34 @@
 evaluations of one parametric 2F1 family and the identities relating them.
 
 Multi-variable series are summed shell by shell (shell = all terms of one
-total degree). Shell terms are combined in log-magnitude/phase form so that
-rising factorials like (a)_{2M} and factorial denominators never overflow or
-underflow individually near the edge of the convergence region. Shells are
-gathered in vectorised blocks of consecutive degrees, at most 32 degrees and
-about 4096 terms each, held as one in-order sequence per variable count
-(_blocks), shared by every series and dropped whole, least recently used
-first, once the blocks held pass a bound in bytes set by the row ceiling.
-The stop rule applies shell by shell and is the only code that knows the
-degree cap. A series builds its log/phase tables on demand: the first block
-sizes them, and a later block that needs more rebuilds them at double
-length, so a series that stops early never builds the tables of a deep
-series.
+total degree). The front series, appell_fa and doubled_index_multisum, are
+sums of front[M] * prod_i seq_i[m_i]; _front_batch sums many of one variable
+count at once, and the scalar calls are batches of one. Each variable's
+sequence and the front are tables, each one cumulative product of its
+ratio (_ratio_logseq), held as a complex mantissa and an exact int64 binary
+exponent, so no term overflows, underflows or is the exp of a large log.
+The variables are merged by truncated binomial convolution, which groups
+the multi-index sum by partial totals at O(L^2) per merge for L degrees.
+Tables start at 32 entries and double for the series still running; every
+step is per element or per row, so a value does not depend on its batch.
+
+The kernels' monomial series combine terms in log-magnitude/phase form
+(_LogSeq). Their shells are gathered (_shell_gather) in vectorised blocks
+of consecutive degrees, at most 32 degrees and about 4096 terms each, held
+as one in-order sequence per variable count (_blocks), shared by every
+series and dropped whole, least recently used first, once the blocks held
+pass a bound in bytes set by the row ceiling. A kernel series builds its
+tables on demand: the first block sizes them, and a later block that needs
+more rebuilds them at double length. The stop rule applies shell by shell,
+and it alone knows the degree cap.
 
 gauss_2f1 sums its terms one by one in Python complex arithmetic, which is
 cheapest for one series. gauss_2f1_batch sums many at once, one numpy pass
 per degree over every series still running, and repeats that arithmetic on
 real and imaginary float arrays, so each of its values equals the scalar
 call's bit for bit; the identity suite takes each family's 2F1s from one
-batch. fa_decomposition_rhs and that suite share _decomposition_series. The
+batch, and its front series from one batch per variable count.
+fa_decomposition_rhs and that suite share _decomposition_series. The
 decomposition formula is printed as a sum over m_2..m_r, but its terms of
 one total degree M add to a multiple of (y_2 + ... + y_r)^M / M!, so it is
 summed over M alone, term by term like gauss_2f1, taking the inner 2F1 of
@@ -29,6 +38,7 @@ each term from a callable, lazily, as the stop rule reaches it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -39,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domains import _positive
-from .errors import BranchError, ConvergenceError, PoleError
+from .errors import BergkernError, BranchError, ConvergenceError, PoleError
 from .numerics import principal_pow, principal_sqrt
 
 _TINY = 1e-300
@@ -106,9 +116,16 @@ def _sum_shells(shells, policy: TruncationPolicy, what: str) -> SeriesValue:
             raise _exhausted(what, policy)
 
 
-def _check_lower_param(c: float, what: str) -> None:
+def _pole(c: float, what: str) -> PoleError | None:
+    """The error of a lower parameter c that is a non-positive integer."""
     if c <= 0.0 and c == round(c):
-        raise PoleError(f"{what}: lower parameter {c} is a non-positive integer")
+        return PoleError(f"{what}: lower parameter {c} is a non-positive integer")
+    return None
+
+
+def _check_lower_param(c: float, what: str) -> None:
+    if pole := _pole(c, what):
+        raise pole
 
 
 class _LogSeq(NamedTuple):
@@ -119,20 +136,92 @@ class _LogSeq(NamedTuple):
     phase: np.ndarray
 
 
-def _ratio_logseq(ratio_fn, length: int) -> _LogSeq:
-    """Sequences v[..., 0] = 1, v[..., m+1] = v[..., m] * r[..., m] in
-    log/phase form, one per row of r = ratio_fn(m), which is called once, on
-    the array m = 0..length-2. After a zero ratio the log-magnitude stays
-    -inf and the phase stays finite."""
-    r = np.asarray(ratio_fn(np.arange(length - 1)), dtype=complex)
-    mag = np.abs(r)
-    shape = r.shape[:-1] + (length,)
-    logmag = np.zeros(shape)
-    phase = np.ones(shape, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.cumsum(np.log(mag), axis=-1, out=logmag[..., 1:])
-        np.cumprod(np.where(mag > 0.0, r / mag, 1.0), axis=-1, out=phase[..., 1:])
-    return _LogSeq(logmag, phase)
+class _Table(NamedTuple):
+    """Complex sequences as (re + i im) * 2**exp, one sequence per row; the
+    last axis runs over the index. A nonzero mantissa has max(|re|, |im|)
+    in [0.5, 1) and an exact int64 exponent; a zero has _ZERO_EXP. The
+    front series do their complex arithmetic on re and im as real arrays:
+    each real operation rounds once, in whatever loop numpy picks for the
+    layout, so a value does not depend on the shape of its batch."""
+
+    re: np.ndarray
+    im: np.ndarray
+    exp: np.ndarray
+
+
+# The exponent of a zero: far below any other (those stay within about
+# 2^23 in magnitude), so a zero never sets the common exponent of a sum,
+# and a sum of a few such exponents stays within int64.
+_ZERO_EXP = -(1 << 56)
+
+# A product of mantissas (each of magnitude in [0.5, sqrt 2)) is
+# renormalised every this many factors, so it stays within 2^-513..2^257.
+_RENORM_STEPS = 512
+
+
+def _normalised(re, im, exp) -> _Table:
+    """(re + i im) * 2**exp with the binary exponent of max(|re|, |im|)
+    moved into exp: the mantissa is scaled by an exact power of two."""
+    _, shift = np.frexp(np.maximum(np.abs(re), np.abs(im)))
+    scale = np.ldexp(1.0, -shift)
+    return _Table(re * scale, im * scale,
+                  np.where((re == 0) & (im == 0), _ZERO_EXP, exp + shift))
+
+
+def _ratio_logseq(ratio_fn, length: int) -> _Table:
+    """Sequences v[..., 0] = 1, v[..., m+1] = v[..., m] * r[..., m] as
+    mantissa and exponent, one per row of r = ratio_fn(m), which is called
+    once, on the array m = 0..length-2. Each entry is the one before times
+    its ratio's mantissa, so the rounding errors of neighbouring entries
+    are shared, which keeps a cancelling sum of them accurate; the ratios'
+    exponents are summed exactly, and the running product is renormalised
+    at the fixed indices 0, _RENORM_STEPS, 2 * _RENORM_STEPS, ... So an
+    entry does not depend on the table's length: a shorter build is an
+    exact prefix of a longer one. After a zero ratio the entries are zero."""
+    ratios = np.asarray(ratio_fn(np.arange(length - 1)), dtype=complex)
+    r = _normalised(ratios.real, ratios.imag, 0)
+    rexp = np.where(r.exp == _ZERO_EXP, 0, r.exp)
+    # v[m] as rows (re, im), index first, so that each step is three real
+    # operations on contiguous rows: (re, im) * rr + (im, re) * (-ri, ri)
+    rre, rim = (np.moveaxis(part, -1, 0) for part in (r.re, r.im))
+    same, swap = np.stack((rre, rre), axis=1), np.stack((-rim, rim), axis=1)
+    v = np.zeros((length, 2) + ratios.shape[:-1])
+    v[0, 0] = 0.5  # v[0] = 1 = 0.5 * 2**1
+    exp = np.ones((length,) + ratios.shape[:-1], dtype=np.int64)
+    tmp = np.empty(v.shape[1:])
+    for lo in range(0, length - 1, _RENORM_STEPS):
+        hi = min(lo + _RENORM_STEPS, length - 1)
+        for m in range(lo, hi):
+            np.multiply(v[m], same[m], out=v[m + 1])
+            v[m + 1] += np.multiply(v[m, ::-1], swap[m], out=tmp)
+        steps = np.cumsum(np.moveaxis(rexp[..., lo:hi], -1, 0), axis=0)
+        v[lo + 1:hi + 1, 0], v[lo + 1:hi + 1, 1], exp[lo + 1:hi + 1] = _normalised(
+            v[lo + 1:hi + 1, 0], v[lo + 1:hi + 1, 1], exp[lo] + steps)
+    return _Table(np.moveaxis(v[:, 0], 0, -1), np.moveaxis(v[:, 1], 0, -1),
+                  np.moveaxis(exp, 0, -1))
+
+
+@functools.lru_cache(maxsize=32)
+def _factorial_table(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """0!, 1!, ..., (length-1)! as read-only mantissas and exponents, each
+    rounded from the exact integer (to within one ulp)."""
+    mant = np.empty(length)
+    exp = np.empty(length, dtype=np.int64)
+    value = 1
+    for m in range(length):
+        value *= max(m, 1)
+        shift = max(value.bit_length() - 64, 0)
+        mant[m], e = math.frexp(float(value >> shift))
+        exp[m] = e + shift
+    for arr in (mant, exp):
+        arr.setflags(write=False)
+    return mant, exp
+
+
+def _factorials(length: int) -> tuple[np.ndarray, np.ndarray]:
+    """At least length factorials: a table held for the next power of two,
+    so a process holds at most one per power."""
+    return _factorial_table(1 << max(length - 1, 1).bit_length())
 
 
 def _tables_on_demand(build, arg):
@@ -203,9 +292,7 @@ def _build_block(nvars: int, lo: int) -> _Block:
     rows = np.cumsum(sizes)
     fit = int(np.searchsorted(rows, left, side="right"))
     if not fit:
-        raise ConvergenceError(
-            f"a series of {nvars} variables would reach past degree {lo - 1}, "
-            f"the ceiling of {_MAX_SERIES_ROWS} rows")
+        raise _past_ceiling(nvars, lo - 1)
     keep = min(fit, max(1, int(np.searchsorted(rows, _BLOCK_ROWS, side="right"))))
     sizes = sizes[:keep]
     comps = _compositions(nvars, np.arange(lo, lo + keep, dtype=np.int32))
@@ -311,19 +398,166 @@ def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag) -> np.ndarray:
     return np.add.reduceat(phases, block.starts)
 
 
-def _front_series(nvars: int, ratios, policy: TruncationPolicy, what: str) -> SeriesValue:
-    """Sum of the shells front[M] * prod_i seq_i[m_i] over m_1+...+m_n = M,
-    the sequences being built from ratios by _ratio_logseq: one row per
-    variable, then the front."""
-    tables = _tables_on_demand(_ratio_logseq, ratios)
+# Front series (appell_fa, doubled_index_multisum). Each term
+# front[M] * prod_i seq_i[m_i], M = m_1 + ... + m_n, is factored as
+# F[M] * (M! / prod_i m_i!) * prod_i U_i[m_i], with U_i[m] = seq_i[m] * m!
+# and F[M] = front[M] / M!, so the shell of degree M is F[M] * W_n[M], where
+# W_1 = U_1 and W_k[K] = sum_{j <= K} C(K, j) W_{k-1}[j] U_k[K - j]: the same
+# multi-index sum, grouped by partial totals.
 
-    def shells(block):
-        seqs = tables(block.hi)
-        front = slice(block.lo, block.hi)
-        sums = _shell_gather(seqs, block, np.repeat(seqs.logmag[-1, front], block.sizes))
-        return (sums * seqs.phase[-1, front]).tolist()
+# The first table length of a front series; a series still running at the
+# end of its tables doubles them.
+_FIRST_TABLE_LENGTH = 32
+# Elements (series times (K, j) pairs) in one pass of a merge: its eight
+# reused buffers then take about a megabyte.
+_PAIR_CHUNK = 1 << 14
 
-    return _sum_shells(itertools.chain.from_iterable(map(shells, _blocks(nvars))), policy, what)
+
+def _past_ceiling(nvars: int, degree: int) -> ConvergenceError:
+    # the error of a series still running after the last degree the row
+    # ceiling allows it
+    return ConvergenceError(f"a series of {nvars} variables would reach past degree {degree}, "
+                            f"the ceiling of {_MAX_SERIES_ROWS} rows")
+
+
+def _last_degree(nvars: int) -> int:
+    """The last degree D a front series of nvars variables may sum within
+    _MAX_SERIES_ROWS rows: a table holds one row per degree, D + 1 through
+    D, and a merge one row per pair j <= K <= D, C(D + 2, 2). So 1 variable
+    reaches degree _MAX_SERIES_ROWS - 1, and any more reach 4651."""
+    if nvars == 1:
+        return _MAX_SERIES_ROWS - 1
+    return (math.isqrt(8 * _MAX_SERIES_ROWS + 1) - 3) // 2
+
+
+def _merge(w: _Table, u: _Table, fact, lo: int, hi: int) -> _Table:
+    """Entries lo..hi-1 of W[K] = sum_{j <= K} C(K, j) w[j] u[K - j], for
+    the sequences in the rows of w and u, fact being the factorials' table.
+    Each entry adds its K + 1 products at one common exponent, their
+    largest, reached by exact powers of two; every step is per row, so an
+    entry does not depend on the other rows. The entries are made a few at
+    a time, in reused buffers of about _PAIR_CHUNK elements."""
+    rows = w.re.shape[0]
+    wr, wi, we, ur, ui, ue = (np.ascontiguousarray(arr) for arr in (*w, *u))
+    fmant, fexp = fact
+    out = _Table(np.empty((rows, hi - lo)), np.empty((rows, hi - lo)),
+                 np.empty((rows, hi - lo), dtype=np.int64))
+    span = _PAIR_CHUNK // max(rows, 1)  # pairs per pass, but at least one entry's
+    size = rows * min(max(span, hi), (hi * (hi + 1) - lo * (lo + 1)) // 2)
+    ints = [np.empty(size, dtype=np.int64) for _ in range(2)]
+    floats = [np.empty(size) for _ in range(6)]
+    first = lo
+    while lo < hi:
+        top = min(hi, max(lo + 1, (math.isqrt(4 * (lo * (lo + 1) + 2 * span) + 1) - 1) // 2))
+        sizes = np.arange(lo + 1, top + 1)
+        starts = np.cumsum(sizes) - sizes
+        k = np.repeat(np.arange(lo, top), sizes)
+        j = np.arange(len(k)) - np.repeat(starts, sizes)
+        shape = (rows, len(k))
+        e, t = (buf[:rows * len(k)].reshape(shape) for buf in ints)
+        ar, ai, br, bi, re, im = (buf[:rows * len(k)].reshape(shape) for buf in floats)
+        np.take(we, j, axis=1, out=e)
+        e += np.take(ue, k - j, axis=1, out=t)
+        e += fexp[k] - fexp[j] - fexp[k - j]
+        common = np.maximum.reduceat(e, starts, axis=1)
+        # C(K, j)'s mantissa times 2^(e - common), an exact power of two
+        # built from its bits (0 from 2^-1023 down), as one real factor
+        e -= np.take(common, k - lo, axis=1, out=t)
+        np.maximum(e, -1023, out=e)
+        e += 1023
+        e <<= 52
+        scale = e.view(np.float64)
+        scale *= fmant[k] / (fmant[j] * fmant[k - j])
+        np.take(wr, j, axis=1, out=ar)
+        np.take(wi, j, axis=1, out=ai)
+        np.take(ur, k - j, axis=1, out=br)
+        np.take(ui, k - j, axis=1, out=bi)
+        np.multiply(ar, br, out=re)
+        re -= np.multiply(ai, bi, out=im)
+        np.multiply(ar, bi, out=im)
+        im += np.multiply(ai, br, out=ai)
+        re *= scale
+        im *= scale
+        part = _normalised(np.add.reduceat(re, starts, axis=1),
+                           np.add.reduceat(im, starts, axis=1), common)
+        for whole, new in zip(out, part):
+            whole[:, lo - first:top - first] = new
+        lo = top
+    return out
+
+
+def _front_batch(nvars: int, ratio, params, policy: TruncationPolicy, what: str) -> list:
+    """The front series of each element t of the arrays params, each as its
+    SeriesValue or its ConvergenceError. ratio(*params, m) gives the ratios
+    of U_1..U_n and then F, one row each, for m = 0..len(m)-1, so
+    _ratio_logseq builds their tables. Tables start at _FIRST_TABLE_LENGTH
+    entries and double while a series runs, for the series still running
+    only. Each series stops by _sum_shells' rule, its total and its last two
+    small flags carried from one table length to the next, after the shell
+    of the policy's cap or of _last_degree(nvars), whichever comes first."""
+    count = len(params[0])
+    out = [None] * count
+    last = min(policy.max_total_degree, _last_degree(nvars))
+    live = np.arange(count)
+    total = np.zeros((2, count))                 # real and imaginary parts
+    small = np.zeros((count, 2), dtype=bool)     # were the last two shells small
+    none = np.zeros((count, 0))
+    merged = [_Table(none, none, none.astype(np.int64))] * (nvars - 1)  # W_2..W_n so far
+    lo, hi = 0, min(_FIRST_TABLE_LENGTH, last + 1)
+    while live.size:
+        tables = _ratio_logseq(functools.partial(ratio, *(p[live] for p in params)), hi)
+        fact = _factorials(hi)
+        w = _Table(*(arr[:, 0] for arr in tables))
+        for i in range(1, nvars):
+            step = _merge(w, _Table(*(arr[:, i] for arr in tables)), fact, lo, hi)
+            w = merged[i - 1] = _Table(*map(np.hstack, zip(merged[i - 1], step)))
+        wr, wi = w.re[:, lo:hi], w.im[:, lo:hi]
+        fr, fi = tables.re[:, -1, lo:hi], tables.im[:, -1, lo:hi]
+        re, im = wr * fr - wi * fi, wr * fi + wi * fr
+        exp = w.exp[:, lo:hi] + tables.exp[:, -1, lo:hi]
+        shells = np.ldexp(re, exp), np.ldexp(im, exp)
+        sums = [np.cumsum(np.column_stack((t, s)), axis=1)[:, 1:] for t, s in zip(total, shells)]
+        mags = np.hypot(*shells)
+        bound = policy.tail_tol * np.maximum(np.hypot(*sums), _TINY)
+        flags = np.column_stack((small, mags <= bound))
+        three = flags[:, 2:] & flags[:, 1:-1] & flags[:, :-2]
+        done = three.any(axis=1)
+        for t, k in zip(np.flatnonzero(done), three.argmax(axis=1)[done]):
+            out[live[t]] = SeriesValue(complex(sums[0][t, k], sums[1][t, k]), float(mags[t, k]),
+                                       lo + int(k) + 1)
+        going = ~done
+        if hi > last:
+            for t in live[going]:
+                out[t] = (_exhausted(what, policy) if last == policy.max_total_degree
+                          else _past_ceiling(nvars, last))
+            break
+        live, small = live[going], flags[going, -2:]
+        total = np.stack([s[going, -1] for s in sums])
+        merged = [_Table(*(arr[going] for arr in m)) for m in merged]
+        lo, hi = hi, min(2 * hi, last + 1)
+    return out
+
+
+def _result(outcome) -> SeriesValue:
+    """A batch element's SeriesValue; where it is an error, raise it."""
+    if isinstance(outcome, BergkernError):
+        raise outcome
+    return outcome
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the BergkernError it raised."""
+    try:
+        return fn(*args)
+    except BergkernError as exc:
+        return exc
+
+
+def _check_finite(what: str, *values) -> None:
+    """ValueError unless every parameter and argument is finite: a nan or
+    inf would otherwise run a series to its cap."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(f"{what} needs finite parameters and arguments")
 
 
 def _check_gauss_args(c: float, z: complex) -> None:
@@ -343,6 +577,7 @@ def gauss_2f1(a: float, b: float, c: float, z: complex,
               policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Direct series sum of 2F1(a, b; c; z) for |z| < 1."""
     z = complex(z)
+    _check_finite("gauss_2f1", a, b, c, z)
     _check_gauss_args(c, z)
 
     def terms():  # every term, each from the one before
@@ -379,6 +614,7 @@ def gauss_2f1_batch(a, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> Se
     an element that uses up the policy is flagged, not raised."""
     a, b, c, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
                                      np.asarray(c, dtype=float), np.asarray(z, dtype=complex))
+    _check_finite("gauss_2f1", a, b, c, z)
     shape = a.shape
     a, b, c, z = (v.ravel() for v in (a, b, c, z))
     zr, zi = z.real.copy(), z.imag.copy()
@@ -432,26 +668,59 @@ def gauss_2f1_batch(a, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> Se
                        exhausted.reshape(shape))
 
 
-def appell_fa(a: float, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
-    """Direct multi-series sum of F_A^{(n)}(a; b; c; z) for sum |z_i| < 1."""
-    b = tuple(float(v) for v in b)
-    c = tuple(float(v) for v in c)
-    z = tuple(complex(v) for v in z)
-    n = len(z)
-    if n == 0 or len(b) != n or len(c) != n:
-        raise ValueError("appell_fa needs equal-length b, c, z with n >= 1")
-    for ci in c:
-        _check_lower_param(ci, "appell_fa")
-    if sum(abs(v) for v in z) >= 1.0:
-        raise ConvergenceError("appell_fa requires sum |z_i| < 1")
-    if n == 1:
-        # F_A^(1) is the Gauss series itself; the scalar recurrence is exact
-        return gauss_2f1(a, b[0], c[0], z[0], policy)
+def _fa_ratio(a, b, c, z, m):
+    # rows U_1..U_n, ratio (b_i + m) / (c_i + m) z_i, then F, ratio
+    # (a + m) / (m + 1); a real factor times z rounds as two real products
+    return np.concatenate(((b[..., None] + m) / (c[..., None] + m) * z[..., None],
+                           ((a[:, None] + m) / (m + 1))[:, None]), axis=1)
 
-    bs, cs, zs = (np.array(v)[:, None] for v in (b, c, z))
-    return _front_series(  # front (a)_M
-        n, lambda m: np.vstack(((bs + m) * zs / ((cs + m) * (m + 1)), a + m)),
-        policy, "appell_fa")
+
+def _fa_error(c, z) -> BergkernError | None:
+    """The error appell_fa raises before any shell for lower parameters c
+    and arguments z, if any."""
+    for ci in c:
+        if pole := _pole(ci, "appell_fa"):
+            return pole
+    if sum(abs(v) for v in z) >= 1.0:
+        return ConvergenceError("appell_fa requires sum |z_i| < 1")
+    return None
+
+
+def _batch_outcomes(errors, nvars: int, ratio, params, policy: TruncationPolicy,
+                    what: str) -> list:
+    """errors[t] where it is set, else element t's front series: one
+    _front_batch over the elements without an error."""
+    ok = np.array([e is None for e in errors], dtype=bool)
+    sums = iter(_front_batch(nvars, ratio, [p[ok] for p in params], policy, what))
+    return [e or next(sums) for e in errors]
+
+
+def appell_fa_batch(a, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+    """appell_fa of every element: a holds one entry per element, and b, c
+    and z one row of n each, the same n for every element. Each element
+    gives the SeriesValue of the scalar call or the BergkernError it raises,
+    in order; a ValueError is raised for the whole batch. The series of
+    n >= 2 variables are summed together by _front_batch; n = 1 is the
+    Gauss series, which gauss_2f1 sums element by element."""
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    z = np.asarray(z, dtype=complex)
+    if z.ndim != 2 or not z.shape[1] or b.shape != z.shape or c.shape != z.shape \
+            or a.shape != z.shape[:1]:
+        raise ValueError("appell_fa needs equal-length b, c, z with n >= 1")
+    _check_finite("appell_fa", a, b, c, z)
+    errors = [_fa_error(ct, zt) for ct, zt in zip(c.tolist(), z.tolist())]
+    if z.shape[1] == 1:
+        # F_A^(1) is the Gauss series itself; the scalar recurrence is exact
+        return [e or _outcome(gauss_2f1, at, bt, ct, zt, policy)
+                for e, at, (bt,), (ct,), (zt,) in zip(errors, a.tolist(), b.tolist(),
+                                                       c.tolist(), z.tolist())]
+    return _batch_outcomes(errors, z.shape[1], _fa_ratio, (a, b, c, z), policy, "appell_fa")
+
+
+def appell_fa(a: float, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
+    """Direct multi-series sum of F_A^{(n)}(a; b; c; z) for sum |z_i| < 1:
+    appell_fa_batch of this one element."""
+    return _result(appell_fa_batch([a], [tuple(b)], [tuple(c)], [tuple(z)], policy)[0])
 
 
 def fa_equal_params_closed(a: float, z) -> complex:
@@ -461,27 +730,51 @@ def fa_equal_params_closed(a: float, z) -> complex:
     return principal_pow(1.0 - total, -a)
 
 
+def _multisum_ratio(a, c, x, m):
+    # rows U_1..U_r, ratio x_i, then F, ratio (a + 2m)(a + 2m + 1) / ((c + m)(m + 1))
+    a, c = a[:, None, None], c[:, None, None]
+    return np.concatenate((np.broadcast_to(x[..., None], x.shape + m.shape),
+                           (a + 2 * m) * (a + 2 * m + 1) / ((c + m) * (m + 1))), axis=1)
+
+
+def _multisum_error(c, x) -> BergkernError | None:
+    """The error doubled_index_multisum raises before any shell for lower
+    parameter c and arguments x, if any."""
+    if pole := _pole(c, "doubled_index_multisum"):
+        return pole
+    if sum(abs(v) for v in x) >= 0.25:
+        return ConvergenceError("doubled_index_multisum requires sum |x_i| < 1/4")
+    return None
+
+
+def doubled_index_multisum_batch(a, c, x, policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+    """doubled_index_multisum of every element, all summed together by
+    _front_batch: a and c hold one entry per element, x one row of r each,
+    the same r for every element. Each element gives the SeriesValue of the
+    scalar call or the BergkernError it raises, in order; a ValueError is
+    raised for the whole batch."""
+    a, c = (np.asarray(v, dtype=float) for v in (a, c))
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 2 or a.shape != x.shape[:1] or c.shape != a.shape:
+        raise ValueError("doubled_index_multisum_batch needs one a, c and row x per element")
+    if not x.shape[1]:
+        raise ValueError("doubled_index_multisum needs at least one variable")
+    _check_finite("doubled_index_multisum", a, c, x)
+    errors = [_multisum_error(ct, xt) for ct, xt in zip(c.tolist(), x.tolist())]
+    return _batch_outcomes(errors, x.shape[1], _multisum_ratio, (a, c, x), policy,
+                           "doubled_index_multisum")
+
+
 def doubled_index_multisum(a: float, c: float, x,
                            policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Sum of (a)_{2(m_1+...+m_r)} x^m / ((c)_{m_1+...+m_r} m_1! ... m_r!)
-    for sum |x_i| < 1/4.
+    for sum |x_i| < 1/4: doubled_index_multisum_batch of this one element.
 
     Collapses analytically to 2F1(a/2, (a+1)/2; c; 4(x_1+...+x_r)); this
     routine sums the multi-index series directly so the collapse can be
     verified rather than assumed.
     """
-    x = tuple(complex(v) for v in x)
-    r = len(x)
-    if r == 0:
-        raise ValueError("doubled_index_multisum needs at least one variable")
-    _check_lower_param(c, "doubled_index_multisum")
-    if sum(abs(v) for v in x) >= 0.25:
-        raise ConvergenceError("doubled_index_multisum requires sum |x_i| < 1/4")
-
-    xs = np.array(x)[:, None]
-    return _front_series(  # x_i^m / m!, front (a)_{2M} / (c)_M
-        r, lambda m: np.vstack((xs / (m + 1), (a + 2 * m) * (a + 2 * m + 1) / (c + m))),
-        policy, "doubled_index_multisum")
+    return _result(doubled_index_multisum_batch([a], [c], [tuple(x)], policy)[0])
 
 
 def fa_decomposition_rhs(a: float, b1: float, c1: float, y,
@@ -517,6 +810,7 @@ def _decomposition_series(a: float, b1: float, c1: float, y, policy: TruncationP
     r = len(y)
     if r < 2:
         raise ValueError("fa_decomposition_rhs needs at least 2 variables")
+    _check_finite("fa_decomposition_rhs", a, b1, c1, y)
     _check_lower_param(c1, "fa_decomposition_rhs")
     y1, rest = y[0], y[1:]
     if abs(y1) >= 1.0:

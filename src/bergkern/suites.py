@@ -15,7 +15,9 @@ still ends the run.
 
 The identity sweep draws each family's inputs first, then sums the family's
 Gauss 2F1 series in one batched pass (hypergeo.gauss_2f1_batch, equal bit
-for bit to gauss_2f1), then makes its rows in order.
+for bit to gauss_2f1) and its F_A and doubled-index series in one batch per
+variable count (hypergeo.appell_fa_batch and doubled_index_multisum_batch,
+equal to the scalar calls), then makes its rows in order.
 
 The kernel sweep and `bergkern eval` reach a domain's kernels through one
 route table, _kernel_routes: a closed route (d1, d2) and a series route (all
@@ -40,10 +42,10 @@ from .domains import (DomainSpec, PointPair, _positive, diagonal_pair, sample_in
                       sample_pairs)
 from .errors import BergkernError
 from .hypergeo import (_FAMILY_PARAMS, SeriesBatch, TruncationPolicy, _alternate_recurrence_rhs,
-                       _closed_2f1_display, _decomposition_series, _exhausted, appell_fa,
-                       closed_2f1_family, closed_2f1_recurrence, doubled_index_multisum,
-                       fa_equal_params_closed, gauss_2f1, gauss_2f1_batch,
-                       recurrence_coefficients)
+                       _closed_2f1_display, _decomposition_series, _exhausted, _result,
+                       appell_fa_batch, closed_2f1_family, closed_2f1_recurrence,
+                       doubled_index_multisum_batch, fa_equal_params_closed, gauss_2f1,
+                       gauss_2f1_batch, recurrence_coefficients)
 from .kernels import (KERNEL_POLICY, _kernel_closed_d1_alternate, _kernel_closed_d2_alternate,
                       kernel_closed_d1_nu, kernel_closed_d2_nu, kernel_series_d1_nu,
                       kernel_series_d2_nu, kernel_series_ellipsoid_nu, potential_closed_d1)
@@ -106,6 +108,18 @@ def _gauss_batch(args, policy: TruncationPolicy):
     return lambda k: _batch_value(batch, k, policy)
 
 
+def _by_count(draws, batch):
+    """One batch(group) per variable count over the draws, each of which
+    ends with its variables, and the lookup of draw k's series value, which
+    raises the error its series gave."""
+    outcomes = [None] * len(draws)
+    for n in sorted({len(d[-1]) for d in draws}):
+        ks = [k for k, d in enumerate(draws) if len(d[-1]) == n]
+        for k, outcome in zip(ks, batch([draws[k] for k in ks])):
+            outcomes[k] = outcome
+    return lambda k: _result(outcomes[k]).value
+
+
 # Inner 2F1s of the decomposition family taken from one batch, degrees 0-31;
 # a trial stops after 8-22 shells at the README's seed.
 _DECOMPOSITION_DEGREES = 32
@@ -129,10 +143,10 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
     recurrence family.
 
     Each family draws all its inputs first, in the order of its rows, then
-    sums its Gauss series in one gauss_2f1_batch, then makes its rows. No
-    draw depends on an evaluated value, and a series that uses up the policy
-    gives the error of the rows that read it, so the report is that of
-    evaluating row by row."""
+    sums its Gauss series in one gauss_2f1_batch and its other series in one
+    batch per variable count, then makes its rows. No draw depends on an
+    evaluated value, and a series that raises gives its error to the rows
+    that read it, so the report is that of evaluating row by row."""
     if trials < 1:
         raise ValueError(f"identity suite needs trials >= 1, got {trials}")
     _positive(tol, "tol")
@@ -153,12 +167,13 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
         raw = [_draw_in_disk(rng, 1.0) for _ in range(r)]
         scale = rng.uniform(0.02, 0.2) / max(sum(abs(v) for v in raw), 1e-12)
         draws.append((r, a, c, tuple(v * scale for v in raw)))
+    lhs = _by_count(draws, lambda group: doubled_index_multisum_batch(*list(zip(*group))[1:],
+                                                                      policy))
     rhs = _gauss_batch([(a / 2, (a + 1) / 2, c, 4 * sum(x)) for _, a, c, x in draws], policy)
     for i, (r, a, c, x) in enumerate(draws):
         rep.rows.append(_row(f"multisum-collapse/{i:04d}", "identities",
                              {"r": r, "a": a, "c": c, "x": list(x)},
-                             lambda: (doubled_index_multisum(a, c, x, policy).value, rhs(i)),
-                             tol))
+                             lambda: (lhs(i), rhs(i)), tol))
 
     draws = [(variant, i, rng.uniform(0.5, 6.0), _draw_in_disk(rng, _CLOSED_Z_RADIUS))
              for variant in ("i", "ii", "iii") for i in range(trials)]
@@ -168,17 +183,24 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
         rep.rows.append(_row(f"closed-2f1-{variant}/{i:04d}", "identities", {"a": a, "z": z},
                              lambda: (closed_2f1_family(variant, a, z), rhs(k)), tol))
 
-    for i in range(trials):
+    draws = []
+    for _ in range(trials):
         n = rng.choice((1, 2, 3))
         a = rng.uniform(0.5, 6.0)
         b = tuple(rng.uniform(0.5, 6.0) for _ in range(n))
         raw = [_draw_in_disk(rng, 1.0) for _ in range(n)]
         scale = rng.uniform(0.05, 0.5) / max(sum(abs(v) for v in raw), 1e-12)
-        z = tuple(v * scale for v in raw)
+        draws.append((n, a, b, tuple(v * scale for v in raw)))
+
+    def equal_params(group):
+        _, a, b, z = zip(*group)
+        return appell_fa_batch(a, b, b, z, policy)
+
+    lhs = _by_count(draws, equal_params)
+    for i, (n, a, b, z) in enumerate(draws):
         rep.rows.append(_row(f"equal-param-collapse/{i:04d}", "identities",
                              {"n": n, "a": a, "b": list(b), "z": list(z)},
-                             lambda: (appell_fa(a, b, b, z, policy).value,
-                                      fa_equal_params_closed(a, z)), tol))
+                             lambda: (lhs(i), fa_equal_params_closed(a, z)), tol))
 
     draws = []
     for _ in range(trials):
@@ -194,14 +216,20 @@ def run_identity_suite(trials: int = 200, seed: int = 7, tol: float = 1e-10,
     degrees = np.arange(_DECOMPOSITION_DEGREES)
     table = gauss_2f1_batch(*(np.add.outer([d[k] for d in draws], degrees) for k in (1, 2, 3)),
                             np.array([d[5][0] for d in draws])[:, None], policy)
+
+    def shared_params(group):  # F_A(a; b1, shared, ...; c1, shared, ...; y)
+        r, a, b1, c1, shared, y = zip(*group)
+        rest = [(v,) * (n - 1) for n, v in zip(r, shared)]
+        return appell_fa_batch(a, [(v,) + t for v, t in zip(b1, rest)],
+                               [(v,) + t for v, t in zip(c1, rest)], y, policy)
+
+    fa = _by_count(draws, shared_params)
     for i, (r, a, b1, c1, shared, y) in enumerate(draws):
         inner = _decomposition_inner(table, i, a, b1, c1, y[0], policy)
         rep.rows.append(_row(f"decomposition/{i:04d}", "identities",
                              {"r": r, "a": a, "b1": b1, "c1": c1, "shared": shared, "y": list(y)},
                              lambda: (_decomposition_series(a, b1, c1, y, policy, inner).value,
-                                      appell_fa(a, (b1,) + (shared,) * (r - 1),
-                                                (c1,) + (shared,) * (r - 1), y, policy).value),
-                             tol))
+                                      fa(i)), tol))
 
     # contiguous recurrence family: validated forms gate, rejected displays
     # and the rejected coefficient set are informational

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -530,15 +531,269 @@ def test_decomposition_from_the_suite_table_matches_the_public_series():
     assert outcomes["entry before the stop used up"][0].startswith("gauss_2f1: policy exhausted")
 
 
-# Near-boundary cases: the 3-variable sums pass the first block of the default
-# row budget (degrees 0-27), the d1, d2 and ellipsoid kernel series span
-# several blocks, and the last case raises ConvergenceError after several blocks.
-_NEAR_D1 = (0.35 + 0.05j, 0.25, 0.12 - 0.05j, 0.5 + 0.1j)
-_BLOCK_CASES = (
+# --- front series: appell_fa and doubled_index_multisum ----------------------
+
+def _key(outcome):
+    # a series outcome by its bytes: value, tail and shells, or error and message
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    return repr(outcome.value), repr(outcome.tail_estimate), outcome.shells_used
+
+
+def _front_draws(rng, n, count, radius):
+    """count seeded F_A inputs of n variables, sum |z_i| up to radius; the
+    first elements are a region error, a pole and a lower parameter of 1e-20."""
+    draws = []
+    for _ in range(count):
+        a = rng.uniform(0.5, 6.0)
+        b = tuple(rng.uniform(-2.0, 6.0) for _ in range(n))
+        c = tuple(rng.uniform(0.5, 6.0) for _ in range(n))
+        raw = [cmath.rect(rng.random(), rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+        scale = rng.uniform(0.0, radius) / sum(abs(v) for v in raw)
+        draws.append((a, b, c, tuple(v * scale for v in raw)))
+    a, b, c, z = draws[0]
+    draws[0] = a, b, c, tuple(v * 1.5 / sum(abs(w) for w in z) for v in z)
+    a, b, c, z = draws[1]
+    draws[1] = a, b, c[:-1] + (-2.0,), z
+    a, b, c, z = draws[2]
+    draws[2] = a, b, (1e-20,) + c[1:], z
+    return draws
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_front_batches_match_the_batch_of_one_and_the_scalar_call(n):
+    # 200 seeded inputs per variable count, summed as one batch, as batches
+    # of one, and by the public scalar calls, agree by repr and shells_used;
+    # region, pole and used-up elements carry the scalar's error word for
+    # word, and do not stop the batch.
+    policy = TruncationPolicy(max_total_degree=60, tail_tol=1e-13)
+    rng = random.Random(1000 + n)
+    kinds = set()
+    for family, batch, scalar, draws in (
+            ("appell_fa", hypergeo.appell_fa_batch, appell_fa, _front_draws(rng, n, 200, 0.95)),
+            ("doubled_index_multisum", hypergeo.doubled_index_multisum_batch,
+             doubled_index_multisum,
+             [(a, c[0], z) for a, b, c, z in _front_draws(rng, n, 200, 0.24)])):
+        if family == "appell_fa" and n == 1:
+            continue  # F_A^(1) is gauss_2f1, element by element
+        columns = list(zip(*draws))
+        together = batch(*columns, policy)
+        assert len(together) == len(draws)
+        for args, outcome in zip(draws, together):
+            one = batch(*([v] for v in args), policy)[0]
+            try:
+                alone = scalar(*args, policy)
+            except (ConvergenceError, PoleError) as exc:
+                alone = exc
+            assert _key(outcome) == _key(one) == _key(alone), (family, args)
+            kinds.add(_key(outcome)[0] if isinstance(outcome, Exception)
+                      else "value")
+            if isinstance(outcome, Exception):
+                kinds.add(str(outcome).split(" ")[1])
+    assert {"value", "ConvergenceError", "PoleError", "requires", "policy"} <= kinds, kinds
+
+
+def test_appell_fa_batch_of_one_variable_is_gauss_2f1():
+    # F_A^(1) is the Gauss series: each element is gauss_2f1's own sum
+    draws = [(1.5, (0.7,), (1.1,), (0.3 - 0.2j,)), (2.5, (1.0,), (-1.0,), (0.1,)),
+             (1.0, (1.0,), (1.0,), (0.99,))]
+    got = hypergeo.appell_fa_batch(*zip(*draws), TIGHT)
+    assert _key(got[0]) == _key(gauss_2f1(1.5, 0.7, 1.1, 0.3 - 0.2j, TIGHT))
+    assert _key(got[1]) == ("PoleError",
+                            "appell_fa: lower parameter -1.0 is a non-positive integer")
+    assert _key(got[2])[1].startswith("gauss_2f1: policy exhausted")
+
+
+def _by_compositions(mpmath, front, seqs, depth):
+    # the multi-index sum as printed: front[M] * prod_i seqs[i][m_i] over the
+    # compositions (m_1, ..., m_n) of each M < depth, listed by itertools
+    n = len(seqs)
+    total = mpmath.mpf(0)
+    for M in range(depth):
+        for bars in itertools.combinations(range(M + n - 1), n - 1):
+            ms = [hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (M + n - 1,))]
+            total += front[M] * mpmath.fprod(seq[m] for seq, m in zip(seqs, ms))
+    return complex(total)
+
+
+def test_front_series_match_the_printed_multi_index_sum():
+    # The convolution of the tables against the multi-index sum as printed,
+    # at 40 digits, for 2, 3 and 4 variables, a = 150, lower parameters of
+    # 1e-20, and zero variables, each equal by repr to the sum without it.
+    # Every case has converged well within its depth. No RuntimeWarning
+    # escapes.
+    mpmath = pytest.importorskip("mpmath")
+    fa_cases = (
+        (1.2, (0.7, 2.1), (1.4, 0.6), (0.3 + 0.2j, -0.25 + 0.1j), 50),
+        (2.1, (1.5, -0.6, 3.3), (0.9, 2.2, 1.7), (-0.2 + 0.1j, 0.15j, 0.1 - 0.05j), 40),
+        (1.6, (2.4, 0.5, 1.9, 3.1), (1.1, 0.8, 2.6, 4.2),
+         (0.08 - 0.03j, 0.05 + 0.04j, -0.06 - 0.01j, 0.04j), 30),
+        (150.0, (0.7, 1.3), (1.1, 0.6), (0.02 + 0.01j, -0.015j), 45),
+        (1.3, (0.9, 1.1, 2.0), (1e-20, 1.5, 0.8), (0.1 - 0.05j, -0.08, 0.06 + 0.07j), 35),
+    )
+    multisum_cases = (
+        (2.5, 1e-20, (0.05 + 0.02j, 0j, -0.03 + 0.04j), 45),
+        (3.7, 0.9, (0.04j, -0.05 + 0.01j, 0.03, 0.02 - 0.03j), 30),
+    )
+    with warnings.catch_warnings(), mpmath.workdps(40):
+        warnings.simplefilter("error", RuntimeWarning)
+        for a, b, c, z, depth in fa_cases:
+            ref = _by_compositions(
+                mpmath, [mpmath.rf(a, M) for M in range(depth)],
+                [[mpmath.rf(bi, m) / (mpmath.rf(ci, m) * mpmath.factorial(m)) * mpmath.mpc(zi) ** m
+                  for m in range(depth)] for bi, ci, zi in zip(b, c, z)], depth)
+            got = appell_fa(a, b, c, z, TIGHT)
+            assert got.shells_used < depth - 10, (a, z)
+            assert rel(got.value, ref) < 1e-12, (a, z, rel(got.value, ref))
+        for a, c, x, depth in multisum_cases:
+            ref = _by_compositions(
+                mpmath, [mpmath.rf(a, 2 * M) / mpmath.rf(c, M) for M in range(depth)],
+                [[mpmath.mpc(xi) ** m / mpmath.factorial(m) for m in range(depth)] for xi in x],
+                depth)
+            got = doubled_index_multisum(a, c, x, TIGHT)
+            assert got.shells_used < depth - 10, (a, x)
+            assert rel(got.value, ref) < 1e-12, (a, x, rel(got.value, ref))
+        x = multisum_cases[0][2]
+        assert _key(doubled_index_multisum(2.5, 1e-20, x, TIGHT)) \
+            == _key(doubled_index_multisum(2.5, 1e-20, (x[0], x[2]), TIGHT))
+        got = appell_fa(2.1, (1.5, 4.0, 3.3), (0.9, 0.5, 1.7), (-0.2 + 0.1j, 0j, 0.1 - 0.05j),
+                        TIGHT)
+        assert _key(got) == _key(appell_fa(2.1, (1.5, 3.3), (0.9, 1.7),
+                                           (-0.2 + 0.1j, 0.1 - 0.05j), TIGHT))
+
+
+def test_front_series_converge_far_from_the_origin():
+    # sum |z_i| = 0.99: about 2600 shells under a cap of 3000, against the
+    # closed form of equal parameters, (1 - z_1 - z_2)^-a at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    a, b = 0.8, (1.7, 0.6)
+    z = (cmath.rect(0.55, 0.1), cmath.rect(0.44, 0.1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = appell_fa(a, b, b, z, TruncationPolicy(3000, 1e-13))
+    with mpmath.workdps(40):
+        ref = complex((1 - mpmath.mpc(z[0]) - mpmath.mpc(z[1])) ** -mpmath.mpf(a))
+    assert 2000 < got.shells_used < 3000
+    assert rel(got.value, ref) < 1e-12
+
+
+_FRONT_CASES = (
     lambda: appell_fa(1.5, (0.7, 1.3), (1.1, 0.6), (0.6 + 0.3j, -0.2 + 0.1j)),
+    lambda: appell_fa(1.5, (0.7, 1.3), (1.1, 0.6), (0.3, -0.2j)),
     lambda: appell_fa(1.5, (0.7, 1.3, 0.9), (1.1, 0.6, 2.0),
                       (0.4 + 0.3j, -0.25 + 0.1j, 0.1 - 0.2j)),
+    lambda: appell_fa(1.6, (2.4, 0.5, 1.9, 3.1), (1.1, 0.8, 2.6, 4.2),
+                      (0.3 - 0.1j, 0.2 + 0.1j, -0.2 - 0.1j, 0.1j), TruncationPolicy(300, 1e-13)),
     lambda: doubled_index_multisum(2.5, 1.3, (0.1 + 0.03j, -0.06 + 0.02j, 0.05 - 0.05j)),
+    lambda: doubled_index_multisum(5.96, 0.79, (-0.177 + 0.071j,), TIGHT),
+    lambda: doubled_index_multisum(1.0, 1.0, (0.124, 0.124), TruncationPolicy(100, 1e-13)),
+    lambda: hypergeo.appell_fa_batch(
+        [1.2, 1.5, 2.0], [(0.7, 2.1), (1.0, -1.0), (3.0, 0.5)],
+        [(1.4, 0.6), (0.5, 2.0), (1.0, 1.5)],
+        [(0.3 + 0.2j, -0.25 + 0.1j), (0.5, 0.49j), (-0.1, 0.05j)], TIGHT),
+)
+
+
+def _front_outcome(case):
+    try:
+        got = case()
+    except ConvergenceError as exc:
+        return _key(exc)
+    return [_key(v) for v in got] if isinstance(got, list) else _key(got)
+
+
+@pytest.mark.parametrize("first", (1, 32, 10**9), ids=("one", "default", "full"))
+def test_first_table_length_does_not_change_front_series(monkeypatch, first):
+    # Tables built from 1 entry, from 32, or to the cap at once give the same
+    # outcomes: every table entry and every merged entry is made per row and
+    # does not depend on where a table ends, and the stop rule's run of small
+    # shells carries across table ends. The cases reach several table
+    # lengths, 4 variables, an exhausted cap and a mixed batch.
+    want = [_front_outcome(case) for case in _FRONT_CASES]
+    # the second stops at shell 32, its three small shells across the end of
+    # the first tables
+    assert [w[-1] for w in want[:6]] == [62, 33, 37, 44, 32, 208]
+    assert want[6][0] == "ConvergenceError"
+    monkeypatch.setattr(hypergeo, "_FIRST_TABLE_LENGTH", first)
+    assert [_front_outcome(case) for case in _FRONT_CASES] == want
+
+
+def test_front_series_stop_at_the_row_ceiling(monkeypatch):
+    # A merge holds one row per pair j <= K <= D, so a series of 2 or more
+    # variables reaches degree 4651 within the row ceiling, 4 variables
+    # too; past it, each element of a batch carries the ceiling's error.
+    assert hypergeo._last_degree(1) == hypergeo._MAX_SERIES_ROWS - 1
+    for n in (2, 3, 4):
+        assert hypergeo._last_degree(n) == 4651
+        assert math.comb(4653, 2) <= hypergeo._MAX_SERIES_ROWS < math.comb(4654, 2)
+    monkeypatch.setattr(hypergeo, "_MAX_SERIES_ROWS", math.comb(23, 3))  # degree 58
+    assert hypergeo._last_degree(4) == 58
+    policy = TruncationPolicy(100, 1e-13)
+    z4 = (0.3, 0.2, 0.2, 0.25)
+    near = (0.05, 0.02j, -0.03, 0.01)
+    got = hypergeo.appell_fa_batch([1.5, 1.5], [(1.0,) * 4] * 2, [(2.0,) * 4] * 2, [z4, near],
+                                   policy)
+    assert _key(got[0]) == ("ConvergenceError", "a series of 4 variables would reach past "
+                            f"degree 58, the ceiling of {math.comb(23, 3)} rows")
+    assert got[1].shells_used < 30
+    with pytest.raises(ConvergenceError, match="4 variables would reach past degree 58,"):
+        appell_fa(1.5, (1.0,) * 4, (2.0,) * 4, z4, policy)
+    # a cap below the ceiling is the policy's error
+    assert "policy exhausted at total degree 40" in str(hypergeo.appell_fa_batch(
+        [1.5], [(1.0,) * 4], [(2.0,) * 4], [z4], TruncationPolicy(40, 1e-13))[0])
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, complex(0.01, math.nan)),
+                         ids=("nan", "inf", "-inf", "nan-imag"))
+def test_non_finite_parameters_and_arguments_are_value_errors(bad):
+    # before any shell: a nan ran doubled_index_multisum to its cap
+    calls = {
+        "gauss_2f1 a": lambda: gauss_2f1(abs(bad), 1.0, 1.5, 0.3),
+        "gauss_2f1 z": lambda: gauss_2f1(1.0, 1.0, 1.5, bad),
+        "gauss_2f1_batch": lambda: hypergeo.gauss_2f1_batch([1.0, 1.0], 1.0, 1.5, [0.3, bad]),
+        "appell_fa": lambda: appell_fa(1.0, (1.0, 1.0), (1.5, 2.0), (0.1, bad)),
+        "appell_fa b": lambda: appell_fa(1.0, (1.0, abs(bad)), (1.5, 2.0), (0.1, 0.1)),
+        "appell_fa_batch": lambda: hypergeo.appell_fa_batch(
+            [1.0, 1.0], [(1.0, 1.0)] * 2, [(1.5, 2.0)] * 2, [(0.1, 0.1), (0.1, bad)]),
+        "multisum": lambda: doubled_index_multisum(1, 1, (bad, 0.01, 0.01)),
+        "multisum c": lambda: doubled_index_multisum(1, abs(bad), (0.01, 0.01, 0.01)),
+        "multisum_batch": lambda: hypergeo.doubled_index_multisum_batch(
+            [1.0, 1.0], [1.0, 1.0], [(0.01, 0.01), (bad, 0.01)]),
+        "decomposition": lambda: fa_decomposition_rhs(1.0, 1.0, 1.5, (0.1, bad)),
+        "decomposition a": lambda: fa_decomposition_rhs(abs(bad), 1.0, 1.5, (0.1, 0.1)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="needs finite parameters and arguments"):
+            call()
+
+
+def test_front_rows_that_failed_in_log_form_agree_with_mpmath():
+    # Two identity rows that failed while front terms were exponentials of
+    # large logs, each series side against mpmath at 40 digits.
+    mpmath = pytest.importorskip("mpmath")
+    # verify identities --seed 22005, multisum-collapse/0087 (was 1.388e-10)
+    a, c, x = 5.961533940675356, 0.7904283730957611, -0.1770991541945385 + 0.07092977711380732j
+    with mpmath.workdps(40):
+        ref = complex(mpmath.hyp2f1(mpmath.mpf(a) / 2, (mpmath.mpf(a) + 1) / 2, c,
+                                    4 * mpmath.mpc(x)))
+    assert rel(doubled_index_multisum(a, c, (x,), TIGHT).value, ref) < 1e-11
+    assert rel(gauss_2f1(a / 2, (a + 1) / 2, c, 4 * x, TIGHT).value, ref) < 1e-11
+    # verify identities --seed 39, decomposition/0176 (was 2.11e-10, the F_A
+    # side off). Its shells cancel 9e5-fold: the exact shells, each rounded
+    # to a double and summed exactly, are off by 1.1e-11 already, so the F_A
+    # side is held to 5e-11.
+    a, b1, c1, shared = 5.722819955508668, 5.852144374073099, 0.667570091969262, 5.392481174567001
+    y = (-0.2502587706110284 - 0.0980445505155504j, -0.2827896061632319 + 0.01183670696033055j)
+    with mpmath.workdps(40):
+        ref = complex(mpmath.appellf2(a, b1, shared, c1, shared, y[0], y[1]))
+    assert rel(fa_decomposition_rhs(a, b1, c1, y, TIGHT).value, ref) < 1e-11
+    assert rel(appell_fa(a, (b1, shared), (c1, shared), y, TIGHT).value, ref) < 5e-11
+
+
+# Near-boundary cases: the d1, d2 and ellipsoid kernel series span several
+# blocks, and the last case raises ConvergenceError after several blocks.
+_NEAR_D1 = (0.35 + 0.05j, 0.25, 0.12 - 0.05j, 0.5 + 0.1j)
+_BLOCK_CASES = (
     lambda: kernel_series_d2_nu((0.6 + 0.05j, 0.15 - 0.02j, 0.3 + 0.1j)),
     lambda: kernel_series_ellipsoid_nu((cmath.rect(0.85, 0.3), cmath.rect(0.5, -0.7)), (2, 3)),
     lambda: kernel_series_ellipsoid_nu((0.45 - 0.2j, -0.4 + 0.1j, 0.2j), (1, 2, 1)),
@@ -577,8 +832,7 @@ _BLOCK_SETTINGS = {
     "rows-1": ((hypergeo, "_BLOCK_ROWS", 1),),
     "degrees-1": ((hypergeo, "_BLOCK_DEGREES", 1),),
     "degrees-400": ((hypergeo, "_BLOCK_DEGREES", 400),),
-    "full-tables": ((hypergeo, "_tables_on_demand", _full_length_tables),
-                    (kernels, "_tables_on_demand", _full_length_tables)),
+    "full-tables": ((kernels, "_tables_on_demand", _full_length_tables),),
 }
 
 
@@ -794,39 +1048,49 @@ def test_held_blocks_stay_within_their_bound(monkeypatch):
         _clear_block_caches()
 
 
-def _ratio_logseq_1d(ratio_fn, length):
-    # one sequence per call, as built before sequences were stacked in rows
-    r = np.asarray(ratio_fn(np.arange(length - 1)), dtype=complex)
-    mag = np.abs(r)
-    logmag = np.zeros(length)
-    phase = np.ones(length, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.cumsum(np.log(mag), out=logmag[1:])
-        np.cumprod(np.where(mag > 0.0, r / mag, 1.0), out=phase[1:])
-    return logmag, phase
-
-
 def test_stacked_ratio_logseq_rows_match_one_sequence_builds():
-    # The doubled-index sequences with one x_i = 0 (a zero ratio): every row
-    # of the one stacked build equals its own 1-D build bit for bit, and a
-    # shorter build is an exact prefix of a longer one. No RuntimeWarning
-    # may escape (the suite turns them into errors).
+    # The doubled-index tables with one x_i = 0 (a zero ratio): every row of
+    # the one stacked build equals its own 1-D build bit for bit, a shorter
+    # build is an exact prefix of a longer one, across the renormalisation
+    # every _RENORM_STEPS entries too, and each entry is the product of its
+    # ratios to round-off, far past where the entries leave the range of a
+    # double. No RuntimeWarning may escape (the suite turns them into errors).
     a, c = 2.5, 1.3
     xs = (0.1 + 0.03j, 0j, -0.06 + 0.02j)
-    rows = [lambda m, x=x: x / (m + 1) for x in xs] \
-        + [lambda m: (a + 2 * m) * (a + 2 * m + 1) / (c + m)]
-    stacked = lambda m: np.vstack([row(m) for row in rows])
-    full = hypergeo._ratio_logseq(stacked, 401)
-    assert full.logmag.shape == full.phase.shape == (4, 401)
-    assert full.logmag[1, 0] == 0.0 and np.all(full.logmag[1, 1:] == -np.inf)
-    for i, row in enumerate(rows):
-        logmag, phase = _ratio_logseq_1d(row, 401)
-        assert np.array_equal(full.logmag[i], logmag)
-        assert np.array_equal(full.phase[i], phase)
-    for length in (1, 2, 32, 64):
-        short = hypergeo._ratio_logseq(stacked, length)
-        assert np.array_equal(short.logmag, full.logmag[:, :length])
-        assert np.array_equal(short.phase, full.phase[:, :length])
+    rows = [lambda m, x=x: np.broadcast_to(x, m.shape) for x in xs] \
+        + [lambda m: (a + 2 * m) * (a + 2 * m + 1) / ((c + m) * (m + 1))]
+    stacked = lambda m: np.stack([row(m) for row in rows])
+    length = 2 * hypergeo._RENORM_STEPS + 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        full = hypergeo._ratio_logseq(stacked, length)
+        assert full.re.shape == full.im.shape == full.exp.shape == (4, length)
+        assert (full.re[1, 0], full.im[1, 0], full.exp[1, 0]) == (0.5, 0.0, 1)
+        assert not full.re[1, 1:].any() and not full.im[1, 1:].any()
+        assert np.all(full.exp[1, 1:] == hypergeo._ZERO_EXP)
+        for i, row in enumerate(rows):
+            one = hypergeo._ratio_logseq(lambda m, row=row: row(m)[None], length)
+            for got, want in zip(full, one):
+                assert np.array_equal(got[i], want[0])
+        for short in (1, 2, 32, 64, hypergeo._RENORM_STEPS + 1, hypergeo._RENORM_STEPS + 2):
+            table = hypergeo._ratio_logseq(stacked, short)
+            for got, want in zip(table, full):
+                assert np.array_equal(got, want[:, :short])
+    top = np.maximum(np.abs(full.re), np.abs(full.im))
+    assert np.all((top[top > 0] >= 0.5) & (top[top > 0] < 1.0))
+    assert full.exp[0, -1] < -1100 and full.exp[3, -1] > 1100  # past the range of a double
+    # against the running product in Python, scaled by 2^-64 at each step so
+    # it stays a normal double
+    for row in (0, 2, 3):
+        run, shift = 1 + 0j, 0
+        for m, r in enumerate(rows[row](np.arange(length - 1)).tolist(), 1):
+            run *= r
+            while abs(run) < 2.0**-64:
+                run, shift = run * 2.0**64, shift - 64
+            while abs(run) > 2.0**64:
+                run, shift = run * 2.0**-64, shift + 64
+            got = complex(full.re[row, m], full.im[row, m]) * 2.0**(int(full.exp[row, m]) - shift)
+            assert abs(got - run) <= 1e-13 * abs(run), (row, m)
     # the zero variable only adds zero terms
     with_zero = doubled_index_multisum(a, c, xs)
     without = doubled_index_multisum(a, c, (xs[0], xs[2]))
@@ -839,19 +1103,19 @@ def test_tables_on_demand_cover_each_request_and_stop_at_the_cap(monkeypatch):
     # request if that is longer: each build is at most max(hi, 2 * previous).
     built = []
 
-    def build(ratio_fn, length):
+    def build(xs, length):
         built.append(length)
-        return hypergeo._ratio_logseq(ratio_fn, length)
+        return kernels._powers_logseq(xs, length)
 
-    tables = hypergeo._tables_on_demand(build, lambda m: np.vstack((m + 1.0, m - 2.0)))
+    tables = hypergeo._tables_on_demand(build, (0.5, 0.25j))
     for hi in (5, 3, 6, 10, 30, 61, 100):
         n = len(built)
         assert tables(hi).logmag.shape == (2, built[-1]) and built[-1] >= hi
         if len(built) > n > 0:
             assert built[-1] <= max(hi, 2 * built[-2])
     assert built == [5, 10, 30, 61, 122]
-    # With no cap of their own, the tables of a series that uses up its cap
-    # stay within twice its last block.
+    # A front series that uses up its cap doubles its tables from 32
+    # entries, and never past the cap's shell.
     lengths = []
     ratio_logseq = hypergeo._ratio_logseq
 
@@ -863,18 +1127,18 @@ def test_tables_on_demand_cover_each_request_and_stop_at_the_cap(monkeypatch):
     cap = 100
     with pytest.raises(ConvergenceError, match=f"exhausted at total degree {cap} "):
         doubled_index_multisum(1.0, 1.0, (0.124, 0.124), TruncationPolicy(cap, 1e-13))
-    assert lengths and max(lengths) < 2 * (cap + 1 + hypergeo._BLOCK_DEGREES)
+    assert lengths == [32, 64, cap + 1]
 
 
 def test_series_tables_are_sized_by_the_shells_summed(monkeypatch):
-    # A series that stops within 20 shells builds its tables once, to its
-    # first block's span, not to the degree cap.
+    # A series that stops within 20 shells builds its tables once, to 64
+    # entries at most, not to the degree cap.
     cases = (
         (hypergeo, "_ratio_logseq",
          lambda: appell_fa(1.7, (1.0, 1.0), (0.5, 1.0 / 3.0), (0.2 + 0.1j, -0.15 + 0.05j),
-                           kernels.KERNEL_POLICY)),
+                           kernels.KERNEL_POLICY).shells_used),
         (kernels, "_powers_logseq",
-         lambda: kernel_series_d2_nu((0.1 + 0.02j, 0.005, 0.02j))),
+         lambda: kernel_series_d2_nu((0.1 + 0.02j, 0.005, 0.02j)) and used[-1]),
     )
     used = []
     sum_shells = hypergeo._sum_shells
@@ -884,8 +1148,7 @@ def test_series_tables_are_sized_by_the_shells_summed(monkeypatch):
         used.append(sv.shells_used)
         return sv
 
-    for module in (hypergeo, kernels):
-        monkeypatch.setattr(module, "_sum_shells", recorded)
+    monkeypatch.setattr(kernels, "_sum_shells", recorded)
     for module, name, run in cases:
         lengths = []
         build = getattr(module, name)
@@ -894,10 +1157,8 @@ def test_series_tables_are_sized_by_the_shells_summed(monkeypatch):
             lengths.append(length)
             return build(arg, length)
 
-        used.clear()
         monkeypatch.setattr(module, name, spy)
-        run()
-        assert len(used) == 1 and used[0] <= 20, name
+        assert run() <= 20, name
         assert len(lengths) == 1 and lengths[0] <= 64, (name, lengths)
 
 
