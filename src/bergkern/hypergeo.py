@@ -13,15 +13,14 @@ the multi-index sum by partial totals at O(L^2) per merge for L degrees.
 Tables start at 32 entries and double for the series still running; every
 step is per element or per row, so a value does not depend on its batch.
 
-The kernels' monomial series combine terms in log-magnitude/phase form
-(_LogSeq). Their shells are gathered (_shell_gather) in vectorised blocks
-of consecutive degrees, at most 32 degrees and about 4096 terms each, held
-as one in-order sequence per variable count (_blocks), shared by every
-series and dropped whole, least recently used first, once the blocks held
-pass a bound in bytes set by the row ceiling. A kernel series builds its
-tables on demand: the first block sizes them, and a later block that needs
-more rebuilds them at double length. The stop rule applies shell by shell,
-and it alone knows the degree cap.
+The kernels' monomial series take their exponent rows from here, and only
+they use them: vectorised blocks of consecutive degrees, at most 32 degrees
+and about 4096 rows each, held as one in-order sequence per variable count
+(_blocks), shared by every series and dropped whole, least recently used
+first, once the blocks held pass a bound in bytes set by the row ceiling.
+The kernels module forms and sums a block's terms; the stop rule
+(_sum_shells), which every series here and there shares, applies shell by
+shell, and it alone knows the degree cap.
 
 gauss_2f1 sums its terms one by one in Python complex arithmetic, which is
 cheapest for one series. gauss_2f1_batch sums many at once, one numpy pass
@@ -128,14 +127,6 @@ def _check_lower_param(c: float, what: str) -> None:
         raise pole
 
 
-class _LogSeq(NamedTuple):
-    """Complex sequences stored as log-magnitude plus unit phase, one
-    sequence per row; the last axis runs over the index."""
-
-    logmag: np.ndarray
-    phase: np.ndarray
-
-
 class _Table(NamedTuple):
     """Complex sequences as (re + i im) * 2**exp, one sequence per row; the
     last axis runs over the index. A nonzero mantissa has max(|re|, |im|)
@@ -222,25 +213,6 @@ def _factorials(length: int) -> tuple[np.ndarray, np.ndarray]:
     """At least length factorials: a table held for the next power of two,
     so a process holds at most one per power."""
     return _factorial_table(1 << max(length - 1, 1).bit_length())
-
-
-def _tables_on_demand(build, arg):
-    """tables(hi): the tables build(arg, length) with length >= hi. The
-    first request builds them to hi; a later one past their end rebuilds
-    them at double length, or at hi if that is longer. Every table row is a
-    sequential cumulative product or an elementwise power, so a longer
-    build repeats the shorter one's entries exactly."""
-    held = None
-
-    def tables(hi: int) -> _LogSeq:
-        nonlocal held
-        if held is None:
-            held = build(arg, hi)
-        elif held.logmag.shape[-1] < hi:
-            held = build(arg, max(hi, 2 * held.logmag.shape[-1]))
-        return held
-
-    return tables
 
 
 # Shells are gathered in blocks of consecutive degrees: one vectorised pass
@@ -381,21 +353,6 @@ class _Held:
 # each starting where the one before ends; past the last, ConvergenceError.
 _blocks = _Held(lambda nvars: lambda i, prev: _build_block(nvars, prev.hi if prev else 0),
                 lambda block: block.comps.nbytes)
-
-
-def _shell_gather(seqs: _LogSeq, block: _Block, row_logmag) -> np.ndarray:
-    """Per-shell sums of exp(row_logmag) * prod_i seq_i[comps[:, i]] over
-    the block's rows, seq_i being row i of seqs."""
-    comps = block.comps
-    logmag, phase = seqs.logmag, seqs.phase
-    # take, not fancy indexing: it is faster with the int32 rows
-    logs = logmag[0].take(comps[:, 0]) + row_logmag
-    phases = phase[0].take(comps[:, 0])
-    for i in range(1, comps.shape[1]):
-        logs += logmag[i].take(comps[:, i])
-        phases *= phase[i].take(comps[:, i])
-    phases *= np.exp(logs)
-    return np.add.reduceat(phases, block.starts)
 
 
 # Front series (appell_fa, doubled_index_multisum). Each term

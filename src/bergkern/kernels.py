@@ -18,7 +18,12 @@ by numerics.log_gamma_array, and the d1 gamma ratios by a recurrence along
 a3, each row its predecessor in the shell before plus the log of a rational
 factor, so the d1 tables need no log-gamma. They are held as one sequence of
 arrays per parameter set, read side by side with hypergeo's blocks, which
-alone hold the exponent rows.
+alone hold the exponent rows. A block's terms, exp(log_coef) times a product
+of powers of the folded variables, are summed (_shell_gather) in plain
+complex arithmetic, from power tables built by sequential product, while
+the block's largest log-coefficient is at most _DIRECT_MAX_LOG; a block past
+it, met only deep in extreme parameter sets, is summed in
+log-magnitude/phase form, which neither overflows nor underflows.
 
 The removable singularity of the closed d1 potential at nu3 = 0 is eliminated
 algebraically: with w = sqrt(1 - 4*nu3), (1 - w)/(4*nu3) = 1/(1 + w) exactly,
@@ -32,16 +37,17 @@ report's informational rows; no public function evaluates them.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .domains import DomainSpec, PointPair
 from .errors import ConvergenceError, RegionError, SingularityError
-from .hypergeo import (SeriesValue, TruncationPolicy, _blocks, _LogSeq, _Held, _shell_gather,
-                       _sum_shells, _tables_on_demand)
+from .hypergeo import SeriesValue, TruncationPolicy, _Block, _blocks, _Held, _sum_shells
 from .numerics import DualComplex, log_gamma_array, principal_pow, principal_sqrt
 
 # The truncation policy of every kernel series, also `bergkern eval`'s and
@@ -193,15 +199,96 @@ def _kernel_closed_d1_alternate(nu, p: float, lam: float) -> complex:
 
 # --- series route ------------------------------------------------------------
 
-def _powers_logseq(xs, length: int) -> _LogSeq:
-    """Powers x^m, m = 0..length-1, of every x in xs, in log/phase form,
-    one row per x. x^0 = 1, also for x = 0."""
-    m = np.arange(length)
-    logs = np.array([math.log(abs(x)) if x else -math.inf for x in xs])[:, None]
-    angles = np.array([1j * math.atan2(x.imag, x.real) if x else 0j for x in xs])[:, None]
-    logmag = np.zeros((len(xs), length))
-    np.multiply(m[1:], logs, out=logmag[:, 1:])
-    return _LogSeq(logmag, np.exp(angles * m))
+# A block whose largest log-coefficient is at most this is gathered as
+# direct complex products, exp(log_coef) * prod_i x_i^comps[:, i]. Every
+# folded variable has |x_i| < 1 (each series checks its region first), so
+# no factor or partial product of such a block exceeds e^600, and a power
+# product that underflows costs at most e^600 * 2^-1074 (about 2e-63)
+# absolute per row. Blocks past it are met only deep in extreme sets:
+# d1(0.5, 1) from degree 381 (its row ceiling is 400), the (0.3, 0.4)
+# ellipsoid from degree 282, (0.5, 3) from 1175 and (2, 3) from 2102. Their
+# log-coefficients go on past 709, where exp overflows.
+_DIRECT_MAX_LOG = 600.0
+
+
+class _LogSeq(NamedTuple):
+    """Complex sequences stored as log-magnitude plus unit phase, one
+    sequence per row; the last axis runs over the index."""
+
+    logmag: np.ndarray
+    phase: np.ndarray
+
+
+class _Powers:
+    """Powers x^m, m = 0..length-1, of every x in xs, one row per x:
+    direct, each entry the one before times x, so a shorter build is an
+    exact prefix of a longer one; and logs, the same powers in log/phase
+    form, built when a block past _DIRECT_MAX_LOG first asks for them.
+    x^0 = 1, also for x = 0."""
+
+    def __init__(self, xs, length: int):
+        self.xs = xs
+        factors = np.empty((len(xs), length), dtype=complex)
+        factors[:, 0] = 1.0
+        factors[:, 1:] = np.array(xs, dtype=complex)[:, None]
+        self.direct = np.multiply.accumulate(factors, axis=1)
+
+    @functools.cached_property
+    def logs(self) -> _LogSeq:
+        xs = self.xs
+        m = np.arange(self.direct.shape[-1])
+        logs = np.array([math.log(abs(x)) if x else -math.inf for x in xs])[:, None]
+        angles = np.array([1j * math.atan2(x.imag, x.real) if x else 0j for x in xs])[:, None]
+        logmag = np.zeros(self.direct.shape)
+        np.multiply(m[1:], logs, out=logmag[:, 1:])
+        return _LogSeq(logmag, np.exp(angles * m))
+
+
+def _powers_logseq(xs, length: int) -> _Powers:
+    """The powers of xs to length entries (see _Powers)."""
+    return _Powers(xs, length)
+
+
+def _tables_on_demand(build, arg):
+    """tables(hi): the tables build(arg, length) with length >= hi. The
+    first request builds them to hi; a later one past their end rebuilds
+    them at double length, or at hi if that is longer. Every table row is a
+    sequential cumulative product or an elementwise power, so a longer
+    build repeats the shorter one's entries exactly."""
+    held = None
+
+    def tables(hi: int) -> _Powers:
+        nonlocal held
+        if held is None:
+            held = build(arg, hi)
+        elif held.direct.shape[-1] < hi:
+            held = build(arg, max(hi, 2 * held.direct.shape[-1]))
+        return held
+
+    return tables
+
+
+def _shell_gather(powers: _Powers, block: _Block, log_coef) -> np.ndarray:
+    """Per-shell sums of exp(log_coef) * prod_i x_i^comps[:, i] over the
+    block's rows: as direct complex products while the block's largest
+    log-coefficient is at most _DIRECT_MAX_LOG, else in log/phase form."""
+    comps = block.comps
+    # take, not fancy indexing: it is faster with the int32 rows
+    if log_coef.max() <= _DIRECT_MAX_LOG:
+        direct = powers.direct
+        terms = direct[0].take(comps[:, 0])
+        for i in range(1, comps.shape[1]):
+            terms *= direct[i].take(comps[:, i])
+        terms *= np.exp(log_coef)
+    else:
+        logmag, phase = powers.logs
+        logs = logmag[0].take(comps[:, 0]) + log_coef
+        terms = phase[0].take(comps[:, 0])
+        for i in range(1, comps.shape[1]):
+            logs += logmag[i].take(comps[:, i])
+            terms *= phase[i].take(comps[:, i])
+        terms *= np.exp(logs)
+    return np.add.reduceat(terms, block.starts)
 
 
 def _monomial_series(xs, coefficients, policy: TruncationPolicy, what: str) -> SeriesValue:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +84,6 @@ def principal_pow(base, exponent: float):
     return cmath.exp(exponent * cmath.log(base))
 
 
-@dataclass(frozen=True)
 class DualComplex:
     """Complex value with an exact holomorphic derivative along one direction.
 
@@ -93,10 +91,29 @@ class DualComplex:
     expression built from +, -, *, /, sqrt, pow propagates the exact first
     derivative along the direction given by the seeded tangents `der`; a
     DualComplex(value) with the default zero tangent is a constant.
+
+    A slotted class with a plain __init__, not a dataclass: the closed d1
+    kernel builds hundreds of values a call, and a frozen dataclass takes
+    more than twice as long to build each. Equality, hashing and repr are
+    a frozen dataclass's, on the fields (val, der).
     """
 
-    val: complex
-    der: complex = 0j
+    __slots__ = ("val", "der")
+
+    def __init__(self, val: complex, der: complex = 0j):
+        self.val = val
+        self.der = der
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.val, self.der) == (other.val, other.der)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.val, self.der))
+
+    def __repr__(self):
+        return f"DualComplex(val={self.val!r}, der={self.der!r})"
 
     def __add__(self, other):
         if isinstance(other, DualComplex):

@@ -10,11 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from bergkern import (BranchError, ConvergenceError, PoleError, TruncationPolicy,
-                      appell_fa, closed_2f1_family, closed_2f1_recurrence,
+from bergkern import (BergkernError, BranchError, ConvergenceError, DomainSpec, PoleError,
+                      TruncationPolicy, appell_fa, closed_2f1_family, closed_2f1_recurrence,
                       doubled_index_multisum, fa_decomposition_rhs, fa_equal_params_closed,
                       gauss_2f1, kernel_series_d1_nu, kernel_series_d2_nu,
-                      kernel_series_ellipsoid_nu, recurrence_coefficients)
+                      kernel_series_ellipsoid_nu, recurrence_coefficients, sample_pairs)
 from bergkern import hypergeo, kernels, suites
 
 TIGHT = TruncationPolicy(max_total_degree=400, tail_tol=1e-13)
@@ -894,6 +894,108 @@ def test_block_size_does_not_change_series(monkeypatch):
     assert len(spans) == default[-2][1][0] and set(spans) == {1}
 
 
+def _series_runs(monkeypatch):
+    """run(case) -> (the value, or the BergkernError raised, and the
+    shells_used of every series summed), with _sum_shells recorded as
+    kernels sees it."""
+    used = []
+    sum_shells = kernels._sum_shells
+
+    def recorded(*args):
+        sv = sum_shells(*args)
+        used.append(sv.shells_used)
+        return sv
+
+    monkeypatch.setattr(kernels, "_sum_shells", recorded)
+
+    def run(case):
+        used.clear()
+        try:
+            value = case().value
+        except BergkernError as exc:
+            value = exc
+        return value, used.copy()
+
+    return run
+
+
+def _both_paths(monkeypatch, run, case):
+    """run(case) with the default range rule, and with every block forced
+    into log/phase form."""
+    default = run(case)
+    with monkeypatch.context() as mp:
+        mp.setattr(kernels, "_DIRECT_MAX_LOG", -math.inf)
+        forced = run(case)
+    return default, forced
+
+
+def _sweep_cases(seed: int):
+    # seeded d1, d2 and ellipsoid pairs at margins 0.05-0.4, as the library
+    # evaluates them
+    rng = random.Random(seed)
+    margins = (0.05, 0.1, 0.2, 0.4)
+    cases = []
+    for spec, series in (
+            (DomainSpec.d1(2.0, 2.0), lambda nu: kernel_series_d1_nu(nu, 2.0, 2.0)),
+            (DomainSpec.d1(1.0, 3.0), lambda nu: kernel_series_d1_nu(nu, 1.0, 3.0)),
+            (DomainSpec.d2(), kernel_series_d2_nu),
+            (DomainSpec.ellipsoid((1, 1)), lambda nu: kernel_series_ellipsoid_nu(nu, (1, 1))),
+            (DomainSpec.ellipsoid((2, 3)), lambda nu: kernel_series_ellipsoid_nu(nu, (2, 3))),
+            (DomainSpec.ellipsoid((1, 2, 1)),
+             lambda nu: kernel_series_ellipsoid_nu(nu, (1, 2, 1)))):
+        for margin in margins:
+            for pair in sample_pairs(spec, rng.randrange(2**31), 2, margin):
+                cases.append(lambda nu=pair.nu, series=series: series(nu))
+    return cases
+
+
+def test_direct_products_match_the_log_phase_form(monkeypatch):
+    # Below the range bound a block is gathered as direct complex products;
+    # with the bound at -inf every block is gathered in log/phase form. The
+    # two agree to 1e-12 and stop at the same shell, on every seeded pair
+    # and on the near-boundary block cases.
+    run = _series_runs(monkeypatch)
+    assert kernels._DIRECT_MAX_LOG == 600.0
+    for case in _sweep_cases(29) + list(_BLOCK_CASES):
+        (got, got_used), (want, want_used) = _both_paths(monkeypatch, run, case)
+        assert got_used == want_used
+        if isinstance(want, BergkernError):
+            assert repr(got) == repr(want)
+        else:
+            assert got_used and rel(got, want) <= 1e-12, (got, want)
+    # the last block case uses up its cap on both paths
+    assert isinstance(got, ConvergenceError) and repr(got) == repr(want)
+
+
+def test_blocks_past_the_range_bound_keep_the_log_phase_form(monkeypatch):
+    # (0.3, 0.4) ellipsoid pairs at rho = |nu1|^0.3 + |nu2|^0.4 = 0.98 need
+    # 415-489 shells, whose log-coefficients reach past 709, where exp
+    # overflows: those blocks stay in log/phase form, with no RuntimeWarning
+    # (an error in this suite), and the value is the all-log/phase one.
+    run = _series_runs(monkeypatch)
+    peaks = []
+    gather = kernels._shell_gather
+
+    def recorded(powers, block, log_coef):
+        peaks.append(float(log_coef.max()))
+        return gather(powers, block, log_coef)
+
+    monkeypatch.setattr(kernels, "_shell_gather", recorded)
+    shells = []
+    for s in (0.2, 0.5, 0.8):
+        nu = ((0.98 * s) ** (1 / 0.3), (0.98 * (1 - s)) ** (1 / 0.4))
+        peaks.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (got, got_used), (want, want_used) = _both_paths(
+                monkeypatch, run, lambda nu=nu: kernel_series_ellipsoid_nu(nu, (0.3, 0.4)))
+        assert max(peaks) > 709 and min(peaks) <= kernels._DIRECT_MAX_LOG
+        assert got_used == want_used
+        assert rel(got, want) <= 1e-12, (s, got, want)
+        shells += got_used
+    assert shells == [489, 452, 415]
+
+
 def test_a_failed_block_build_leaves_the_sequences_whole(monkeypatch):
     # A block build that raises, here MemoryError at the third block of a d1
     # series, propagates and leaves the shared sequences as they were: the
@@ -1107,10 +1209,10 @@ def test_tables_on_demand_cover_each_request_and_stop_at_the_cap(monkeypatch):
         built.append(length)
         return kernels._powers_logseq(xs, length)
 
-    tables = hypergeo._tables_on_demand(build, (0.5, 0.25j))
+    tables = kernels._tables_on_demand(build, (0.5, 0.25j))
     for hi in (5, 3, 6, 10, 30, 61, 100):
         n = len(built)
-        assert tables(hi).logmag.shape == (2, built[-1]) and built[-1] >= hi
+        assert tables(hi).direct.shape == (2, built[-1]) and built[-1] >= hi
         if len(built) > n > 0:
             assert built[-1] <= max(hi, 2 * built[-2])
     assert built == [5, 10, 30, 61, 122]

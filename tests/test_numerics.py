@@ -1,6 +1,7 @@
 """Tests for the scalar substrate: log-gamma, branches, duals."""
 
 import cmath
+import dataclasses
 import math
 import random
 import warnings
@@ -90,6 +91,34 @@ def test_dual_zero_tangent_and_power_rule():
     assert rel(sq.der, 2 * (0.3 + 0.1j)) < 1e-15
     held = DualComplex(0.3 + 0.1j)  # nu1 with the tangent on another slot
     assert (held * held).der == 0j
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenDual:
+    # a frozen dataclass of DualComplex's fields: the reference for its
+    # equality, hash and repr
+    val: complex
+    der: complex = 0j
+
+
+def test_dual_equality_hash_and_repr_are_the_frozen_dataclass_ones():
+    # DualComplex, a slotted class, compares, hashes and prints as a frozen
+    # dataclass of the same fields, the repr under its own name.
+    values = [(0.3 + 0.1j, 1 + 0j), (0.3 + 0.1j, 0j), (-0.0j, 0j), (0j, 0j), (1.0, 2),
+              (math.nan, 0j), (2.5 - 1e-300j, -7j)]
+    for v, d in values:
+        dual, frozen = DualComplex(v, d), _FrozenDual(v, d)
+        assert (dual.val, dual.der) == (frozen.val, frozen.der)
+        assert hash(dual) == hash(frozen)
+        assert repr(dual) == repr(frozen).replace("_FrozenDual", "DualComplex", 1)
+        for w, e in values:
+            assert (dual == DualComplex(w, e)) == (frozen == _FrozenDual(w, e))
+            assert (dual != DualComplex(w, e)) == (frozen != _FrozenDual(w, e))
+    assert repr(DualComplex(1j)) == "DualComplex(val=1j, der=0j)"
+    # like a dataclass, it equals no other type, not even its own value
+    assert DualComplex(1.0) != 1.0 and DualComplex(1.0) != _FrozenDual(1.0)
+    assert len({DualComplex(0.5, 1j), DualComplex(0.5, 1j), DualComplex(0.5)}) == 2
+    assert not hasattr(DualComplex(1.0), "__dict__")
 
 
 def test_dual_division_by_zero():
