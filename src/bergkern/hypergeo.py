@@ -8,7 +8,7 @@ count at once, and the scalar calls are batches of one. Each variable's
 sequence and the front are tables, each one cumulative product of its
 ratio (_ratio_logseq), held as a complex mantissa and an exact int64 binary
 exponent, so no term overflows, underflows or is the exp of a large log.
-The variables are merged by truncated binomial convolution, which groups
+The variables' sequences are merged by truncated convolution, which groups
 the multi-index sum by partial totals at O(L^2) per merge for L degrees.
 Tables start at 32 entries and double for the series still running; every
 step is per element or per row, so a value does not depend on its batch.
@@ -140,9 +140,11 @@ class _Table(NamedTuple):
     exp: np.ndarray
 
 
-# The exponent of a zero: far below any other (those stay within about
-# 2^23 in magnitude), so a zero never sets the common exponent of a sum,
-# and a sum of a few such exponents stays within int64.
+# The exponent of a zero: far below any other, so a zero never sets the
+# common exponent of a sum, and a sum of a few such exponents stays within
+# int64. Entry m of a table has an exponent of at most 1074 m in magnitude,
+# below 2^34 at the row ceiling; a series still running there reaches about
+# log2(m!), 2^28.
 _ZERO_EXP = -(1 << 56)
 
 # A product of mantissas (each of magnitude in [0.5, sqrt 2)) is
@@ -190,29 +192,6 @@ def _ratio_logseq(ratio_fn, length: int) -> _Table:
             v[lo + 1:hi + 1, 0], v[lo + 1:hi + 1, 1], exp[lo] + steps)
     return _Table(np.moveaxis(v[:, 0], 0, -1), np.moveaxis(v[:, 1], 0, -1),
                   np.moveaxis(exp, 0, -1))
-
-
-@functools.lru_cache(maxsize=32)
-def _factorial_table(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """0!, 1!, ..., (length-1)! as read-only mantissas and exponents, each
-    rounded from the exact integer (to within one ulp)."""
-    mant = np.empty(length)
-    exp = np.empty(length, dtype=np.int64)
-    value = 1
-    for m in range(length):
-        value *= max(m, 1)
-        shift = max(value.bit_length() - 64, 0)
-        mant[m], e = math.frexp(float(value >> shift))
-        exp[m] = e + shift
-    for arr in (mant, exp):
-        arr.setflags(write=False)
-    return mant, exp
-
-
-def _factorials(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """At least length factorials: a table held for the next power of two,
-    so a process holds at most one per power."""
-    return _factorial_table(1 << max(length - 1, 1).bit_length())
 
 
 # Shells are gathered in blocks of consecutive degrees: one vectorised pass
@@ -355,12 +334,11 @@ _blocks = _Held(lambda nvars: lambda i, prev: _build_block(nvars, prev.hi if pre
                 lambda block: block.comps.nbytes)
 
 
-# Front series (appell_fa, doubled_index_multisum). Each term
-# front[M] * prod_i seq_i[m_i], M = m_1 + ... + m_n, is factored as
-# F[M] * (M! / prod_i m_i!) * prod_i U_i[m_i], with U_i[m] = seq_i[m] * m!
-# and F[M] = front[M] / M!, so the shell of degree M is F[M] * W_n[M], where
-# W_1 = U_1 and W_k[K] = sum_{j <= K} C(K, j) W_{k-1}[j] U_k[K - j]: the same
-# multi-index sum, grouped by partial totals.
+# Front series (appell_fa, doubled_index_multisum). The terms
+# front[M] * prod_i seq_i[m_i] of total degree M = m_1 + ... + m_n add to
+# front[M] * W_n[M], where W_1 = seq_1 and
+# W_k[K] = sum_{j <= K} W_{k-1}[j] seq_k[K - j]: the same multi-index sum,
+# grouped by partial totals.
 
 # The first table length of a front series; a series still running at the
 # end of its tables doubles them.
@@ -387,16 +365,15 @@ def _last_degree(nvars: int) -> int:
     return (math.isqrt(8 * _MAX_SERIES_ROWS + 1) - 3) // 2
 
 
-def _merge(w: _Table, u: _Table, fact, lo: int, hi: int) -> _Table:
-    """Entries lo..hi-1 of W[K] = sum_{j <= K} C(K, j) w[j] u[K - j], for
-    the sequences in the rows of w and u, fact being the factorials' table.
-    Each entry adds its K + 1 products at one common exponent, their
-    largest, reached by exact powers of two; every step is per row, so an
-    entry does not depend on the other rows. The entries are made a few at
-    a time, in reused buffers of about _PAIR_CHUNK elements."""
+def _merge(w: _Table, u: _Table, lo: int, hi: int) -> _Table:
+    """Entries lo..hi-1 of W[K] = sum_{j <= K} w[j] u[K - j], for the
+    sequences in the rows of w and u. Each entry adds its K + 1 products at
+    one common exponent, their largest, reached by exact powers of two;
+    every step is per row, so an entry does not depend on the other rows.
+    The entries are made a few at a time, in reused buffers of about
+    _PAIR_CHUNK elements."""
     rows = w.re.shape[0]
     wr, wi, we, ur, ui, ue = (np.ascontiguousarray(arr) for arr in (*w, *u))
-    fmant, fexp = fact
     out = _Table(np.empty((rows, hi - lo)), np.empty((rows, hi - lo)),
                  np.empty((rows, hi - lo), dtype=np.int64))
     span = _PAIR_CHUNK // max(rows, 1)  # pairs per pass, but at least one entry's
@@ -415,16 +392,14 @@ def _merge(w: _Table, u: _Table, fact, lo: int, hi: int) -> _Table:
         ar, ai, br, bi, re, im = (buf[:rows * len(k)].reshape(shape) for buf in floats)
         np.take(we, j, axis=1, out=e)
         e += np.take(ue, k - j, axis=1, out=t)
-        e += fexp[k] - fexp[j] - fexp[k - j]
         common = np.maximum.reduceat(e, starts, axis=1)
-        # C(K, j)'s mantissa times 2^(e - common), an exact power of two
-        # built from its bits (0 from 2^-1023 down), as one real factor
+        # 2^(e - common), an exact power of two built from its bits (0 from
+        # 2^-1023 down)
         e -= np.take(common, k - lo, axis=1, out=t)
         np.maximum(e, -1023, out=e)
         e += 1023
         e <<= 52
         scale = e.view(np.float64)
-        scale *= fmant[k] / (fmant[j] * fmant[k - j])
         np.take(wr, j, axis=1, out=ar)
         np.take(wi, j, axis=1, out=ai)
         np.take(ur, k - j, axis=1, out=br)
@@ -446,12 +421,13 @@ def _merge(w: _Table, u: _Table, fact, lo: int, hi: int) -> _Table:
 def _front_batch(nvars: int, ratio, params, policy: TruncationPolicy, what: str) -> list:
     """The front series of each element t of the arrays params, each as its
     SeriesValue or its ConvergenceError. ratio(*params, m) gives the ratios
-    of U_1..U_n and then F, one row each, for m = 0..len(m)-1, so
-    _ratio_logseq builds their tables. Tables start at _FIRST_TABLE_LENGTH
-    entries and double while a series runs, for the series still running
-    only. Each series stops by _sum_shells' rule, its total and its last two
-    small flags carried from one table length to the next, after the shell
-    of the policy's cap or of _last_degree(nvars), whichever comes first."""
+    of seq_1..seq_n and then of the front, one row each, for
+    m = 0..len(m)-1, so _ratio_logseq builds their tables. Tables start at
+    _FIRST_TABLE_LENGTH entries and double while a series runs, for the
+    series still running only. Each series stops by _sum_shells' rule, its
+    total and its last two small flags carried from one table length to the
+    next, after the shell of the policy's cap or of _last_degree(nvars),
+    whichever comes first."""
     count = len(params[0])
     out = [None] * count
     last = min(policy.max_total_degree, _last_degree(nvars))
@@ -463,10 +439,9 @@ def _front_batch(nvars: int, ratio, params, policy: TruncationPolicy, what: str)
     lo, hi = 0, min(_FIRST_TABLE_LENGTH, last + 1)
     while live.size:
         tables = _ratio_logseq(functools.partial(ratio, *(p[live] for p in params)), hi)
-        fact = _factorials(hi)
         w = _Table(*(arr[:, 0] for arr in tables))
         for i in range(1, nvars):
-            step = _merge(w, _Table(*(arr[:, i] for arr in tables)), fact, lo, hi)
+            step = _merge(w, _Table(*(arr[:, i] for arr in tables)), lo, hi)
             w = merged[i - 1] = _Table(*map(np.hstack, zip(merged[i - 1], step)))
         wr, wi = w.re[:, lo:hi], w.im[:, lo:hi]
         fr, fi = tables.re[:, -1, lo:hi], tables.im[:, -1, lo:hi]
@@ -523,13 +498,6 @@ def _check_gauss_args(c: float, z: complex) -> None:
         raise ConvergenceError(f"gauss_2f1 requires |z| < 1, got |z| = {abs(z)}")
 
 
-def _rounded_pole(c: float, deg: int) -> PoleError:
-    """The error of a 2F1 term whose denominator (c + deg - 1) deg rounds to
-    0.0, as it does for c = 1e-20 at deg = 1."""
-    return PoleError(f"gauss_2f1: lower parameter {c} rounds to a pole, "
-                     f"c + {deg - 1} = 0.0 at degree {deg}")
-
-
 def gauss_2f1(a: float, b: float, c: float, z: complex,
               policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesValue:
     """Direct series sum of 2F1(a, b; c; z) for |z| < 1."""
@@ -541,10 +509,8 @@ def gauss_2f1(a: float, b: float, c: float, z: complex,
         term = 1.0 + 0j
         yield term
         for deg in itertools.count(1):
-            try:
-                term = term * ((a + deg - 1) * (b + deg - 1)) / ((c + deg - 1) * deg) * z
-            except ZeroDivisionError:
-                raise _rounded_pole(c, deg) from None
+            k = deg - 1  # c + k is 0.0 only at c = -k, which _pole refused
+            term = term * ((a + k) * (b + k) / ((c + k) * deg)) * z
             yield term
 
     return _sum_shells(terms(), policy, "gauss_2f1")
@@ -564,9 +530,9 @@ class SeriesBatch(NamedTuple):
 def gauss_2f1_batch(a, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> SeriesBatch:
     """gauss_2f1 of every element of the broadcast arrays a, b, c and z,
     summed in one vectorised pass per degree, equal bit for bit to the
-    scalar calls. Each term repeats CPython's complex arithmetic on float
-    real and imaginary arrays (numpy's complex division would round
-    differently), and the stop rule of _sum_shells applies per element.
+    scalar calls. Each term repeats CPython's complex arithmetic, a complex
+    times a float and then times z, on float real and imaginary arrays, and
+    the stop rule of _sum_shells applies per element.
     A pole or |z| >= 1 raises the scalar's error for the first such element;
     an element that uses up the policy is flagged, not raised."""
     a, b, c, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
@@ -591,18 +557,11 @@ def gauss_2f1_batch(a, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> Se
             if not live.size:
                 break
             if deg:
-                # term * x, with x converted to complex(x, 0.0)
-                x = (a + deg - 1) * (b + deg - 1)
-                pr = tr * x - ti * 0.0
-                pi = tr * 0.0 + ti * x
-                # / complex(d, 0.0) by Smith's method, whose denominator
-                # d + 0.0 * ratio is d itself
-                d = (c + deg - 1) * deg
-                if not d.all():
-                    raise _rounded_pole(float(c[np.argmin(d != 0.0)]), deg)
-                ratio = 0.0 / d
-                qr = (pr + pi * ratio) / d
-                qi = (pi - pr * ratio) / d
+                # term * f, with f converted to complex(f, 0.0), then * z
+                k = deg - 1
+                f = (a + k) * (b + k) / ((c + k) * deg)
+                qr = tr * f - ti * 0.0
+                qi = tr * 0.0 + ti * f
                 tr = qr * zr - qi * zi
                 ti = qr * zi + qi * zr
             sr += tr
@@ -626,10 +585,10 @@ def gauss_2f1_batch(a, b, c, z, policy: TruncationPolicy = DEFAULT_POLICY) -> Se
 
 
 def _fa_ratio(a, b, c, z, m):
-    # rows U_1..U_n, ratio (b_i + m) / (c_i + m) z_i, then F, ratio
-    # (a + m) / (m + 1); a real factor times z rounds as two real products
-    return np.concatenate(((b[..., None] + m) / (c[..., None] + m) * z[..., None],
-                           ((a[:, None] + m) / (m + 1))[:, None]), axis=1)
+    # rows seq_1..seq_n, ratio (b_i + m) / ((c_i + m)(m + 1)) z_i, then the
+    # front, ratio a + m; a real factor times z rounds as two real products
+    return np.concatenate(((b[..., None] + m) / ((c[..., None] + m) * (m + 1)) * z[..., None],
+                           (a[:, None] + m)[:, None]), axis=1)
 
 
 def _fa_error(c, z) -> BergkernError | None:
@@ -688,10 +647,11 @@ def fa_equal_params_closed(a: float, z) -> complex:
 
 
 def _multisum_ratio(a, c, x, m):
-    # rows U_1..U_r, ratio x_i, then F, ratio (a + 2m)(a + 2m + 1) / ((c + m)(m + 1))
+    # rows seq_1..seq_r, ratio x_i / (m + 1), then the front, ratio
+    # (a + 2m)(a + 2m + 1) / (c + m)
     a, c = a[:, None, None], c[:, None, None]
-    return np.concatenate((np.broadcast_to(x[..., None], x.shape + m.shape),
-                           (a + 2 * m) * (a + 2 * m + 1) / ((c + m) * (m + 1))), axis=1)
+    return np.concatenate((x[..., None] / (m + 1),
+                           (a + 2 * m) * (a + 2 * m + 1) / (c + m)), axis=1)
 
 
 def _multisum_error(c, x) -> BergkernError | None:

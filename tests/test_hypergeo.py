@@ -92,7 +92,8 @@ def closure_2f1(a, b, c, z, policy=hypergeo.DEFAULT_POLICY):
     def shell(deg):
         nonlocal term
         if deg > 0:
-            term = term * ((a + deg - 1) * (b + deg - 1)) / ((c + deg - 1) * deg) * z
+            k = deg - 1
+            term = term * ((a + k) * (b + k) / ((c + k) * deg)) * z
         return term
 
     return hypergeo._sum_shells(map(shell, itertools.count()), policy, "gauss_2f1")
@@ -115,7 +116,8 @@ def _bit_for_bit_cases():
         c = rng.choice((rng.uniform(0.5, 6.0), -rng.randrange(4) - rng.uniform(0.1, 0.9)))
         z = cmath.rect(rng.uniform(0.0, 0.95), rng.uniform(-math.pi, math.pi))
         cases.append((a, b, c, z))
-    return cases + [(1.0, 1.0, 1.0, 0.95), (0.5, 0.5, 1.5, -0.95j)]
+    # and a lower parameter whose c + 1 rounds to 1.0
+    return cases + [(1.0, 1.0, 1.0, 0.95), (0.5, 0.5, 1.5, -0.95j), (1.0, 1.0, 1e-20, 0.5)]
 
 
 def test_gauss_2f1_matches_the_per_term_callback_bit_for_bit():
@@ -164,8 +166,7 @@ def test_gauss_2f1_batch_matches_the_scalar_bit_for_bit():
 
 def test_gauss_2f1_batch_raises_the_scalar_errors():
     # the first bad element's error, as the scalar call raises it
-    for case in ((1.0, 1.0, -2.0, 0.5), (1.0, 1.0, 2.0, 1.0), (1.0, 1.0, 2.0, 0.6 + 0.8j),
-                 (1.0, 1.0, 1e-20, 0.5)):  # (1e-20 + 1) - 1 rounds to a pole
+    for case in ((1.0, 1.0, -2.0, 0.5), (1.0, 1.0, 2.0, 1.0), (1.0, 1.0, 2.0, 0.6 + 0.8j)):
         with pytest.raises(Exception) as scalar:
             gauss_2f1(*case)
         batch_args = [np.array([0.5, v, v]) for v in case[:3]] + [np.array([0.1, case[3], 0.99j])]
@@ -174,15 +175,20 @@ def test_gauss_2f1_batch_raises_the_scalar_errors():
 
 
 @pytest.mark.parametrize("c, deg", ((1e-20, 1), (-1.0 + 2.0**-53, 2)), ids=["1e-20", "-1+2^-53"])
-def test_gauss_2f1_lower_parameter_rounding_to_a_pole_is_a_pole_error(c, deg):
-    # c + deg - 1 rounds to 0.0, so the degree-deg term would divide by zero:
-    # the scalar and the batch raise the same PoleError, not ZeroDivisionError
+def test_gauss_2f1_lower_parameter_next_to_a_pole_is_summed(c, deg):
+    # (c + deg) - 1 rounds to 0.0, but c is no pole: the degree-deg term
+    # divides by c + (deg - 1), which is c's distance from the pole -(deg - 1)
+    # exactly, and the scalar and the batch sum the series to mpmath's value
+    mpmath = pytest.importorskip("mpmath")
     assert c + deg - 1 == 0.0 and c != round(c)
-    with pytest.raises(PoleError, match=f"rounds to a pole, .* at degree {deg}$") as scalar:
-        gauss_2f1(1.0, 1.0, c, 0.5)
-    with pytest.raises(PoleError) as batch:
-        hypergeo.gauss_2f1_batch(1.0, 1.0, np.array([0.5, c, 2.0]), 0.5)
-    assert str(batch.value) == str(scalar.value)
+    got = gauss_2f1(1.0, 1.0, c, 0.5)
+    with mpmath.workdps(40):
+        want = complex(mpmath.hyp2f1(1, 1, mpmath.mpf(c), 0.5))
+    assert rel(got.value, want) < 1e-12
+    batch = hypergeo.gauss_2f1_batch(1.0, 1.0, np.array([0.5, c, 2.0]), 0.5)
+    assert (repr(complex(batch.value[1])), repr(float(batch.tail_estimate[1])),
+            int(batch.shells_used[1])) == (repr(got.value), repr(got.tail_estimate),
+                                           got.shells_used)
 
 
 def test_appell_fa_at_zero_and_collapse_to_2f1():
@@ -716,6 +722,72 @@ def test_first_table_length_does_not_change_front_series(monkeypatch, first):
     assert want[6][0] == "ConvergenceError"
     monkeypatch.setattr(hypergeo, "_FIRST_TABLE_LENGTH", first)
     assert [_front_outcome(case) for case in _FRONT_CASES] == want
+
+
+@pytest.mark.parametrize("chunk", (1, 7), ids=("one", "seven"))
+def test_pair_chunk_does_not_change_front_series(monkeypatch, chunk):
+    # A merge makes its entries a few at a time, about _PAIR_CHUNK elements
+    # a pass. One entry a pass, seven elements or the default give the same
+    # outcomes bit for bit: the cases above, and seeded batches of 2, 3 and
+    # 4 variables with region, pole and used-up elements.
+    policy = TruncationPolicy(max_total_degree=60, tail_tol=1e-13)
+    rng = random.Random(77)
+    batches = []
+    for n in (2, 3, 4):
+        draws = _front_draws(rng, n, 30, 0.9)
+        batches.append(lambda draws=draws: hypergeo.appell_fa_batch(*zip(*draws), policy))
+        draws = [(a, c[0], z) for a, b, c, z in _front_draws(rng, n, 30, 0.24)]
+        batches.append(lambda draws=draws: hypergeo.doubled_index_multisum_batch(*zip(*draws),
+                                                                                 policy))
+    cases = _FRONT_CASES + tuple(batches)
+    want = [_front_outcome(case) for case in cases]
+    monkeypatch.setattr(hypergeo, "_PAIR_CHUNK", chunk)
+    assert [_front_outcome(case) for case in cases] == want
+
+
+def test_merge_is_the_truncated_convolution(monkeypatch):
+    # _merge against sum_{j <= K} w[j] u[K - j] at 40 digits, for sequences
+    # with zero entries and exponents thousands apart, so that products of
+    # one entry lie more than 2^1023 below the largest; entries lo..hi-1 and
+    # any pass size give the same bits.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
+    rows, length = 3, 12
+
+    def table():
+        re_, im_ = rng.uniform(-1.0, 1.0, (2, rows, length))
+        return hypergeo._normalised(re_, im_, rng.integers(-3000, 3000, (rows, length)))
+
+    def value(tab, r, m):
+        return mpmath.mpc(tab.re[r, m], tab.im[r, m]) * mpmath.ldexp(1, int(tab.exp[r, m]))
+
+    w, u = table(), table()
+    for tab, r, ms in ((w, 1, [2, 5]), (w, 2, slice(None)), (u, 0, [0])):
+        tab.re[r, ms], tab.im[r, ms], tab.exp[r, ms] = 0.0, 0.0, hypergeo._ZERO_EXP
+    got = hypergeo._merge(w, u, 0, length)
+    gaps = []
+    with mpmath.workdps(40):
+        for r in range(rows):
+            for k in range(length):
+                terms = [value(w, r, j) * value(u, r, k - j) for j in range(k + 1)
+                         if w.exp[r, j] != hypergeo._ZERO_EXP
+                         and u.exp[r, k - j] != hypergeo._ZERO_EXP]
+                if not terms:
+                    assert (got.re[r, k], got.im[r, k], got.exp[r, k]) \
+                        == (0.0, 0.0, hypergeo._ZERO_EXP), (r, k)
+                    continue
+                exps = [w.exp[r, j] + u.exp[r, k - j] for j in range(k + 1)]
+                gaps.append(max(exps) - min(e for e in exps if e > hypergeo._ZERO_EXP))
+                assert 0.5 <= max(abs(got.re[r, k]), abs(got.im[r, k])) < 1.0
+                err = abs(value(got, r, k) - mpmath.fsum(terms))
+                assert err <= 1e-15 * mpmath.fsum(abs(t) for t in terms), (r, k)
+    assert max(gaps) > 1023 and np.all(got.exp[2] == hypergeo._ZERO_EXP)
+    for chunk in (1, 7, hypergeo._PAIR_CHUNK):
+        monkeypatch.setattr(hypergeo, "_PAIR_CHUNK", chunk)
+        for lo in (0, 5):
+            part = hypergeo._merge(w, u, lo, length)
+            for whole, piece in zip(got, part):
+                assert np.array_equal(whole[:, lo:], piece)
 
 
 def test_front_series_stop_at_the_row_ceiling(monkeypatch):

@@ -34,7 +34,9 @@ def scalar_batch(a, b, c, z, policy):
     return SeriesBatch(value, tail, used, exhausted)
 
 
-@pytest.mark.parametrize("seed", [7, 22005])
+# seeds 39 and 264 hold the identity rows of seeds 1-500 with the largest
+# rel_err, a decomposition row and a multisum row
+@pytest.mark.parametrize("seed", [7, 22005, 39, 264])
 def test_identity_suite_rows_match_scalar_series(monkeypatch, seed):
     batched = run_identity_suite(seed=seed)
     monkeypatch.setattr(suites, "gauss_2f1_batch", scalar_batch)
