@@ -20,7 +20,8 @@ and about 4096 rows each, held as one in-order sequence per variable count
 first, once the blocks held pass a bound in bytes set by the row ceiling.
 The kernels module forms and sums a block's terms; the stop rule
 (_sum_shells), which every series here and there shares, applies shell by
-shell, and it alone knows the degree cap.
+shell. Three places read the degree cap: _sum_shells, and the two batched
+sums that apply its rule per series, gauss_2f1_batch and _front_batch.
 
 gauss_2f1 sums its terms one by one in Python complex arithmetic, which is
 cheapest for one series. gauss_2f1_batch sums many at once, one numpy pass

@@ -20,10 +20,11 @@ factor, so the d1 tables need no log-gamma. They are held as one sequence of
 arrays per parameter set, read side by side with hypergeo's blocks, which
 alone hold the exponent rows. A block's terms, exp(log_coef) times a product
 of powers of the folded variables, are summed (_shell_gather) in plain
-complex arithmetic, from power tables built by sequential product, while
-the block's largest log-coefficient is at most _DIRECT_MAX_LOG; a block past
-it, met only deep in extreme parameter sets, is summed in
-log-magnitude/phase form, which neither overflows nor underflows.
+complex arithmetic, from powers built for that block by sequential product,
+while the block's largest log-coefficient is at most _DIRECT_MAX_LOG; a
+block past it, met only deep in extreme parameter sets, is summed as one exp
+of each term's log-magnitude and phase, taken from its exponent row, which
+overflows nowhere. No power is kept from one block to the next.
 
 The removable singularity of the closed d1 potential at nu3 = 0 is eliminated
 algebraically: with w = sqrt(1 - 4*nu3), (1 - w)/(4*nu3) = 1/(1 + w) exactly,
@@ -37,11 +38,9 @@ report's informational rows; no public function evaluates them.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -211,83 +210,40 @@ def _kernel_closed_d1_alternate(nu, p: float, lam: float) -> complex:
 _DIRECT_MAX_LOG = 600.0
 
 
-class _LogSeq(NamedTuple):
-    """Complex sequences stored as log-magnitude plus unit phase, one
-    sequence per row; the last axis runs over the index."""
-
-    logmag: np.ndarray
-    phase: np.ndarray
-
-
-class _Powers:
-    """Powers x^m, m = 0..length-1, of every x in xs, one row per x:
-    direct, each entry the one before times x, so a shorter build is an
-    exact prefix of a longer one; and logs, the same powers in log/phase
-    form, built when a block past _DIRECT_MAX_LOG first asks for them.
-    x^0 = 1, also for x = 0."""
-
-    def __init__(self, xs, length: int):
-        self.xs = xs
-        factors = np.empty((len(xs), length), dtype=complex)
-        factors[:, 0] = 1.0
-        factors[:, 1:] = np.array(xs, dtype=complex)[:, None]
-        self.direct = np.multiply.accumulate(factors, axis=1)
-
-    @functools.cached_property
-    def logs(self) -> _LogSeq:
-        xs = self.xs
-        m = np.arange(self.direct.shape[-1])
-        logs = np.array([math.log(abs(x)) if x else -math.inf for x in xs])[:, None]
-        angles = np.array([1j * math.atan2(x.imag, x.real) if x else 0j for x in xs])[:, None]
-        logmag = np.zeros(self.direct.shape)
-        np.multiply(m[1:], logs, out=logmag[:, 1:])
-        return _LogSeq(logmag, np.exp(angles * m))
+def _powers_logseq(xs, length: int) -> np.ndarray:
+    """The powers x^m, m = 0..length-1, of every x in xs, one row per x,
+    each entry the one before times x, so a shorter build is an exact
+    prefix of a longer one. x^0 = 1, also for x = 0."""
+    factors = np.empty((len(xs), length), dtype=complex)
+    factors[:, 0] = 1.0
+    factors[:, 1:] = np.array(xs, dtype=complex)[:, None]
+    return np.multiply.accumulate(factors, axis=1)
 
 
-def _powers_logseq(xs, length: int) -> _Powers:
-    """The powers of xs to length entries (see _Powers)."""
-    return _Powers(xs, length)
-
-
-def _tables_on_demand(build, arg):
-    """tables(hi): the tables build(arg, length) with length >= hi. The
-    first request builds them to hi; a later one past their end rebuilds
-    them at double length, or at hi if that is longer. Every table row is a
-    sequential cumulative product or an elementwise power, so a longer
-    build repeats the shorter one's entries exactly."""
-    held = None
-
-    def tables(hi: int) -> _Powers:
-        nonlocal held
-        if held is None:
-            held = build(arg, hi)
-        elif held.direct.shape[-1] < hi:
-            held = build(arg, max(hi, 2 * held.direct.shape[-1]))
-        return held
-
-    return tables
-
-
-def _shell_gather(powers: _Powers, block: _Block, log_coef) -> np.ndarray:
-    """Per-shell sums of exp(log_coef) * prod_i x_i^comps[:, i] over the
-    block's rows: as direct complex products while the block's largest
-    log-coefficient is at most _DIRECT_MAX_LOG, else in log/phase form."""
+def _shell_gather(xs, block: _Block, log_coef) -> np.ndarray:
+    """Per-shell sums of exp(log_coef) * prod_i x_i^m_i over the block's
+    rows m = comps: while the block's largest log-coefficient is at most
+    _DIRECT_MAX_LOG, as direct complex products of the powers to block.hi;
+    else as one exp of log_coef + sum_i m_i log|x_i| + 1j sum_i m_i arg x_i,
+    where a row with m_i > 0 at x_i = 0 is exp(-inf) = 0."""
     comps = block.comps
     # take, not fancy indexing: it is faster with the int32 rows
     if log_coef.max() <= _DIRECT_MAX_LOG:
-        direct = powers.direct
+        direct = _powers_logseq(xs, block.hi)
         terms = direct[0].take(comps[:, 0])
         for i in range(1, comps.shape[1]):
             terms *= direct[i].take(comps[:, i])
         terms *= np.exp(log_coef)
     else:
-        logmag, phase = powers.logs
-        logs = logmag[0].take(comps[:, 0]) + log_coef
-        terms = phase[0].take(comps[:, 0])
-        for i in range(1, comps.shape[1]):
-            logs += logmag[i].take(comps[:, i])
-            terms *= phase[i].take(comps[:, i])
-        terms *= np.exp(logs)
+        logs = log_coef.copy()
+        angles = np.zeros(len(comps))
+        for x, m in zip(xs, comps.T):
+            if x:
+                logs += m * math.log(abs(x))
+                angles += m * cmath.phase(x)
+            else:
+                logs[m > 0] = -math.inf
+        terms = np.exp(logs + 1j * angles)
     return np.add.reduceat(terms, block.starts)
 
 
@@ -295,13 +251,9 @@ def _monomial_series(xs, coefficients, policy: TruncationPolicy, what: str) -> S
     """Sum of exp(log_coef) * prod_i xs[i]^comps[:, i] over the rows of every
     shell, for each block of _blocks(len(xs)) and the log-coefficients
     log_coef at the same place of the sequence coefficients."""
-    tables = _tables_on_demand(_powers_logseq, xs)
-
-    def shells(block, log_coef):
-        return _shell_gather(tables(block.hi), block, log_coef).tolist()
-
-    return _sum_shells(itertools.chain.from_iterable(map(shells, _blocks(len(xs)), coefficients)),
-                       policy, what)
+    sums = (_shell_gather(xs, block, log_coef).tolist()
+            for block, log_coef in zip(_blocks(len(xs)), coefficients))
+    return _sum_shells(itertools.chain.from_iterable(sums), policy, what)
 
 
 # _coefficients(build, nvars, *params): the log-coefficients

@@ -25,11 +25,12 @@ def run_cli(capsys, *argv):
 
 
 def test_import_does_not_load_scipy():
-    code = "import sys, bergkern; print('scipy' in sys.modules)"
+    # nor mpmath: importing the package loads neither
+    code = "import sys, bergkern; print('scipy' in sys.modules, 'mpmath' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
 
 
 def test_eval_d2_closed_spot(capsys):

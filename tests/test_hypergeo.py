@@ -889,22 +889,21 @@ def held_bytes(store):
 _FULL_TABLE_LENGTH = 4000
 
 
-def _full_length_tables(build, arg):
-    # every table built to one fixed length up front, as before demand sizing
-    table = build(arg, _FULL_TABLE_LENGTH)
-    return lambda hi: table
+def _full_length_powers(xs, length, build=kernels._powers_logseq):
+    # every block's powers built to one fixed length, then cut to its own
+    return build(xs, _FULL_TABLE_LENGTH)[:, :length]
 
 
-# Block and table settings that must all give the same shells: the defaults
-# (degree- and row-bounded blocks, tables built on demand), one shell per
-# block by rows and by degrees, blocks bounded by rows alone, and full-length
-# tables.
+# Block and power settings that must all give the same shells: the defaults
+# (degree- and row-bounded blocks, powers built to each block's end), one
+# shell per block by rows and by degrees, blocks bounded by rows alone, and
+# powers cut from full-length builds.
 _BLOCK_SETTINGS = {
     "default": (),
     "rows-1": ((hypergeo, "_BLOCK_ROWS", 1),),
     "degrees-1": ((hypergeo, "_BLOCK_DEGREES", 1),),
     "degrees-400": ((hypergeo, "_BLOCK_DEGREES", 400),),
-    "full-tables": ((kernels, "_tables_on_demand", _full_length_tables),),
+    "full-tables": ((kernels, "_powers_logseq", _full_length_powers),),
 }
 
 
@@ -1021,15 +1020,26 @@ def _sweep_cases(seed: int):
     return cases
 
 
+# pairs with an exactly zero nu_j, whose log is -inf in log/phase form
+_ZERO_CASES = [
+    lambda: kernel_series_ellipsoid_nu((0.3 + 0.1j, 0), (2, 3)),
+    lambda: kernel_series_ellipsoid_nu((0, 0.2), (0.3, 0.4)),
+    lambda: kernel_series_ellipsoid_nu((0.1, 0, 0.05j), (2, 2, 2)),
+]
+
+
 def test_direct_products_match_the_log_phase_form(monkeypatch):
     # Below the range bound a block is gathered as direct complex products;
     # with the bound at -inf every block is gathered in log/phase form. The
-    # two agree to 1e-12 and stop at the same shell, on every seeded pair
-    # and on the near-boundary block cases.
+    # two agree to 1e-12 and stop at the same shell, with no RuntimeWarning,
+    # on every seeded pair, on pairs with a zero variable and on the
+    # near-boundary block cases.
     run = _series_runs(monkeypatch)
     assert kernels._DIRECT_MAX_LOG == 600.0
-    for case in _sweep_cases(29) + list(_BLOCK_CASES):
-        (got, got_used), (want, want_used) = _both_paths(monkeypatch, run, case)
+    for case in _sweep_cases(29) + _ZERO_CASES + list(_BLOCK_CASES):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (got, got_used), (want, want_used) = _both_paths(monkeypatch, run, case)
         assert got_used == want_used
         if isinstance(want, BergkernError):
             assert repr(got) == repr(want)
@@ -1273,23 +1283,8 @@ def test_stacked_ratio_logseq_rows_match_one_sequence_builds():
 
 
 def test_tables_on_demand_cover_each_request_and_stop_at_the_cap(monkeypatch):
-    # First build to the first request; then at double length, or at the
-    # request if that is longer: each build is at most max(hi, 2 * previous).
-    built = []
-
-    def build(xs, length):
-        built.append(length)
-        return kernels._powers_logseq(xs, length)
-
-    tables = kernels._tables_on_demand(build, (0.5, 0.25j))
-    for hi in (5, 3, 6, 10, 30, 61, 100):
-        n = len(built)
-        assert tables(hi).direct.shape == (2, built[-1]) and built[-1] >= hi
-        if len(built) > n > 0:
-            assert built[-1] <= max(hi, 2 * built[-2])
-    assert built == [5, 10, 30, 61, 122]
-    # A front series that uses up its cap doubles its tables from 32
-    # entries, and never past the cap's shell.
+    # A front series builds its tables on demand: one that uses up its cap
+    # doubles them from 32 entries, and never past the cap's shell.
     lengths = []
     ratio_logseq = hypergeo._ratio_logseq
 
